@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .errors import WitnessLabError
@@ -40,14 +39,6 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
     if len(parts) != 3:
         raise WitnessLabError(f"--grid expects 'lo,hi,steps', got {text!r}")
     return float(parts[0]), float(parts[1]), int(parts[2])
-
-
-def _resolve_threads(requested: int) -> int:
-    cap = os.environ.get("WITNESSLAB_THREADS")
-    threads = max(1, int(requested))
-    if cap:
-        threads = max(1, min(threads, int(cap)))
-    return threads
 
 
 def _defaults_meta(args) -> dict:
@@ -98,7 +89,7 @@ def _cmd_scan(args) -> int:
         epsilon=args.epsilon,
         tail_tol=args.tail_tol,
     )
-    results = sweep(spec, threads=_resolve_threads(args.threads))
+    results = sweep(spec)
     meta = {
         **_defaults_meta(args),
         "family": _family_text(family),
@@ -241,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     scan_p.add_argument("--ops", choices=_OPS_CHOICES, default="lowering")
     scan_p.add_argument("--condition", choices=("1", "2", "both"), default="both")
     scan_p.add_argument("--epsilon", type=float, default=None)
-    scan_p.add_argument("--threads", type=int, default=1)
     common(scan_p, ("csv", "json", "table"), "csv")
     scan_p.set_defaults(func=_cmd_scan)
 

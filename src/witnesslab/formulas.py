@@ -843,6 +843,8 @@ def run_verification(seed: int = 0, points: int = 20) -> list[CrossCheckRow]:
     first); asymptotic tags are checked through the detection threshold
     they predict.  The rounded printed constants get their own row.
     """
+    if points < 1:
+        raise BadParameter(f"points must be >= 1, got {points}")
     rng = np.random.default_rng([int(seed), 1])
     rows = []
     for tag in FormulaId:

@@ -74,7 +74,7 @@ def annihilation_op(dim: int) -> np.ndarray:
     """Truncated bosonic annihilation operator, a|m> = sqrt(m)|m-1>."""
     if dim < 1:
         raise DimensionMismatch("annihilation operator needs dim >= 1")
-    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1).astype(complex)
+    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)).astype(complex), 1)
 
 
 def matelem(bra, op, ket) -> complex:
@@ -142,7 +142,9 @@ def psd_power(op, power: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     raised to ``power``.  Eigenvalues below ``-tol * max(1, spectral
     radius)`` are treated as genuinely negative and raise
     :class:`NegativeSpectrum`; a Hermiticity defect above ``tol`` raises
-    :class:`NonHermitian`.
+    :class:`NonHermitian`.  An exactly diagonal matrix is its own
+    eigendecomposition, so its (real) diagonal is raised elementwise,
+    under the same checks.
     """
     mat = as_operator(op)
     if power <= 0:
@@ -150,9 +152,17 @@ def psd_power(op, power: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     defect = float(np.max(np.abs(mat - dag(mat))))
     if defect > tol:
         raise NonHermitian(f"Hermiticity defect {defect:.3e} exceeds tol {tol:.3e}")
-    evals, vecs = np.linalg.eigh(mat)
+    diagonal = np.diagonal(mat)
+    if np.count_nonzero(mat) == np.count_nonzero(diagonal):
+        evals, vecs = diagonal.real, None
+        lowest = float(np.min(evals))
+    else:
+        evals, vecs = np.linalg.eigh(mat)
+        lowest = float(evals[0])
     radius = float(np.max(np.abs(evals)))
-    if evals[0] < -tol * max(1.0, radius):
-        raise NegativeSpectrum(f"eigenvalue {evals[0]:.3e} below -tol for tol {tol:.3e}")
+    if lowest < -tol * max(1.0, radius):
+        raise NegativeSpectrum(f"eigenvalue {lowest:.3e} below -tol for tol {tol:.3e}")
     clamped = np.maximum(evals, 0.0)
+    if vecs is None:
+        return np.diag((clamped**power).astype(complex))
     return (vecs * clamped**power) @ dag(vecs)

@@ -156,8 +156,17 @@ def run_separable_trials(
     """Seeded batch of random separable ensembles vs random operators.
 
     Per-trial generators are derived from (seed, trial index), so any
-    subset of trials reproduces identically, serial or parallel.
+    subset of trials reproduces identically, serial or parallel.  The
+    size limits must admit at least one :class:`SeparableSpec`.
     """
+    if trials < 1:
+        raise BadParameter(f"trials must be >= 1, got {trials}")
+    if not 2 <= max_n <= 5:
+        raise BadParameter(f"max_n must lie in 2..5, got {max_n}")
+    if not 2 <= max_dim <= 4:
+        raise BadParameter(f"max_dim must lie in 2..4, got {max_dim}")
+    if not 1 <= max_terms <= 6:
+        raise BadParameter(f"max_terms must lie in 1..6, got {max_terms}")
     violations = 0
     worst1 = worst2 = np.inf
     for trial in range(int(trials)):
@@ -198,6 +207,8 @@ def run_lemma_trials(
     margin_tol: float = LEMMA_MARGIN_TOL,
 ) -> LemmaTrialSummary:
     """Seeded batch of (B, rho, p) triples for the operator-power inequality."""
+    if trials < 1:
+        raise BadParameter(f"trials must be >= 1, got {trials}")
     violations = 0
     worst = np.inf
     powers = tuple(float(p) for p in powers)

@@ -10,14 +10,14 @@ in locating the root.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BadParameter, NoSignChange
 from .states import DEFAULT_TAIL_TOL, StateFamily, build_state
-from .witness import WitnessReport, canonical_assignment, evaluate
+from .witness import WitnessReport, _check_epsilon, canonical_assignment, evaluate
 
 CSV_HEADER = "param,lhs,rhs1,rhs2,margin1,margin2,detected1,detected2"
 
@@ -38,6 +38,9 @@ class SweepSpec:
     condition: int | str = "both"
     epsilon: float | None = None
     tail_tol: float = DEFAULT_TAIL_TOL
+
+    def __post_init__(self):
+        object.__setattr__(self, "epsilon", _check_epsilon(self.epsilon))
 
 
 def _param_names(spec: SweepSpec) -> list[str]:
@@ -70,17 +73,12 @@ def _evaluate_at(spec: SweepSpec, value: float) -> WitnessReport:
     return evaluate(state, assignment, epsilon=spec.epsilon)
 
 
-def sweep(spec: SweepSpec, threads: int = 1) -> list[tuple[float, WitnessReport]]:
+def sweep(spec: SweepSpec) -> list[tuple[float, WitnessReport]]:
     """One report per grid point, endpoints included, in grid order."""
     _validate(spec)
     lo, hi, steps = spec.grid
-    values = np.linspace(float(lo), float(hi), int(steps))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(lambda v: _evaluate_at(spec, v), values))
-    else:
-        reports = [_evaluate_at(spec, v) for v in values]
-    return list(zip((float(v) for v in values), reports))
+    values = [float(v) for v in np.linspace(float(lo), float(hi), int(steps))]
+    return [(value, _evaluate_at(spec, value)) for value in values]
 
 
 @dataclass(frozen=True)
@@ -101,8 +99,8 @@ def find_threshold(
         SweepSpec(spec.family, spec.param, (*bracket, 2), spec.operators, spec.condition),
         need_scalar_condition=True,
     )
-    if tol <= 0:
-        raise BadParameter(f"tol must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise BadParameter(f"tol must be finite and positive, got {tol}")
     pick = (lambda r: r.margin1) if spec.condition == 1 else (lambda r: r.margin2)
     calls = 0
 

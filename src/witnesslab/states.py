@@ -6,6 +6,20 @@ of such pure states, optionally with a maximally-mixed component.  This
 sum-of-products form is what lets expectation values factorize per site
 instead of going through the full tensor-product space.
 
+A pure state keeps its terms in one of two forms per site:
+
+- label form: when every term's ket at a site is a computational-basis
+  ket, the site is one integer column of a (terms x sites) label array
+  next to the amplitude array.  Every built-in family stores its
+  basis-ket sites this way, so no length-d basis kets are built, and
+  overlaps and matrix elements on those sites are index lookups;
+- ket form: any other site (tilted qubits, random kets) keeps a
+  (terms x dim) stack of unit-norm local kets.
+
+``PureSOP.terms`` and ``PureSOP.site_stack`` materialize basis kets only
+when asked for.  Per-site overlap matrices are computed once per state
+and kept on it.
+
 Fock-truncated continuous-variable families carry an explicit cutoff;
 the discarded tail weight is checked against a tolerance and the kept
 amplitudes are renormalized.
@@ -14,6 +28,7 @@ amplitudes are renormalized.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,59 +48,185 @@ class ProductTerm:
     factors: tuple[np.ndarray, ...]
 
 
-@dataclass(frozen=True, eq=False)
+def _check_dims(dims) -> tuple[int, ...]:
+    dims = tuple(int(d) for d in dims)
+    if len(dims) < 2 or any(d < 1 for d in dims):
+        raise BadParameter(f"need at least 2 subsystems of dim >= 1, got {dims}")
+    return dims
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 class PureSOP:
     """Pure state as a sum of product terms over fixed subsystem dims.
 
-    Every term must carry one unit-norm local ket per subsystem; the
-    factorized evaluation paths depend on it.
+    ``PureSOP(dims, terms)`` takes explicit :class:`ProductTerm` objects,
+    each carrying one unit-norm local ket per subsystem; every site is
+    then stored in ket form.  :meth:`from_labels` builds the label form
+    directly; its (terms, sites) label array is ``labels`` (-1 on ket-form
+    sites), which is None for a state built from terms.  Instances are
+    immutable; the arrays they hand out are read-only.
     """
 
-    dims: tuple[int, ...]
-    terms: tuple[ProductTerm, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        if len(self.dims) < 2 or any(d < 1 for d in self.dims):
-            raise BadParameter(f"need at least 2 subsystems of dim >= 1, got {self.dims}")
-        if not self.terms:
+    def __init__(self, dims, terms):
+        dims = _check_dims(dims)
+        terms = tuple(terms)
+        if not terms:
             raise BadParameter("a state needs at least one product term")
-        for term in self.terms:
-            if len(term.factors) != len(self.dims):
+        for term in terms:
+            if len(term.factors) != len(dims):
                 raise BadParameter(
-                    f"term has {len(term.factors)} factors for {len(self.dims)} subsystems"
+                    f"term has {len(term.factors)} factors for {len(dims)} subsystems"
                 )
-            for ket, dim in zip(term.factors, self.dims):
+            for ket, dim in zip(term.factors, dims):
                 if ket.shape != (dim,):
                     raise BadParameter(f"local ket shape {ket.shape} != ({dim},)")
                 if abs(np.linalg.norm(ket) - 1.0) > 1e-10:
                     raise BadParameter("local kets must be unit-normalized")
+        stacks = [
+            np.array([term.factors[k] for term in terms], dtype=complex)
+            for k in range(len(dims))
+        ]
+        amps = np.array([term.amplitude for term in terms], dtype=complex)
+        self._setup(dims, amps, None, stacks)
+        self._terms = terms
+
+    @classmethod
+    def from_labels(cls, dims, amplitudes, labels, kets=None) -> "PureSOP":
+        """Label-form state: ``sum_j amplitudes[j] |labels[j, 0]> ... |labels[j, n-1]>``.
+
+        ``labels`` is a (terms, sites) integer array of computational-basis
+        indices.  A site listed in ``kets`` (site -> (terms, dim) array of
+        unit-norm kets) is stored in ket form instead; its label column
+        must be -1.
+        """
+        dims = _check_dims(dims)
+        amps = np.array(amplitudes, dtype=complex)
+        labels = _read_only(np.array(labels))
+        kets = dict(kets or {})
+        if amps.ndim != 1 or amps.size == 0:
+            raise BadParameter("a state needs at least one product term")
+        if labels.shape != (amps.size, len(dims)) or labels.dtype.kind not in "iu":
+            raise BadParameter(
+                f"labels must be integers of shape {(amps.size, len(dims))}, got {labels.shape}"
+            )
+        lows, highs = labels.min(axis=0), labels.max(axis=0)
+        columns = []
+        for site, dim in enumerate(dims):
+            if site in kets:
+                stack = np.array(kets.pop(site), dtype=complex)
+                if highs[site] != -1 or lows[site] != -1:
+                    raise BadParameter(f"site {site} has kets, so its labels must be -1")
+                if stack.shape != (amps.size, dim):
+                    raise BadParameter(f"kets at site {site} have shape {stack.shape}")
+                if np.any(np.abs(np.linalg.norm(stack, axis=1) - 1.0) > 1e-10):
+                    raise BadParameter("local kets must be unit-normalized")
+                columns.append(stack)
+            elif lows[site] < 0 or highs[site] >= dim:
+                raise BadParameter(f"basis label outside dimension {dim} at site {site}")
+            else:
+                columns.append(labels[:, site])
+        if kets:
+            raise BadParameter(f"kets given for unknown sites {sorted(kets)}")
+        state = cls.__new__(cls)
+        state._setup(dims, amps, labels, columns)
+        state._terms = None
+        return state
+
+    def _setup(self, dims, amps, labels, columns) -> None:
+        self.dims = dims
+        self.labels = labels
+        self._amps = _read_only(amps)
+        # label columns are views of the read-only label array already
+        self._columns = tuple(c if c.ndim == 1 else _read_only(c) for c in columns)
+        self._grams: list = [None] * len(dims)
+        self._overlaps = None
 
     @property
     def num_sites(self) -> int:
         return len(self.dims)
 
+    @property
+    def terms(self) -> Sequence[ProductTerm]:
+        """The product terms; label-form terms are built on access."""
+        return self._terms if self._terms is not None else _LabelTerms(self)
+
     def amplitudes(self) -> np.ndarray:
-        return np.array([t.amplitude for t in self.terms], dtype=complex)
+        return self._amps
+
+    def site_labels(self, site: int) -> np.ndarray | None:
+        """Basis labels of all terms at a label-form site, or None for a ket-form site."""
+        column = self._columns[site]
+        return column if column.ndim == 1 else None
 
     def site_stack(self, site: int) -> np.ndarray:
         """All terms' local kets at one site, stacked to shape (terms, dim)."""
-        return np.array([t.factors[site] for t in self.terms], dtype=complex)
+        column = self._columns[site]
+        if column.ndim == 2:
+            return column
+        return np.eye(self.dims[site], dtype=complex)[column]
+
+    def site_gram(self, site: int) -> np.ndarray:
+        """Overlaps <u_j|u_j'> of the terms' kets at one site (kept on the state).
+
+        On a label-form site this is the boolean equality of the labels.
+        """
+        gram = self._grams[site]
+        if gram is None:
+            column = self._columns[site]
+            if column.ndim == 1:
+                gram = column[:, None] == column
+            else:
+                gram = column.conj() @ column.T
+            self._grams[site] = _read_only(gram)
+        return gram
+
+    def overlaps(self) -> np.ndarray:
+        """Term overlaps <t_j|t_j'>: the product of every site's gram (kept on the state)."""
+        if self._overlaps is None:
+            total = self.site_gram(0)
+            for site in range(1, self.num_sites):
+                total = total * self.site_gram(site)
+            self._overlaps = _read_only(total)
+        return self._overlaps
 
     def norm(self) -> float:
-        amps = self.amplitudes()
-        gram = np.ones((len(self.terms), len(self.terms)), dtype=complex)
-        for k in range(self.num_sites):
-            stack = self.site_stack(k)
-            gram *= stack.conj() @ stack.T
-        return float(np.sqrt((amps.conj() @ gram @ amps).real))
+        amps = self._amps
+        return float(np.sqrt((amps.conj() @ self.overlaps() @ amps).real))
 
     def normalized(self) -> "PureSOP":
         scale = self.norm()
         if scale == 0.0:
             raise BadParameter("cannot normalize a zero state")
-        terms = tuple(ProductTerm(t.amplitude / scale, t.factors) for t in self.terms)
-        return PureSOP(self.dims, terms)
+        if self._terms is not None:
+            terms = tuple(ProductTerm(t.amplitude / scale, t.factors) for t in self._terms)
+            return PureSOP(self.dims, terms)
+        kets = {k: column for k, column in enumerate(self._columns) if column.ndim == 2}
+        return PureSOP.from_labels(self.dims, self._amps / scale, self.labels, kets)
+
+
+class _LabelTerms(Sequence):
+    """Read-only sequence of a label-form state's terms, each built on access."""
+
+    def __init__(self, state: PureSOP):
+        self._state = state
+
+    def __len__(self) -> int:
+        return len(self._state.amplitudes())
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[j] for j in range(len(self))[index])
+        j = range(len(self))[index]
+        state = self._state
+        factors = tuple(
+            basis_ket(dim, int(column[j])) if column.ndim == 1 else column[j]
+            for dim, column in zip(state.dims, state._columns)
+        )
+        return ProductTerm(complex(state.amplitudes()[j]), factors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,10 +324,19 @@ def tail_weight(x: float, cutoff: int) -> float:
     return float(x) ** (2 * (int(cutoff) + 1))
 
 
+def _check_tail_tol(tail_tol: float) -> float:
+    """A truncation tail tolerance must lie in (0, 1); returns it as a float."""
+    tail_tol = float(tail_tol)
+    if not 0.0 < tail_tol < 1.0:
+        raise BadParameter(f"tail_tol must lie in (0, 1), got {tail_tol}")
+    return tail_tol
+
+
 def auto_cutoff(x: float, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
     """Smallest cutoff >= 1 whose tail weight is within tolerance."""
     if not 0.0 < x < 1.0:
         raise BadParameter(f"x must lie in (0, 1), got {x}")
+    tail_tol = _check_tail_tol(tail_tol)
     cutoff = max(1, math.ceil(math.log(tail_tol) / (2.0 * math.log(x)) - 1.0))
     while tail_weight(x, cutoff) > tail_tol:
         cutoff += 1
@@ -239,31 +389,35 @@ def _superposition_qubit(theta: float) -> np.ndarray:
     return np.array([math.cos(theta), math.sin(theta)], dtype=complex)
 
 
-def _ghz_terms(n: int, theta: float) -> tuple[ProductTerm, ProductTerm]:
-    zeros = tuple(basis_ket(2, 0) for _ in range(n))
-    ones = tuple(basis_ket(2, 1) for _ in range(n))
-    return (
-        ProductTerm(complex(math.cos(theta)), zeros),
-        ProductTerm(complex(math.sin(theta)), ones),
-    )
+def _ghz_state(n: int, theta: float, tilted=None, flipped: int | None = None) -> PureSOP:
+    """cos(theta)|0...0> + sin(theta)|1...1> in label form.
+
+    ``flipped`` names one site whose bit is inverted in both terms;
+    ``tilted`` maps sites to one qubit ket that both terms carry there
+    instead of a bit.
+    """
+    labels = np.zeros((2, n), dtype=np.int64)
+    labels[1] = 1
+    if flipped is not None:
+        labels[:, flipped] = (1, 0)
+    kets = {}
+    for site, ket in (tilted or {}).items():
+        labels[:, site] = -1
+        kets[site] = (ket, ket)
+    amps = (math.cos(theta), math.sin(theta))
+    return PureSOP.from_labels((2,) * n, amps, labels, kets)
 
 
 def _build_ghz(params: dict) -> PureSOP:
     n = _as_int(params, "n", "GHZ", 2)
     theta = _as_float(params, "theta", "GHZ")
-    return PureSOP((2,) * n, _ghz_terms(n, theta))
+    return _ghz_state(n, theta)
 
 
 def _build_flipped_ghz(params: dict) -> PureSOP:
     n = _as_int(params, "n", "FlippedGHZ", 2)
     theta = _as_float(params, "theta", "FlippedGHZ")
-    first = (basis_ket(2, 1),) + tuple(basis_ket(2, 0) for _ in range(n - 1))
-    second = (basis_ket(2, 0),) + tuple(basis_ket(2, 1) for _ in range(n - 1))
-    terms = (
-        ProductTerm(complex(math.cos(theta)), first),
-        ProductTerm(complex(math.sin(theta)), second),
-    )
-    return PureSOP((2,) * n, terms)
+    return _ghz_state(n, theta, flipped=0)
 
 
 def _build_two_group_ghz(params: dict) -> PureSOP:
@@ -273,13 +427,12 @@ def _build_two_group_ghz(params: dict) -> PureSOP:
         raise BadParameter(f"TwoGroupGHZ: l must be < n, got l={l}, n={n}")
     t1 = _as_float(params, "theta1", "TwoGroupGHZ")
     t2 = _as_float(params, "theta2", "TwoGroupGHZ")
-    zero, one = basis_ket(2, 0), basis_ket(2, 1)
-    terms = []
-    for amp1, bit1 in ((math.cos(t1), zero), (math.sin(t1), one)):
-        for amp2, bit2 in ((math.cos(t2), zero), (math.sin(t2), one)):
-            factors = tuple(bit1 for _ in range(l)) + tuple(bit2 for _ in range(n - l))
-            terms.append(ProductTerm(complex(amp1 * amp2), factors))
-    return PureSOP((2,) * n, tuple(terms))
+    amps, labels = [], []
+    for amp1, bit1 in ((math.cos(t1), 0), (math.sin(t1), 1)):
+        for amp2, bit2 in ((math.cos(t2), 0), (math.sin(t2), 1)):
+            amps.append(amp1 * amp2)
+            labels.append([bit1] * l + [bit2] * (n - l))
+    return PureSOP.from_labels((2,) * n, amps, labels)
 
 
 def _build_l_separable(params: dict) -> PureSOP:
@@ -290,32 +443,18 @@ def _build_l_separable(params: dict) -> PureSOP:
     theta = _as_float(params, "theta", "LSeparable")
     thetas = _as_angles(params, "thetas", "LSeparable", l)
     # The l single-qubit factors come first, then the (n-l)-qubit GHZ block.
-    front = tuple(_superposition_qubit(t) for t in thetas)
-    zeros = tuple(basis_ket(2, 0) for _ in range(n - l))
-    ones = tuple(basis_ket(2, 1) for _ in range(n - l))
-    terms = (
-        ProductTerm(complex(math.cos(theta)), front + zeros),
-        ProductTerm(complex(math.sin(theta)), front + ones),
-    )
-    return PureSOP((2,) * n, terms)
+    tilted = {k: _superposition_qubit(t) for k, t in enumerate(thetas)}
+    return _ghz_state(n, theta, tilted=tilted)
 
 
 def _build_mixed_single_out(params: dict) -> MixedEnsemble:
     n = _as_int(params, "n", "MixedSingleOut", 2)
     theta = _as_float(params, "theta", "MixedSingleOut")
     thetas = _as_angles(params, "thetas", "MixedSingleOut", n)
-    zero, one = basis_ket(2, 0), basis_ket(2, 1)
-    pures = []
-    for i in range(n):
-        single = _superposition_qubit(thetas[i])
-        low = tuple(single if k == i else zero for k in range(n))
-        high = tuple(single if k == i else one for k in range(n))
-        terms = (
-            ProductTerm(complex(math.cos(theta)), low),
-            ProductTerm(complex(math.sin(theta)), high),
-        )
-        pures.append(PureSOP((2,) * n, terms))
-    return MixedEnsemble((2,) * n, (1.0 / n,) * n, tuple(pures))
+    pures = tuple(
+        _ghz_state(n, theta, tilted={i: _superposition_qubit(thetas[i])}) for i in range(n)
+    )
+    return MixedEnsemble((2,) * n, (1.0 / n,) * n, pures)
 
 
 def _build_noisy_ghz(params: dict) -> MixedEnsemble:
@@ -325,12 +464,9 @@ def _build_noisy_ghz(params: dict) -> MixedEnsemble:
     if not 0.0 < p < 1.0:
         raise BadParameter(f"NoisyGHZ: p must lie in (0, 1), got {p}")
     noise = params["noise"]
-    ghz = PureSOP((2,) * n, _ghz_terms(n, theta))
+    ghz = _ghz_state(n, theta)
     if noise == "ground":
-        ground = PureSOP(
-            (2,) * n,
-            (ProductTerm(1.0 + 0.0j, tuple(basis_ket(2, 0) for _ in range(n))),),
-        )
+        ground = PureSOP.from_labels((2,) * n, (1.0,), np.zeros((1, n), dtype=np.int64))
         return MixedEnsemble((2,) * n, (p, 1.0 - p), (ghz, ground))
     if noise == "white":
         return MixedEnsemble((2,) * n, (p,), (ghz,), white_noise_weight=1.0 - p)
@@ -365,37 +501,26 @@ def _resolve_cutoff(params: dict, family: str, tail_tol: float) -> tuple[float, 
 def _build_n_mode_squeezed(params: dict, tail_tol: float) -> PureSOP:
     n = _as_int(params, "n", "NModeSqueezed", 2)
     x, cutoff = _resolve_cutoff(params, "NModeSqueezed", tail_tol)
-    amps = _squeezed_amplitudes(x, cutoff)
+    occupation = np.arange(cutoff + 1)
+    labels = np.repeat(occupation[:, None], n, axis=1)
     dim = cutoff + 1
-    terms = tuple(
-        ProductTerm(amps[m], tuple(basis_ket(dim, m) for _ in range(n)))
-        for m in range(cutoff + 1)
-    )
-    return PureSOP((dim,) * n, terms)
+    return PureSOP.from_labels((dim,) * n, _squeezed_amplitudes(x, cutoff), labels)
 
 
 def _build_modified_four_mode(params: dict, tail_tol: float) -> PureSOP:
     x, cutoff = _resolve_cutoff(params, "ModifiedFourMode", tail_tol)
-    amps = _squeezed_amplitudes(x, cutoff)
+    m = np.arange(cutoff + 1)
+    labels = np.stack([m, m, m + 1, m + 1], axis=1)
     low, high = cutoff + 1, cutoff + 2
-    terms = tuple(
-        ProductTerm(
-            amps[m],
-            (
-                basis_ket(low, m),
-                basis_ket(low, m),
-                basis_ket(high, m + 1),
-                basis_ket(high, m + 1),
-            ),
-        )
-        for m in range(cutoff + 1)
+    return PureSOP.from_labels(
+        (low, low, high, high), _squeezed_amplitudes(x, cutoff), labels
     )
-    return PureSOP((low, low, high, high), terms)
 
 
 def build_state(family: StateFamily, tail_tol: float = DEFAULT_TAIL_TOL) -> State:
     """Construct the normalized state described by a family descriptor."""
     params = _check_params(family)
+    tail_tol = _check_tail_tol(tail_tol)
     tag = family.family
     if tag == "GHZ":
         return _build_ghz(params)
@@ -425,6 +550,6 @@ def dense_vector(state: PureSOP, cap: int = DIMENSION_CAP) -> np.ndarray:
     for term in state.terms:
         comp = np.array([term.amplitude], dtype=complex)
         for factor in term.factors:
-            comp = np.kron(comp, factor)
+            comp = np.outer(comp, factor).ravel()  # the 1-D kron, without its overhead
         vec += comp
     return vec

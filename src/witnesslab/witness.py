@@ -12,21 +12,33 @@ value of lhs exceeding either bound (beyond tolerance) certifies
 entanglement; non-violation is inconclusive.
 
 Expectation values factorize over the sum-of-products state
-representation, which is the default "fast" route.  ``rhs2`` needs the
-n/2 power of a genuinely multipartite operator; it is computed without
-dense matrices whenever every local ket of every product term is an
-eigenvector of its site's A^dag A (true for number-diagonal operators on
-Fock/basis product terms), and through a dense full-space fallback
-otherwise.  Both routes agree within round-off wherever both apply.
+representation, which is the default "fast" route: one terms x terms
+pair matrix per site.  On a label-form site (see ``states``) the pair
+matrix is a gather of operator entries and the overlap an equality
+test; on a ket-form site both are products of the stacked kets.
+``rhs2`` needs the n/2 power of a genuinely multipartite operator; it is
+computed without dense matrices whenever every local ket of every
+product term is an eigenvector of its site's A^dag A (true for
+number-diagonal operators on Fock/basis product terms), and through a
+dense full-space fallback otherwise.  Both routes agree within round-off
+wherever both apply.
+
+Work is done once per evaluation, not once per side: each distinct local
+operator's A^dag A, its projector test and its moment operator
+(A^dag A)^(n/2) are kept on the :class:`OperatorAssignment`, and the
+per-site overlaps on the state, so lhs, rhs1, rhs2 and
+:func:`site_second_moments` share them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionCap, DimensionMismatch
+from .errors import BadParameter, DimensionCap, DimensionMismatch
 from .linalg import (
     DIMENSION_CAP,
     annihilation_op,
@@ -51,28 +63,100 @@ PROJECTOR_TOL = 1e-12
 EIGENVECTOR_RTOL = 1e-11
 
 
+class _LocalOperator:
+    """One local operator A and what the conditions derive from it, each computed once."""
+
+    def __init__(self, op: np.ndarray):
+        self.square = dag(op) @ op
+        self._moments: dict = {}
+
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        return np.diagonal(self.square).real
+
+    @cached_property
+    def is_diagonal(self) -> bool:
+        return np.count_nonzero(self.square) == np.count_nonzero(np.diagonal(self.square))
+
+    @cached_property
+    def column_residuals(self) -> np.ndarray:
+        """max_i |(A^dag A)[i, c]| over i != c, per column c: how far |c> is from an eigenvector."""
+        if self.is_diagonal:
+            return np.zeros(len(self.square))
+        off = self.square - np.diag(np.diagonal(self.square))
+        return np.max(np.abs(off), axis=0)
+
+    @cached_property
+    def scale(self) -> float:
+        return max(1.0, float(np.max(np.abs(self.square))))
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        return np.linalg.eigvalsh(self.square)
+
+    @cached_property
+    def is_projector(self) -> bool:
+        square = self.square
+        if self.is_diagonal:
+            # the diagonal of square @ square, without the d^3 product
+            entries = np.diagonal(square)
+            return np.max(np.abs(entries * entries - entries)) <= PROJECTOR_TOL
+        return np.max(np.abs(square @ square - square)) <= PROJECTOR_TOL
+
+    def moment(self, n: int, tol: float) -> np.ndarray:
+        """(A^dag A)^(n/2); projectors are fixed points of every positive power."""
+        key = (n, tol)
+        if key not in self._moments:
+            self._moments[key] = (
+                self.square if self.is_projector else psd_power(self.square, n / 2.0, tol)
+            )
+        return self._moments[key]
+
+
 @dataclass(frozen=True)
 class OperatorAssignment:
-    """One local operator per subsystem."""
+    """One local operator per subsystem.
+
+    The operators are kept as read-only copies, so the matrices derived
+    from them and kept on the assignment cannot go stale.  Sites given
+    the same array object share one copy and one :class:`_LocalOperator`,
+    so its derived matrices are computed once for all of them.
+    """
 
     ops: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "ops", tuple(as_operator(op) for op in self.ops))
+        ops = tuple(self.ops)
+        copies: dict[int, np.ndarray] = {}
+        for op in ops:
+            if id(op) not in copies:
+                mat = as_operator(np.array(op, dtype=complex))
+                mat.flags.writeable = False
+                copies[id(op)] = mat
+        object.__setattr__(self, "ops", tuple(copies[id(op)] for op in ops))
 
     @property
     def dims(self) -> tuple[int, ...]:
         return tuple(op.shape[0] for op in self.ops)
 
+    @cached_property
+    def _local(self) -> tuple[_LocalOperator, ...]:
+        """Per site, the local operator with its derived matrices (kept on the assignment)."""
+        shared: dict[int, _LocalOperator] = {}
+        for op in self.ops:
+            if id(op) not in shared:
+                shared[id(op)] = _LocalOperator(op)
+        return tuple(shared[id(op)] for op in self.ops)
+
     @classmethod
     def qubit_lowering(cls, n: int) -> "OperatorAssignment":
         """|0><1| on every site."""
-        return cls(tuple(qubit_lowering_op() for _ in range(n)))
+        return cls((qubit_lowering_op(),) * n)
 
     @classmethod
     def qubit_raising(cls, n: int) -> "OperatorAssignment":
         """|1><0| on every site."""
-        return cls(tuple(qubit_raising_op() for _ in range(n)))
+        return cls((qubit_raising_op(),) * n)
 
     @classmethod
     def qubit_flipped(cls, n: int, flipped_sites=(0,)) -> "OperatorAssignment":
@@ -82,17 +166,14 @@ class OperatorAssignment:
         rest, e.g. the single-flip GHZ variant.
         """
         flipped = set(flipped_sites)
-        return cls(
-            tuple(
-                qubit_raising_op() if k in flipped else qubit_lowering_op()
-                for k in range(n)
-            )
-        )
+        raising, lowering = qubit_raising_op(), qubit_lowering_op()
+        return cls(tuple(raising if k in flipped else lowering for k in range(n)))
 
     @classmethod
     def annihilation(cls, dims) -> "OperatorAssignment":
         """Truncated annihilation operator on every mode."""
-        return cls(tuple(annihilation_op(int(d)) for d in dims))
+        ops = {int(d): annihilation_op(int(d)) for d in dims}
+        return cls(tuple(ops[int(d)] for d in dims))
 
 
 def canonical_assignment(name: str, dims) -> OperatorAssignment:
@@ -153,18 +234,20 @@ def _components(state: State) -> tuple[tuple[tuple[float, PureSOP], ...], float]
     return tuple(zip(state.weights, state.pures)), state.white_noise_weight
 
 
-def _pair_matrix(stack: np.ndarray, op: np.ndarray | None = None) -> np.ndarray:
-    # entry [j, j'] = <u_j | op | u_j'> over the stacked local kets
-    if op is None:
-        return stack.conj() @ stack.T
+def _pair_matrix(pure: PureSOP, site: int, op: np.ndarray) -> np.ndarray:
+    """Entry [j, j'] = <u_j | op | u_j'> over the terms' local kets at one site."""
+    labels = pure.site_labels(site)
+    if labels is not None:
+        return op[labels[:, None], labels]
+    stack = pure.site_stack(site)
     return stack.conj() @ (op @ stack.T)
 
 
 def _pure_product_expectation(pure: PureSOP, ops) -> complex:
     amps = pure.amplitudes()
-    total = np.ones((len(amps), len(amps)), dtype=complex)
-    for site, op in enumerate(ops):
-        total *= _pair_matrix(pure.site_stack(site), op)
+    total = _pair_matrix(pure, 0, ops[0])
+    for site in range(1, len(ops)):
+        total *= _pair_matrix(pure, site, ops[site])
     return complex(amps.conj() @ total @ amps)
 
 
@@ -173,17 +256,16 @@ def _pure_site_expectations(pure: PureSOP, site_ops) -> np.ndarray:
     amps = pure.amplitudes()
     n = pure.num_sites
     count = len(amps)
-    stacks = [pure.site_stack(k) for k in range(n)]
-    grams = [_pair_matrix(stack) for stack in stacks]
-    prefix = [np.ones((count, count), dtype=complex)]
+    # boolean as long as every gram multiplied in is (label-form sites)
+    prefix = [np.ones((count, count), dtype=bool)]
     for k in range(n - 1):
-        prefix.append(prefix[-1] * grams[k])
-    suffix = np.ones((count, count), dtype=complex)
+        prefix.append(prefix[-1] * pure.site_gram(k))
+    suffix = prefix[0]
     values = np.empty(n, dtype=complex)
     for k in range(n - 1, -1, -1):
         env = prefix[k] * suffix
-        values[k] = amps.conj() @ (env * _pair_matrix(stacks[k], site_ops[k])) @ amps
-        suffix = suffix * grams[k]
+        values[k] = amps.conj() @ (env * _pair_matrix(pure, k, site_ops[k])) @ amps
+        suffix = suffix * pure.site_gram(k)
     return values
 
 
@@ -217,16 +299,7 @@ def product_expectation(state: State, assignment: OperatorAssignment) -> complex
 def site_second_moments(state: State, assignment: OperatorAssignment) -> np.ndarray:
     """< A_k^dag A_k > for every site, as real numbers."""
     _check_assignment(state, assignment)
-    squares = [dag(op) @ op for op in assignment.ops]
-    return _site_expectations(state, squares).real
-
-
-def _moment_operator(op: np.ndarray, n: int, tol: float) -> np.ndarray:
-    square = dag(op) @ op
-    # projectors are fixed points of every positive power
-    if np.max(np.abs(square @ square - square)) <= PROJECTOR_TOL:
-        return square
-    return psd_power(square, n / 2.0, tol)
+    return _site_expectations(state, [local.square for local in assignment._local]).real
 
 
 def _dense_expectation(full_op: np.ndarray, state: State) -> complex:
@@ -249,7 +322,7 @@ def rhs_condition1(
     """Geometric mean bound: prod_k <(A_k^dag A_k)^(n/2)>^(1/n)."""
     _check_assignment(state, assignment)
     n = len(state.dims)
-    moment_ops = [_moment_operator(op, n, tol) for op in assignment.ops]
+    moment_ops = [local.moment(n, tol) for local in assignment._local]
     if method == "dense":
         values = np.array(
             [
@@ -267,41 +340,44 @@ def rhs_condition1(
     return float(result)
 
 
-def _fast_rhs2(state: State, squares, n: int, cap: int) -> float | None:
+def _fast_rhs2(state: State, local, n: int, cap: int) -> float | None:
     """Eigenvector route for rhs2; returns None when ineligible.
 
     Requires every local ket of every product term to be an eigenvector
     of its site's A^dag A.  Each term is then an eigenvector of the
     operator average S, so S^(n/2) acts by scalar powers and only term
-    overlaps are needed.
+    overlaps are needed.  On a label-form site the test reads the
+    matching columns of A^dag A exactly.
     """
     comps, noise = _components(state)
-    scales = [max(1.0, float(np.max(np.abs(sq)))) for sq in squares]
     half = n / 2.0
     value = 0.0
     for weight, pure in comps:
         amps = pure.amplitudes()
-        count = len(amps)
-        sums = np.zeros(count)
-        gram = np.ones((count, count), dtype=complex)
-        for k, square in enumerate(squares):
+        sums = np.zeros(len(amps))
+        for k, op in enumerate(local):
+            labels = pure.site_labels(k)
+            if labels is not None:
+                if np.max(op.column_residuals[labels]) > EIGENVECTOR_RTOL * op.scale:
+                    return None
+                sums += op.diagonal[labels]
+                continue
             stack = pure.site_stack(k)
-            acted = stack @ square.T
+            acted = stack @ op.square.T
             mu = np.einsum("jd,jd->j", stack.conj(), acted)
             residual = float(np.max(np.abs(acted - mu[:, None] * stack)))
-            if residual > EIGENVECTOR_RTOL * scales[k]:
+            if residual > EIGENVECTOR_RTOL * op.scale:
                 return None
             sums += mu.real
-            gram *= _pair_matrix(stack)
         powered = np.maximum(sums / n, 0.0) ** half
-        value += weight * float((amps.conj() @ (gram * powered[None, :]) @ amps).real)
+        value += weight * float((amps.conj() @ (pure.overlaps() * powered[None, :]) @ amps).real)
     if noise:
         total = total_dimension(state.dims)
         if total > cap:
             return None
         spectrum = np.zeros(1)
-        for square in squares:
-            spectrum = np.add.outer(spectrum, np.linalg.eigvalsh(square)).ravel()
+        for op in local:
+            spectrum = np.add.outer(spectrum, op.eigenvalues).ravel()
         value += noise * float(np.mean(np.maximum(spectrum / n, 0.0) ** half))
     return value
 
@@ -316,9 +392,8 @@ def rhs_condition2(
     """Operator-average bound: <((1/n) sum_k A_k^dag A_k)^(n/2)>."""
     _check_assignment(state, assignment)
     n = len(state.dims)
-    squares = [dag(op) @ op for op in assignment.ops]
     if method in ("auto", "fast"):
-        value = _fast_rhs2(state, squares, n, cap)
+        value = _fast_rhs2(state, assignment._local, n, cap)
         if value is not None:
             return float(value)
         if method == "fast":
@@ -330,9 +405,20 @@ def rhs_condition2(
         raise DimensionCap(
             f"rhs_condition2 needs full dimension {total} <= cap {cap} for the dense route"
         )
+    squares = [local.square for local in assignment._local]
     summed = sum(kron_embed(sq, k, state.dims, cap) for k, sq in enumerate(squares)) / n
     powered = psd_power(summed, n / 2.0, tol)
     return float(_dense_expectation(powered, state).real)
+
+
+def _check_epsilon(epsilon: float | None) -> float | None:
+    """A detection tolerance is finite and >= 0 (None selects the default)."""
+    if epsilon is None:
+        return None
+    epsilon = float(epsilon)
+    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+        raise BadParameter(f"epsilon must be finite and >= 0, got {epsilon}")
+    return epsilon
 
 
 def evaluate(
@@ -348,7 +434,9 @@ def evaluate(
     only when its margin exceeds it.  When omitted it defaults to
     ``1e-9 * max(1, rhs1, rhs2)``, which keeps strict-inequality semantics
     at equality boundaries without misreading round-off as detection.
+    A negative or non-finite ``epsilon`` raises :class:`BadParameter`.
     """
+    epsilon = _check_epsilon(epsilon)
     lhs = abs(product_expectation(state, assignment))
     rhs1 = rhs_condition1(state, assignment, method=method)
     rhs2 = rhs_condition2(state, assignment, method=method, cap=cap)

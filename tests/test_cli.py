@@ -172,26 +172,6 @@ def test_output_file_matches_stdout(tmp_path, capsys):
     assert target.read_text() == stdout_text
 
 
-def test_threads_env_cap(monkeypatch, capsys):
-    argv = [
-        "scan",
-        "--family",
-        '{"family":"GHZ","params":{"n":3}}',
-        "--param",
-        "theta",
-        "--grid",
-        "0.1,1.0,7",
-        "--threads",
-        "8",
-    ]
-    assert run(argv) == 0
-    unlimited = capsys.readouterr().out
-    monkeypatch.setenv("WITNESSLAB_THREADS", "1")
-    assert run(argv) == 0
-    capped = capsys.readouterr().out
-    assert unlimited == capped
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -202,6 +182,27 @@ def test_threads_env_cap(monkeypatch, capsys):
         ["scan", "--family", "GHZ", "--param", "theta", "--grid", "0.1,1.0"],
         ["threshold", "--family", "ModifiedFourMode", "--condition", "2", "--param", "x",
          "--bracket", "0.2,0.5", "--tol", "1e-4"],  # no sign change in bracket
+        # a negative epsilon would report the product state |000> as detected
+        ["detect", "--family", '{"family":"GHZ","params":{"n":3,"theta":0.0}}',
+         "--epsilon=-1e-3"],
+        ["detect", "--family", '{"family":"GHZ","params":{"n":3,"theta":0.5}}',
+         "--epsilon", "nan"],
+        ["scan", "--family", '{"family":"GHZ","params":{"n":3}}', "--param", "theta",
+         "--grid", "0.1,1.0,3", "--epsilon", "inf"],
+        ["threshold", "--family", "ModifiedFourMode", "--condition", "2", "--param", "x",
+         "--bracket", "0.01,0.5", "--tol", "nan"],
+        ["threshold", "--family", "ModifiedFourMode", "--condition", "2", "--param", "x",
+         "--bracket", "0.01,0.5", "--tol", "inf"],
+        ["detect", "--family", '{"family":"NModeSqueezed","params":{"n":2,"x":0.5}}',
+         "--ops", "annihilation", "--tail-tol", "nan"],
+        ["detect", "--family", '{"family":"NModeSqueezed","params":{"n":2,"x":0.5}}',
+         "--ops", "annihilation", "--tail-tol", "0"],
+        ["detect", "--family", '{"family":"NModeSqueezed","params":{"n":2,"x":0.5}}',
+         "--ops", "annihilation", "--tail-tol", "2"],
+        ["oracle", "--trials", "-5"],
+        ["oracle", "--trials", "5", "--max-n", "1"],
+        ["oracle", "--trials", "5", "--lemma-trials", "-1"],
+        ["verify", "--points", "0"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):

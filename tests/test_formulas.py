@@ -160,3 +160,9 @@ def test_run_verification_all_pass_and_cover_every_tag():
     assert {row.tag for row in rows} == set(FormulaId)
     kinds = {row.kind for row in rows}
     assert kinds == {"exact", "asymptotic", "constants"}
+
+
+def test_run_verification_needs_at_least_one_point():
+    """points=0 used to report PASS on rows that checked no case."""
+    with pytest.raises(BadParameter):
+        run_verification(points=0)

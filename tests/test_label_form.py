@@ -1,0 +1,150 @@
+"""Property tests: label-form states evaluate exactly like their explicit-ket twins."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from witnesslab.errors import BadParameter
+from witnesslab.linalg import annihilation_op
+from witnesslab.states import ProductTerm, PureSOP, StateFamily, build_state
+from witnesslab.witness import (
+    OperatorAssignment,
+    evaluate,
+    product_expectation,
+    product_expectation_dense,
+    rhs_condition1,
+    rhs_condition2,
+    site_second_moments,
+)
+
+#: Operator kinds drawn per site; only "gaussian" has a non-diagonal A^dag A.
+OP_KINDS = ("gaussian", "annihilation", "diagonal", "raising")
+
+
+def _unit(vec):
+    return vec / np.linalg.norm(vec)
+
+
+def _operator(kind: str, dim: int, rng: np.random.Generator) -> np.ndarray:
+    if kind == "gaussian":
+        return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    if kind == "annihilation":
+        return annihilation_op(dim)
+    if kind == "diagonal":
+        return np.diag(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+    return annihilation_op(dim).T.copy() * np.exp(1j * rng.uniform(0, 2 * np.pi))
+
+
+@st.composite
+def label_cases(draw):
+    """(labelled state, explicit twin, assignment, any site with a non-diagonal A^dag A)."""
+    n = draw(st.integers(2, 4))
+    dims = tuple(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
+    count = draw(st.integers(1, 5))
+    ket_sites = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    kinds = draw(st.lists(st.sampled_from(OP_KINDS), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    amps = _unit(rng.standard_normal(count) + 1j * rng.standard_normal(count))
+    labels = np.array([rng.integers(0, d, count) for d in dims]).T
+    kets = {}
+    for site in ket_sites:
+        d = dims[site]
+        kets[site] = [_unit(rng.standard_normal(d) + 1j * rng.standard_normal(d)) for _ in amps]
+        labels[:, site] = -1
+    labelled = PureSOP.from_labels(dims, amps, labels, kets)
+
+    terms = []
+    for j, amp in enumerate(amps):
+        factors = tuple(
+            kets[k][j] if k in kets else np.eye(d, dtype=complex)[labels[j, k]]
+            for k, d in enumerate(dims)
+        )
+        terms.append(ProductTerm(complex(amp), factors))
+    explicit = PureSOP(dims, tuple(terms))
+
+    ops = tuple(_operator(kind, d, rng) for kind, d in zip(kinds, dims))
+    non_diagonal = any(kind == "gaussian" and d > 1 for kind, d in zip(kinds, dims))
+    return labelled, explicit, OperatorAssignment(ops), non_diagonal
+
+
+def _close(a, b, tol):
+    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(label_cases())
+def test_label_form_matches_explicit_kets_and_dense(case):
+    labelled, explicit, assignment, non_diagonal = case
+    assert len(labelled.terms) == len(explicit.terms)
+    for got, want in zip(labelled.terms, explicit.terms):
+        assert got.amplitude == want.amplitude
+        for a, b in zip(got.factors, want.factors):
+            np.testing.assert_array_equal(a, b)
+
+    rep_l, rep_e = evaluate(labelled, assignment), evaluate(explicit, assignment)
+    for field in ("lhs", "rhs1", "rhs2"):
+        assert _close(getattr(rep_l, field), getattr(rep_e, field), 1e-12), field
+    np.testing.assert_allclose(
+        site_second_moments(labelled, assignment),
+        site_second_moments(explicit, assignment),
+        rtol=1e-12,
+        atol=1e-12,
+    )
+
+    # both forms against the full-space oracle routes (every case fits the cap)
+    dense_lhs = product_expectation_dense(labelled, assignment)
+    dense_rhs1 = rhs_condition1(labelled, assignment, method="dense")
+    dense_rhs2 = rhs_condition2(labelled, assignment, method="dense")
+    for state in (labelled, explicit):
+        assert _close(product_expectation(state, assignment), dense_lhs, 1e-8)
+        assert _close(rhs_condition1(state, assignment), dense_rhs1, 1e-8)
+        assert _close(rhs_condition2(state, assignment), dense_rhs2, 1e-8)
+
+    # a non-diagonal A^dag A makes no generic ket an eigenvector: no fast route
+    if non_diagonal:
+        for state in (labelled, explicit):
+            with pytest.raises(ValueError):
+                rhs_condition2(state, assignment, method="fast")
+
+
+@pytest.mark.parametrize(
+    "family,params",
+    [
+        ("LSeparable", {"n": 5, "l": 2, "theta": 0.4, "thetas": [0.5, 1.0]}),
+        ("MixedSingleOut", {"n": 3, "theta": 0.6, "thetas": [0.1, 0.2, 0.3]}),
+        ("ModifiedFourMode", {"x": 0.3, "cutoff": 4}),
+    ],
+)
+def test_builders_store_basis_sites_as_labels(family, params):
+    """Tilted qubits stay kets; every basis-ket site is a label column."""
+    state = build_state(StateFamily(family, params), tail_tol=1e-3)
+    pures = getattr(state, "pures", (state,))
+    for pure in pures:
+        for site in range(pure.num_sites):
+            labels = pure.site_labels(site)
+            stack = pure.site_stack(site)
+            if labels is None:
+                assert np.count_nonzero(stack) > len(stack)  # genuinely tilted
+            else:
+                np.testing.assert_array_equal(np.argmax(np.abs(stack), axis=1), labels)
+
+
+def test_from_labels_rejects_malformed_input():
+    with pytest.raises(BadParameter):
+        PureSOP.from_labels((2, 2), [1.0], [[0, 2]])  # label outside the dimension
+    with pytest.raises(BadParameter):
+        PureSOP.from_labels((2, 2), [1.0], [[0.0, 1.0]])  # not integers
+    with pytest.raises(BadParameter):
+        PureSOP.from_labels((2, 2), [1.0], [[0, 1]], {0: [[1.0, 0.0]]})  # kets need label -1
+    with pytest.raises(BadParameter):
+        PureSOP.from_labels((2, 2), [1.0], [[-1, 1]], {0: [[2.0, 0.0]]})  # not unit norm
+
+
+def test_state_arrays_are_read_only():
+    state = build_state(StateFamily("GHZ", {"n": 3, "theta": 0.3}))
+    with pytest.raises(ValueError):
+        state.amplitudes()[0] = 0.0
+    with pytest.raises(ValueError):
+        state.site_labels(0)[0] = 1

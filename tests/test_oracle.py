@@ -95,6 +95,27 @@ def test_separable_spec_validation():
         SeparableSpec((2, 2), 9, 0)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"trials": 0},
+        {"trials": -5},  # used to pass with infinite worst margins
+        {"trials": 5, "max_n": 1},  # used to die in numpy with "low >= high"
+        {"trials": 5, "max_n": 6},
+        {"trials": 5, "max_dim": 1},
+        {"trials": 5, "max_terms": 0},
+    ],
+)
+def test_separable_trials_reject_empty_or_impossible_ranges(kwargs):
+    with pytest.raises(BadParameter):
+        run_separable_trials(seed=0, **kwargs)
+
+
+def test_lemma_trials_reject_empty_runs():
+    with pytest.raises(BadParameter):
+        run_lemma_trials(trials=-1, seed=0)
+
+
 def test_check_lemma_projector():
     """For a projector, the slack is q - q^p >= 0 with q = <P>."""
     rng = np.random.default_rng(31)

@@ -61,14 +61,6 @@ def test_sweep_grid_endpoints_and_determinism():
     assert [r.lhs for _, r in first] == [r.lhs for _, r in second]
 
 
-def test_sweep_threads_match_serial():
-    spec = ghz_spec(4, steps=21)
-    serial = sweep(spec)
-    threaded = sweep(spec, threads=4)
-    assert [v for v, _ in serial] == [v for v, _ in threaded]
-    assert [r.margin1 for _, r in serial] == [r.margin1 for _, r in threaded]
-
-
 def test_two_group_condition1_never_detects():
     """The l=2, n=4 split never violates the geometric-mean bound."""
     fam = StateFamily("TwoGroupGHZ", {"n": 4, "l": 2, "theta1": 0.8})
@@ -129,6 +121,19 @@ def test_threshold_requires_sign_change():
     spec = SweepSpec(StateFamily("GHZ", {"n": 3}), "theta", (0.1, 0.2, 2), "lowering", 1)
     with pytest.raises(NoSignChange):
         find_threshold(spec, (0.1, 0.2), 1e-4)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-4])
+def test_threshold_tol_must_be_finite_and_positive(tol):
+    spec = SweepSpec(StateFamily("ModifiedFourMode", {}), "x", (0.01, 0.5, 2), "annihilation", 2)
+    with pytest.raises(BadParameter):
+        find_threshold(spec, (0.01, 0.5), tol)
+
+
+@pytest.mark.parametrize("epsilon", [-1e-3, math.nan, math.inf])
+def test_sweep_spec_rejects_bad_epsilon(epsilon):
+    with pytest.raises(BadParameter):
+        SweepSpec(StateFamily("GHZ", {"n": 3}), "theta", (0.1, 1.0, 3), epsilon=epsilon)
 
 
 def test_sweep_validation():

@@ -215,6 +215,15 @@ def test_bad_parameters(family, params):
         build_state(StateFamily(family, params))
 
 
+@pytest.mark.parametrize("tail_tol", [math.nan, 0.0, -1e-3, 1.0, 2.0, math.inf])
+def test_tail_tol_must_lie_in_unit_interval(tail_tol):
+    """2 used to truncate at cutoff 1; nan and 0 failed with untyped errors."""
+    with pytest.raises(BadParameter):
+        build_state(StateFamily("NModeSqueezed", {"n": 2, "x": 0.5}), tail_tol=tail_tol)
+    with pytest.raises(BadParameter):
+        auto_cutoff(0.5, tail_tol)
+
+
 def test_pure_sop_rejects_malformed_terms():
     zero = np.array([1.0, 0.0], dtype=complex)
     with pytest.raises(BadParameter):

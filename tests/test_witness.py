@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from witnesslab.errors import DimensionCap, DimensionMismatch
+from witnesslab.errors import BadParameter, DimensionCap, DimensionMismatch
 from witnesslab.states import StateFamily, build_state
 from witnesslab.witness import (
     OperatorAssignment,
@@ -308,3 +308,11 @@ def test_epsilon_semantics():
     # an epsilon larger than the margin suppresses detection
     muted = evaluate(state, lowering, epsilon=1.0)
     assert not muted.detected1 and not muted.detected2 and muted.epsilon == 1.0
+
+
+@pytest.mark.parametrize("epsilon", [-1e-3, -1e-300, math.nan, math.inf, -math.inf])
+def test_epsilon_must_be_finite_and_nonnegative(epsilon):
+    """A negative epsilon would flag the product state |000> as entangled."""
+    with pytest.raises(BadParameter):
+        evaluate(ghz(3, 0.0), OperatorAssignment.qubit_lowering(3), epsilon=epsilon)
+    assert evaluate(ghz(3, 0.0), OperatorAssignment.qubit_lowering(3), epsilon=0.0).epsilon == 0.0
