@@ -8,6 +8,7 @@ header, and identical flags produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -206,7 +207,9 @@ def _cmd_oracle(args) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``witnesslab`` argument parser, built once per process and shared."""
     parser = argparse.ArgumentParser(
         prog="witnesslab",
         description="Evaluate product-moment entanglement conditions on multipartite states.",

@@ -10,7 +10,7 @@ class DimensionMismatch(WitnessLabError):
 
 
 class DimensionCap(WitnessLabError):
-    """A dense full-space object would exceed the configured dimension cap."""
+    """A dense full-space object would exceed ``linalg.DIMENSION_CAP``."""
 
 
 class NonHermitian(WitnessLabError):

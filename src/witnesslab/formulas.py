@@ -26,10 +26,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BadParameter, MissingParameter, NoSignChange
+from .errors import BadParameter, MissingParameter
 from .oracle import random_assignment, random_pure_state
+from .scan import bisect_margin
 from .states import StateFamily, build_state
-from .witness import OperatorAssignment, evaluate, site_second_moments
+from .witness import canonical_assignment, evaluate, site_second_moments
 
 
 class FormulaId(str, Enum):
@@ -94,18 +95,8 @@ def series_identity_check(x: float, moment: int) -> tuple[float, float]:
     """
     if moment not in (0, 1, 2):
         raise BadParameter(f"moment must be 0, 1 or 2, got {moment}")
-    if not 0.0 < x < 1.0:
-        raise BadParameter(f"series requires 0 < x < 1, got {x}")
+    total = weighted_geometric_sum(x, moment, tol=1e-15)
     q = x * x
-    total = 0.0
-    m = 0
-    while True:
-        total += q**m * float(m) ** moment
-        if m > moment / max(1e-12, -math.log(q)) and q**m * float(m) ** moment < 1e-18 * max(
-            1.0, total
-        ):
-            break
-        m += 1
     closed = {
         0: 1.0 / (1.0 - q),
         1: q / (1.0 - q) ** 2,
@@ -310,12 +301,7 @@ def _report(family: str, params: dict, ops: str = "lowering", tail_tol: float | 
         StateFamily(family, params),
         **({} if tail_tol is None else {"tail_tol": tail_tol}),
     )
-    assignment = (
-        OperatorAssignment.annihilation(state.dims)
-        if ops == "annihilation"
-        else OperatorAssignment.qubit_lowering(len(state.dims))
-    )
-    return evaluate(state, assignment)
+    return evaluate(state, canonical_assignment(ops, state.dims))
 
 
 def _pick(report, condition: int) -> tuple[float, float]:
@@ -608,10 +594,6 @@ _REGISTRY: dict[FormulaId, Formula] = {
         ("x",), True, "raw condition-1 sides in closed form", _mod4_c1_sides,
         lambda p: _numeric_mod4(p, 1), _sample_mod4,
     ),
-    FormulaId.MOD4_RHS1: Formula(
-        ("x",), True, "raw condition-1 sides in closed form", _mod4_c1_sides,
-        lambda p: _numeric_mod4(p, 1), _sample_mod4,
-    ),
     FormulaId.MOD4_RHS2: Formula(
         ("x",), True, "raw condition-2 sides in closed form", _mod4_c2_sides,
         lambda p: _numeric_mod4(p, 2), _sample_mod4,
@@ -625,6 +607,8 @@ _REGISTRY: dict[FormulaId, Formula] = {
         _bipartite_c2, lambda p: _numeric_bipartite(p, 2), _sample_bipartite,
     ),
 }
+# MOD4_LHS and MOD4_RHS1 tag the two sides of one printed condition-1 relation
+_REGISTRY[FormulaId.MOD4_RHS1] = _REGISTRY[FormulaId.MOD4_LHS]
 
 
 def _entry(tag: FormulaId) -> Formula:
@@ -719,9 +703,9 @@ _PINNED_CASES: dict[FormulaId, dict] = {
     FormulaId.SQZ_LHS: {"n": 3, "x": 0.5},
     FormulaId.SQZ_RHS: {"n": 3, "x": 0.5},
     FormulaId.MOD4_LHS: {"x": 0.5},
-    FormulaId.MOD4_RHS1: {"x": 0.5},
     FormulaId.MOD4_RHS2: {"x": 0.5},
 }
+_PINNED_CASES[FormulaId.MOD4_RHS1] = _PINNED_CASES[FormulaId.MOD4_LHS]
 
 _ASYMPTOTIC_SETUPS: dict[FormulaId, dict] = {
     FormulaId.TG_ASYMP_C1: {
@@ -764,17 +748,8 @@ def closed_form_threshold(
         lhs, rhs = closed_form(tag, {**params, var: value})
         return lhs - rhs
 
-    lo, hi = float(bracket[0]), float(bracket[1])
-    pos_lo = margin(lo) > 0.0
-    if pos_lo == (margin(hi) > 0.0):
-        raise NoSignChange(f"{FormulaId(tag).value}: no sign change on {bracket}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if (margin(mid) > 0.0) == pos_lo:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    message = f"{FormulaId(tag).value}: no sign change on {bracket}"
+    return bisect_margin(margin, bracket, tol, message).value
 
 
 def _exact_row(tag: FormulaId, rng: np.random.Generator, points: int) -> CrossCheckRow:

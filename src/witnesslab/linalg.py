@@ -36,7 +36,7 @@ def as_ket(vec) -> np.ndarray:
     ket = np.asarray(vec, dtype=complex)
     if ket.ndim != 1 or ket.size == 0:
         raise DimensionMismatch(f"ket must be a nonempty 1-D vector, got shape {ket.shape}")
-    if not np.all(np.isfinite(ket.view(float))):
+    if not np.all(np.isfinite(ket)):
         raise ValueError("ket has non-finite amplitudes")
     return ket
 
@@ -46,7 +46,7 @@ def as_operator(op) -> np.ndarray:
     mat = np.asarray(op, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
         raise DimensionMismatch(f"operator must be square, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat.view(float))):
+    if not np.all(np.isfinite(mat)):
         raise ValueError("operator has non-finite entries")
     return mat
 
@@ -93,12 +93,12 @@ def total_dimension(dims) -> int:
     return math.prod(int(d) for d in dims)
 
 
-def kron_embed(op, site: int, dims, cap: int = DIMENSION_CAP) -> np.ndarray:
+def kron_embed(op, site: int, dims) -> np.ndarray:
     """Embed a local operator at one site of a multipartite space.
 
     Returns ``I ⊗ ... ⊗ op ⊗ ... ⊗ I`` with ``op`` at position ``site``
     (site 0 leftmost).  Raises :class:`DimensionCap` if the full space
-    exceeds ``cap``.
+    exceeds :data:`DIMENSION_CAP`.
     """
     dims = tuple(int(d) for d in dims)
     mat = as_operator(op)
@@ -109,8 +109,8 @@ def kron_embed(op, site: int, dims, cap: int = DIMENSION_CAP) -> np.ndarray:
             f"operator dim {mat.shape[0]} != subsystem dim {dims[site]} at site {site}"
         )
     total = total_dimension(dims)
-    if total > cap:
-        raise DimensionCap(f"full-space dimension {total} exceeds cap {cap}")
+    if total > DIMENSION_CAP:
+        raise DimensionCap(f"full-space dimension {total} exceeds cap {DIMENSION_CAP}")
     left = total_dimension(dims[:site])
     right = total_dimension(dims[site + 1 :])
     out = mat
@@ -121,12 +121,12 @@ def kron_embed(op, site: int, dims, cap: int = DIMENSION_CAP) -> np.ndarray:
     return out
 
 
-def kron_product(ops, cap: int = DIMENSION_CAP) -> np.ndarray:
+def kron_product(ops) -> np.ndarray:
     """Kronecker product ``ops[0] ⊗ ops[1] ⊗ ...`` with a size guard."""
     mats = [as_operator(op) for op in ops]
     if not mats:
         raise DimensionMismatch("need at least one operator")
-    if total_dimension(m.shape[0] for m in mats) > cap:
+    if total_dimension(m.shape[0] for m in mats) > DIMENSION_CAP:
         raise DimensionCap("full product operator exceeds dimension cap")
     out = mats[0]
     for mat in mats[1:]:

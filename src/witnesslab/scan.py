@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -91,33 +92,38 @@ class ThresholdResult:
     evaluations: int = field(default=0, compare=False)
 
 
-def find_threshold(
-    spec: SweepSpec, bracket: tuple[float, float], tol: float
+def bisect_margin(
+    margin: Callable[[float], float],
+    bracket: tuple[float, float],
+    tol: float,
+    no_sign_change: str,
 ) -> ThresholdResult:
-    """Bisect the margin sign of the chosen condition over one parameter."""
-    _validate(
-        SweepSpec(spec.family, spec.param, (*bracket, 2), spec.operators, spec.condition),
-        need_scalar_condition=True,
-    )
+    """Bisect on the sign of ``margin`` until the bracket is at most ``tol`` wide.
+
+    The search also stops early once the bracket ends are adjacent floats,
+    where the midpoint rounds to one of them and the bracket cannot shrink
+    any further; ``bracket_width`` then reports the actual float spacing.
+    Raises :class:`NoSignChange` with the message ``no_sign_change`` when
+    the margin has the same sign at both ends.
+    """
     if not (math.isfinite(tol) and tol > 0):
         raise BadParameter(f"tol must be finite and positive, got {tol}")
-    pick = (lambda r: r.margin1) if spec.condition == 1 else (lambda r: r.margin2)
     calls = 0
 
-    def margin(value: float) -> float:
+    def positive(value: float) -> bool:
         nonlocal calls
         calls += 1
-        return pick(_evaluate_at(spec, value))
+        return margin(value) > 0.0
 
     lo, hi = float(bracket[0]), float(bracket[1])
-    pos_lo = margin(lo) > 0.0
-    if pos_lo == (margin(hi) > 0.0):
-        raise NoSignChange(
-            f"margin of condition {spec.condition} has the same sign at both ends of {bracket}"
-        )
+    pos_lo = positive(lo)
+    if pos_lo == positive(hi):
+        raise NoSignChange(no_sign_change)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if (margin(mid) > 0.0) == pos_lo:
+        if not lo < mid < hi:
+            break
+        if positive(mid) == pos_lo:
             lo = mid
         else:
             hi = mid
@@ -126,6 +132,23 @@ def find_threshold(
         bracket_width=hi - lo,
         detected_side="below" if pos_lo else "above",
         evaluations=calls,
+    )
+
+
+def find_threshold(
+    spec: SweepSpec, bracket: tuple[float, float], tol: float
+) -> ThresholdResult:
+    """Bisect the margin sign of the chosen condition over one parameter."""
+    _validate(
+        SweepSpec(spec.family, spec.param, (*bracket, 2), spec.operators, spec.condition),
+        need_scalar_condition=True,
+    )
+    pick = (lambda r: r.margin1) if spec.condition == 1 else (lambda r: r.margin2)
+    return bisect_margin(
+        lambda value: pick(_evaluate_at(spec, value)),
+        bracket,
+        tol,
+        f"margin of condition {spec.condition} has the same sign at both ends of {bracket}",
     )
 
 

@@ -541,11 +541,11 @@ def build_state(family: StateFamily, tail_tol: float = DEFAULT_TAIL_TOL) -> Stat
     raise BadParameter(f"unknown family {tag!r}")  # unreachable; guarded in __post_init__
 
 
-def dense_vector(state: PureSOP, cap: int = DIMENSION_CAP) -> np.ndarray:
+def dense_vector(state: PureSOP) -> np.ndarray:
     """Expand a pure SOP state into a full state vector (dense fallback)."""
     total = total_dimension(state.dims)
-    if total > cap:
-        raise DimensionCap(f"full-space dimension {total} exceeds cap {cap}")
+    if total > DIMENSION_CAP:
+        raise DimensionCap(f"full-space dimension {total} exceeds cap {DIMENSION_CAP}")
     vec = np.zeros(total, dtype=complex)
     for term in state.terms:
         comp = np.array([term.amplitude], dtype=complex)

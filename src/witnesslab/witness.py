@@ -66,9 +66,9 @@ EIGENVECTOR_RTOL = 1e-11
 class _LocalOperator:
     """One local operator A and what the conditions derive from it, each computed once."""
 
-    def __init__(self, op: np.ndarray):
+    def __init__(self, op: np.ndarray, n: int):
         self.square = dag(op) @ op
-        self._moments: dict = {}
+        self.n = n
 
     @cached_property
     def diagonal(self) -> np.ndarray:
@@ -103,14 +103,10 @@ class _LocalOperator:
             return np.max(np.abs(entries * entries - entries)) <= PROJECTOR_TOL
         return np.max(np.abs(square @ square - square)) <= PROJECTOR_TOL
 
-    def moment(self, n: int, tol: float) -> np.ndarray:
+    @cached_property
+    def moment(self) -> np.ndarray:
         """(A^dag A)^(n/2); projectors are fixed points of every positive power."""
-        key = (n, tol)
-        if key not in self._moments:
-            self._moments[key] = (
-                self.square if self.is_projector else psd_power(self.square, n / 2.0, tol)
-            )
-        return self._moments[key]
+        return self.square if self.is_projector else psd_power(self.square, self.n / 2.0)
 
 
 @dataclass(frozen=True)
@@ -145,7 +141,7 @@ class OperatorAssignment:
         shared: dict[int, _LocalOperator] = {}
         for op in self.ops:
             if id(op) not in shared:
-                shared[id(op)] = _LocalOperator(op)
+                shared[id(op)] = _LocalOperator(op, len(self.ops))
         return tuple(shared[id(op)] for op in self.ops)
 
     @classmethod
@@ -317,12 +313,11 @@ def rhs_condition1(
     state: State,
     assignment: OperatorAssignment,
     method: str = "auto",
-    tol: float = 1e-10,
 ) -> float:
     """Geometric mean bound: prod_k <(A_k^dag A_k)^(n/2)>^(1/n)."""
     _check_assignment(state, assignment)
     n = len(state.dims)
-    moment_ops = [local.moment(n, tol) for local in assignment._local]
+    moment_ops = [local.moment for local in assignment._local]
     if method == "dense":
         values = np.array(
             [
@@ -340,7 +335,7 @@ def rhs_condition1(
     return float(result)
 
 
-def _fast_rhs2(state: State, local, n: int, cap: int) -> float | None:
+def _fast_rhs2(state: State, local, n: int) -> float | None:
     """Eigenvector route for rhs2; returns None when ineligible.
 
     Requires every local ket of every product term to be an eigenvector
@@ -372,8 +367,7 @@ def _fast_rhs2(state: State, local, n: int, cap: int) -> float | None:
         powered = np.maximum(sums / n, 0.0) ** half
         value += weight * float((amps.conj() @ (pure.overlaps() * powered[None, :]) @ amps).real)
     if noise:
-        total = total_dimension(state.dims)
-        if total > cap:
+        if total_dimension(state.dims) > DIMENSION_CAP:
             return None
         spectrum = np.zeros(1)
         for op in local:
@@ -386,14 +380,18 @@ def rhs_condition2(
     state: State,
     assignment: OperatorAssignment,
     method: str = "auto",
-    cap: int = DIMENSION_CAP,
-    tol: float = 1e-10,
 ) -> float:
-    """Operator-average bound: <((1/n) sum_k A_k^dag A_k)^(n/2)>."""
+    """Operator-average bound: <((1/n) sum_k A_k^dag A_k)^(n/2)>.
+
+    The dense route (``method="dense"``, or ``"auto"`` when the eigenvector
+    route is ineligible) builds full-space matrices and raises
+    :class:`DimensionCap` when the full dimension exceeds
+    :data:`~witnesslab.linalg.DIMENSION_CAP`.
+    """
     _check_assignment(state, assignment)
     n = len(state.dims)
     if method in ("auto", "fast"):
-        value = _fast_rhs2(state, assignment._local, n, cap)
+        value = _fast_rhs2(state, assignment._local, n)
         if value is not None:
             return float(value)
         if method == "fast":
@@ -401,13 +399,14 @@ def rhs_condition2(
     elif method != "dense":
         raise ValueError(f"unknown method {method!r}")
     total = total_dimension(state.dims)
-    if total > cap:
+    if total > DIMENSION_CAP:
         raise DimensionCap(
-            f"rhs_condition2 needs full dimension {total} <= cap {cap} for the dense route"
+            f"rhs_condition2 needs full dimension {total} <= cap {DIMENSION_CAP}"
+            " for the dense route"
         )
     squares = [local.square for local in assignment._local]
-    summed = sum(kron_embed(sq, k, state.dims, cap) for k, sq in enumerate(squares)) / n
-    powered = psd_power(summed, n / 2.0, tol)
+    summed = sum(kron_embed(sq, k, state.dims) for k, sq in enumerate(squares)) / n
+    powered = psd_power(summed, n / 2.0)
     return float(_dense_expectation(powered, state).real)
 
 
@@ -425,8 +424,6 @@ def evaluate(
     state: State,
     assignment: OperatorAssignment,
     epsilon: float | None = None,
-    method: str = "auto",
-    cap: int = DIMENSION_CAP,
 ) -> WitnessReport:
     """Evaluate both conditions and assemble a report.
 
@@ -438,8 +435,8 @@ def evaluate(
     """
     epsilon = _check_epsilon(epsilon)
     lhs = abs(product_expectation(state, assignment))
-    rhs1 = rhs_condition1(state, assignment, method=method)
-    rhs2 = rhs_condition2(state, assignment, method=method, cap=cap)
+    rhs1 = rhs_condition1(state, assignment)
+    rhs2 = rhs_condition2(state, assignment)
     if epsilon is None:
         epsilon = DEFAULT_EPSILON_SCALE * max(1.0, rhs1, rhs2)
     margin1 = lhs - rhs1
@@ -456,15 +453,13 @@ def evaluate(
     )
 
 
-def dense_product_operator(assignment: OperatorAssignment, cap: int = DIMENSION_CAP):
+def dense_product_operator(assignment: OperatorAssignment):
     """Full-space A_1 ⊗ ... ⊗ A_n, for dense cross-checks."""
-    return kron_product(assignment.ops, cap)
+    return kron_product(assignment.ops)
 
 
-def product_expectation_dense(
-    state: State, assignment: OperatorAssignment, cap: int = DIMENSION_CAP
-) -> complex:
+def product_expectation_dense(state: State, assignment: OperatorAssignment) -> complex:
     """Dense-route < A_1 ... A_n >, the oracle twin of :func:`product_expectation`."""
     _check_assignment(state, assignment)
-    full = dense_product_operator(assignment, cap)
+    full = dense_product_operator(assignment)
     return _dense_expectation(full, state)

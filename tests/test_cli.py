@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import math
 
 import pytest
 
@@ -115,6 +116,20 @@ def test_threshold_modified_four_mode(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["threshold"]["value"] == pytest.approx(0.1397, abs=5e-4)
     assert payload["threshold"]["detected_side"] == "above"
+
+
+def test_threshold_tol_below_float_spacing_terminates(capsys):
+    """Bisection stops at adjacent floats and reports their spacing as the width."""
+    code = run(
+        [
+            "threshold", "--family", "ModifiedFourMode", "--condition", "2", "--param", "x",
+            "--bracket", "0.01,0.5", "--tol", "1e-20", "--format", "json",
+        ]
+    )
+    assert code == 0
+    result = json.loads(capsys.readouterr().out)["threshold"]
+    assert result["value"] == pytest.approx(0.13968, abs=1e-5)
+    assert 0.0 < result["bracket_width"] <= 2 * math.ulp(result["value"])
 
 
 def test_threshold_table_output(capsys):

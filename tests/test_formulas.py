@@ -154,6 +154,12 @@ def test_closed_form_threshold_mod4():
     assert root == pytest.approx(0.1397, abs=5e-4)
 
 
+def test_closed_form_threshold_tol_below_float_spacing_terminates():
+    root = closed_form_threshold(FormulaId.MOD4_RHS2, {}, "x", (0.01, 0.5), tol=1e-20)
+    default = closed_form_threshold(FormulaId.MOD4_RHS2, {}, "x", (0.01, 0.5))
+    assert root == pytest.approx(default, abs=1e-9)
+
+
 def test_run_verification_all_pass_and_cover_every_tag():
     rows = run_verification(seed=0, points=5)
     assert all(row.passed for row in rows)

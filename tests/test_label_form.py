@@ -33,7 +33,7 @@ def _operator(kind: str, dim: int, rng: np.random.Generator) -> np.ndarray:
         return annihilation_op(dim)
     if kind == "diagonal":
         return np.diag(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-    return annihilation_op(dim).T.copy() * np.exp(1j * rng.uniform(0, 2 * np.pi))
+    return annihilation_op(dim).T * np.exp(1j * rng.uniform(0, 2 * np.pi))
 
 
 @st.composite

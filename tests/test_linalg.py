@@ -6,6 +6,8 @@ import pytest
 from witnesslab.errors import DimensionCap, DimensionMismatch, NegativeSpectrum, NonHermitian
 from witnesslab.linalg import (
     annihilation_op,
+    as_ket,
+    as_operator,
     basis_ket,
     dag,
     kron_embed,
@@ -109,6 +111,21 @@ def test_matelem_conjugate_symmetry():
 def test_matelem_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         matelem(basis_ket(2, 0), np.eye(3), basis_ket(3, 1))
+
+
+def test_non_contiguous_kets_and_operators_are_accepted():
+    """Strided kets and transposed operators are valid input; non-finite ones are not."""
+    ket = np.arange(6, dtype=complex)[::2]
+    op = (np.arange(9.0) + 1j * np.arange(9.0)[::-1]).reshape(3, 3)
+    np.testing.assert_array_equal(as_ket(ket), ket)
+    np.testing.assert_array_equal(as_operator(op.T), op.T)
+    assert matelem(ket, op.T, ket) == pytest.approx(np.vdot(ket, op.T.copy() @ ket))
+    bad = op.copy()
+    bad[1, 2] = complex(0.0, np.nan)
+    with pytest.raises(ValueError):
+        as_operator(bad.T)
+    with pytest.raises(ValueError):
+        as_ket(bad[:, 2])
 
 
 def test_kron_embed_first_site():

@@ -78,6 +78,8 @@ def test_threshold_modified_four_mode():
     assert result.value == pytest.approx(0.1397, abs=5e-4)
     assert result.detected_side == "above"
     assert result.bracket_width <= 1e-4
+    # both ends, then one evaluation per halving down to tol
+    assert result.evaluations == 2 + math.ceil(math.log2(0.49 / 1e-4))
 
 
 def test_threshold_noisy_ghz_vs_grid_oracle():
