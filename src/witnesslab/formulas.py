@@ -70,21 +70,39 @@ TG_L1N3_ROUNDED = (1.09, 1.24, 0.44)
 CONSTANT_TOL = 0.01
 
 
+#: Last term index :func:`weighted_geometric_sum` adds before giving up.
+SERIES_MAX_TERMS = 10_000_000
+
+
 def weighted_geometric_sum(x: float, exponent: float, tol: float = 1e-12) -> float:
-    """sum_m x^(2m) m^exponent, summed until the tail is provably below tol."""
+    """sum_m x^(2m) m^exponent, summed until the tail is provably below tol.
+
+    Raises :class:`BadParameter` for x outside (0, 1), a negative exponent,
+    or a series whose stopping rule cannot hold within
+    :data:`SERIES_MAX_TERMS` terms; the last is decided before summing.
+    """
     if not 0.0 < x < 1.0:
         raise BadParameter(f"series requires 0 < x < 1, got {x}")
+    if not exponent >= 0.0:
+        raise BadParameter(f"series requires exponent >= 0, got {exponent}")
     q = x * x
     peak = exponent / max(1e-12, -math.log(q))
+    stop = 1e-3 * tol
+    # Stopping at term m >= 1 needs m > peak and, as no earlier term exceeds
+    # m^exponent, q^m < stop * (m + 1).  Once true both stay true for larger
+    # m, so they are tested at the last term; the factor 2 covers round-off.
+    last = SERIES_MAX_TERMS
+    if peak >= last or q**last >= 2.0 * stop * (last + 1):
+        raise BadParameter(f"series at x={x} needs more than {last} terms")
     total = 0.0
     m = 0
     while True:
         term = q**m * float(m) ** exponent
         total += term
-        if m > peak and term < 1e-3 * tol * max(1.0, total):
+        if m > peak and term < stop * max(1.0, total):
             return total
         m += 1
-        if m > 10_000_000:
+        if m > last:
             raise BadParameter("series did not converge")
 
 

@@ -97,8 +97,12 @@ def kron_embed(op, site: int, dims) -> np.ndarray:
     """Embed a local operator at one site of a multipartite space.
 
     Returns ``I ⊗ ... ⊗ op ⊗ ... ⊗ I`` with ``op`` at position ``site``
-    (site 0 leftmost).  Raises :class:`DimensionCap` if the full space
-    exceeds :data:`DIMENSION_CAP`.
+    (site 0 leftmost), always as a new array.  The operator is written
+    into the block diagonal of a zeroed ``(left, d, right, left, d,
+    right)`` array through a strided view, so no product with an
+    identity is formed; the entries equal ``np.kron``'s exactly.  Raises
+    :class:`DimensionCap`, before allocating, if the full space exceeds
+    :data:`DIMENSION_CAP`.
     """
     dims = tuple(int(d) for d in dims)
     mat = as_operator(op)
@@ -113,12 +117,10 @@ def kron_embed(op, site: int, dims) -> np.ndarray:
         raise DimensionCap(f"full-space dimension {total} exceeds cap {DIMENSION_CAP}")
     left = total_dimension(dims[:site])
     right = total_dimension(dims[site + 1 :])
-    out = mat
-    if left > 1:
-        out = np.kron(np.eye(left, dtype=complex), out)
-    if right > 1:
-        out = np.kron(out, np.eye(right, dtype=complex))
-    return out
+    out = np.zeros((left, dims[site], right) * 2, dtype=complex)
+    # out[i, a, j, i, b, j] = op[a, b]: the view is indexed (i, j, a, b)
+    np.einsum("iajibj->ijab", out)[...] = mat
+    return out.reshape(total, total)
 
 
 def kron_product(ops) -> np.ndarray:
@@ -134,26 +136,29 @@ def kron_product(ops) -> np.ndarray:
     return out
 
 
-def psd_power(op, power: float, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Fractional power of a Hermitian positive-semidefinite matrix.
+def psd_eigh(op, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray | None]:
+    """Clamped spectrum of a Hermitian positive-semidefinite matrix.
 
-    Computed spectrally: eigenvalues are clamped at zero (round-off from
-    truncated operators routinely produces eigenvalues like -1e-15) and
-    raised to ``power``.  Eigenvalues below ``-tol * max(1, spectral
-    radius)`` are treated as genuinely negative and raise
-    :class:`NegativeSpectrum`; a Hermiticity defect above ``tol`` raises
-    :class:`NonHermitian`.  An exactly diagonal matrix is its own
-    eigendecomposition, so its (real) diagonal is raised elementwise,
-    under the same checks.
+    Returns ``(evals, vecs)`` with the eigenvalues clamped at zero
+    (round-off from truncated operators routinely produces eigenvalues
+    like -1e-15) and the eigenvectors as columns.  An exactly diagonal
+    matrix is its own eigendecomposition: its (real) diagonal is
+    returned, in diagonal order, with ``vecs=None``.  Eigenvalues below
+    ``-tol * max(1, spectral radius)`` are treated as genuinely negative
+    and raise :class:`NegativeSpectrum`; a Hermiticity defect above
+    ``tol`` raises :class:`NonHermitian`.
     """
     mat = as_operator(op)
-    if power <= 0:
-        raise ValueError(f"power must be positive, got {power}")
-    defect = float(np.max(np.abs(mat - dag(mat))))
+    diagonal = np.diagonal(mat)
+    is_diagonal = np.count_nonzero(mat) == np.count_nonzero(diagonal)
+    if is_diagonal:
+        # mat - dag(mat) is then diag(2i Im d): the same defect, read off the diagonal
+        defect = float(np.max(np.abs(2.0 * diagonal.imag)))
+    else:
+        defect = float(np.max(np.abs(mat - dag(mat))))
     if defect > tol:
         raise NonHermitian(f"Hermiticity defect {defect:.3e} exceeds tol {tol:.3e}")
-    diagonal = np.diagonal(mat)
-    if np.count_nonzero(mat) == np.count_nonzero(diagonal):
+    if is_diagonal:
         evals, vecs = diagonal.real, None
         lowest = float(np.min(evals))
     else:
@@ -162,7 +167,20 @@ def psd_power(op, power: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     radius = float(np.max(np.abs(evals)))
     if lowest < -tol * max(1.0, radius):
         raise NegativeSpectrum(f"eigenvalue {lowest:.3e} below -tol for tol {tol:.3e}")
-    clamped = np.maximum(evals, 0.0)
+    return np.maximum(evals, 0.0), vecs
+
+
+def psd_power(op, power: float, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Fractional power of a Hermitian positive-semidefinite matrix.
+
+    Computed spectrally from :func:`psd_eigh`, under its Hermiticity and
+    negative-spectrum checks: the clamped eigenvalues are raised to
+    ``power``.  An exactly diagonal matrix is raised elementwise.
+    """
+    mat = as_operator(op)
+    if power <= 0:
+        raise ValueError(f"power must be positive, got {power}")
+    clamped, vecs = psd_eigh(mat, tol)
     if vecs is None:
         return np.diag((clamped**power).astype(complex))
     return (vecs * clamped**power) @ dag(vecs)

@@ -20,8 +20,10 @@ test; on a ket-form site both are products of the stacked kets.
 computed without dense matrices whenever every local ket of every
 product term is an eigenvector of its site's A^dag A (true for
 number-diagonal operators on Fock/basis product terms), and through a
-dense full-space fallback otherwise.  Both routes agree within round-off
-wherever both apply.
+dense full-space fallback otherwise, which sums the embedded A_k^dag A_k
+in place into one matrix S and weighs squared overlaps with S's
+eigenvectors by the n/2 power of its eigenvalues (S^(n/2) is never
+formed).  Both routes agree within round-off wherever both apply.
 
 Work is done once per evaluation, not once per side: each distinct local
 operator's A^dag A, its projector test and its moment operator
@@ -46,6 +48,7 @@ from .linalg import (
     dag,
     kron_embed,
     kron_product,
+    psd_eigh,
     psd_power,
     qubit_lowering_op,
     qubit_raising_op,
@@ -384,7 +387,13 @@ def rhs_condition2(
     """Operator-average bound: <((1/n) sum_k A_k^dag A_k)^(n/2)>.
 
     The dense route (``method="dense"``, or ``"auto"`` when the eigenvector
-    route is ineligible) builds full-space matrices and raises
+    route is ineligible) sums the n embedded ``A_k^dag A_k`` in place into
+    one full-space matrix S, one :func:`~witnesslab.linalg.kron_embed` per
+    site, and takes S's clamped spectrum from
+    :func:`~witnesslab.linalg.psd_eigh`.  Each pure component then
+    contributes ``sum_i f(l_i) |<v_i|psi>|^2`` with ``f(l) = l^(n/2)``
+    (elementwise on ``|psi_i|^2`` when S is exactly diagonal), and white
+    noise ``mean_i f(l_i)``; no power of S is formed.  It raises
     :class:`DimensionCap` when the full dimension exceeds
     :data:`~witnesslab.linalg.DIMENSION_CAP`.
     """
@@ -404,10 +413,23 @@ def rhs_condition2(
             f"rhs_condition2 needs full dimension {total} <= cap {DIMENSION_CAP}"
             " for the dense route"
         )
-    squares = [local.square for local in assignment._local]
-    summed = sum(kron_embed(sq, k, state.dims) for k, sq in enumerate(squares)) / n
-    powered = psd_power(summed, n / 2.0)
-    return float(_dense_expectation(powered, state).real)
+    local = assignment._local
+    summed = kron_embed(local[0].square, 0, state.dims)
+    for k in range(1, n):
+        summed += kron_embed(local[k].square, k, state.dims)
+    summed *= 1.0 / n  # bit-identical to /= n, which numpy computes by scaling with 1/n
+    evals, vecs = psd_eigh(summed)
+    powered = evals ** (n / 2.0)
+    comps, noise = _components(state)
+    value = 0.0
+    for weight, pure in comps:
+        vec = dense_vector(pure)
+        if vecs is not None:
+            vec = dag(vecs) @ vec
+        value += weight * float(powered @ (vec.real**2 + vec.imag**2))
+    if noise:
+        value += noise * float(np.mean(powered))
+    return value
 
 
 def _check_epsilon(epsilon: float | None) -> float | None:

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -231,3 +235,29 @@ def test_unknown_flag_exits_2(capsys):
 
 def test_missing_subcommand_exits_2(capsys):
     assert run([]) == 2
+
+
+def _run_module(*args: str) -> subprocess.CompletedProcess:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+@pytest.mark.parametrize("module", ["witnesslab", "witnesslab.cli"])
+def test_module_invocation_prints_a_report(module):
+    family = '{"family":"GHZ","params":{"n":3,"theta":0.5236}}'
+    done = _run_module(module, "detect", "--family", family, "--ops", "lowering")
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)["report"]
+    assert report["detected1"] and report["detected2"]
+    assert report["lhs"] == pytest.approx(0.433, abs=1e-3)
+
+
+@pytest.mark.parametrize("module", ["witnesslab", "witnesslab.cli"])
+def test_module_invocation_usage_error_exits_2(module):
+    done = _run_module(module, "detect", "--bogus")
+    assert done.returncode == 2
+    assert done.stdout == ""

@@ -1,6 +1,7 @@
 """Tests for the closed-form evaluators and their engine cross-checks."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -86,6 +87,20 @@ def test_series_identity_rejects_bad_input():
         series_identity_check(0.5, 3)
     with pytest.raises(BadParameter):
         series_identity_check(1.5, 0)
+
+
+@pytest.mark.parametrize("moment", [0, 1, 2])
+def test_series_beyond_the_term_limit_fails_before_summing(moment):
+    """At x = 1 - 1e-12 the stopping rule needs ~1e13 terms; summing 1e7 took seconds."""
+    start = time.perf_counter()
+    with pytest.raises(BadParameter, match="needs more than"):
+        series_identity_check(1 - 1e-12, moment)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_weighted_geometric_sum_rejects_a_negative_exponent():
+    with pytest.raises(BadParameter):
+        weighted_geometric_sum(0.5, -1.0)
 
 
 def test_weighted_geometric_sum_matches_identities():

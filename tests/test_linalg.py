@@ -12,6 +12,7 @@ from witnesslab.linalg import (
     dag,
     kron_embed,
     matelem,
+    psd_eigh,
     psd_power,
     qubit_lowering_op,
     qubit_raising_op,
@@ -163,6 +164,68 @@ def test_kron_embed_dimension_cap():
 def test_kron_embed_wrong_local_dim():
     with pytest.raises(DimensionMismatch):
         kron_embed(np.eye(3), 0, (2, 2))
+
+
+def test_kron_embed_equals_np_kron_reference():
+    """Entry for entry the matrix np.kron builds, over dims 1..4 and every site."""
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        dims = tuple(int(d) for d in rng.integers(1, 5, int(rng.integers(1, 5))))
+        for site, d in enumerate(dims):
+            op = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            left = int(np.prod(dims[:site]))
+            right = int(np.prod(dims[site + 1 :]))
+            want = np.kron(np.eye(left), np.kron(op, np.eye(right)))
+            got = kron_embed(op, site, dims)
+            assert got.dtype == complex and got.flags.c_contiguous
+            assert np.array_equal(got, want), (dims, site)
+
+
+def test_kron_embed_returns_a_new_array():
+    """Also on a single site, so an in-place sum never writes into the operator."""
+    op = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
+    got = kron_embed(op, 0, (2,))
+    got += 1.0
+    assert np.array_equal(op, [[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_kron_embed_checks_the_cap_before_allocating():
+    """2^40 complex entries could not be allocated; the cap is checked first."""
+    with pytest.raises(DimensionCap):
+        kron_embed(np.eye(2), 3, (2,) * 40)
+
+
+def test_psd_eigh_matches_psd_power():
+    rng = np.random.default_rng(5)
+    mat = random_psd(5, rng, radius=2.0)
+    evals, vecs = psd_eigh(mat)
+    np.testing.assert_allclose((vecs * evals**1.5) @ dag(vecs), psd_power(mat, 1.5), atol=1e-12)
+    diag = np.diag([4.0, 0.0, 9.0]).astype(complex)
+    evals, vecs = psd_eigh(diag)
+    assert vecs is None
+    assert np.array_equal(evals, [4.0, 0.0, 9.0])
+
+
+def test_psd_eigh_clamps_and_rejects_like_psd_power():
+    evals, _ = psd_eigh(np.diag([1.0, -1e-13]))
+    assert np.array_equal(evals, [1.0, 0.0])
+    with pytest.raises(NegativeSpectrum):
+        psd_eigh(np.diag([1.0, -0.5]))
+    with pytest.raises(NonHermitian):
+        psd_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("imag, raises", [(4e-11, False), (6e-11, True)])
+def test_diagonal_hermiticity_defect_is_twice_the_imaginary_part(imag, raises):
+    """On a diagonal matrix, mat - mat^dag = 2i Im(diag): tol 1e-10 sits between 8e-11 and 1.2e-10."""
+    mat = np.diag([1.0 + 1j * imag, 2.0])
+    assert (np.max(np.abs(mat - dag(mat))) > 1e-10) == raises
+    for fn in (psd_eigh, lambda m: psd_power(m, 1.5)):
+        if raises:
+            with pytest.raises(NonHermitian):
+                fn(mat)
+        else:
+            fn(mat)
 
 
 def test_ladder_operators_are_adjoints():

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from witnesslab.errors import BadParameter, DimensionCap, DimensionMismatch
-from witnesslab.states import StateFamily, build_state
+from witnesslab.linalg import dag, kron_embed, psd_power
+from witnesslab.oracle import random_assignment, random_pure_state
+from witnesslab.states import MixedEnsemble, PureSOP, StateFamily, build_state, dense_vector
 from witnesslab.witness import (
     OperatorAssignment,
     canonical_assignment,
@@ -316,3 +318,64 @@ def test_epsilon_must_be_finite_and_nonnegative(epsilon):
     with pytest.raises(BadParameter):
         evaluate(ghz(3, 0.0), OperatorAssignment.qubit_lowering(3), epsilon=epsilon)
     assert evaluate(ghz(3, 0.0), OperatorAssignment.qubit_lowering(3), epsilon=0.0).epsilon == 0.0
+
+
+def _reference_rhs2(state, assignment) -> float:
+    """<psi| S^(n/2) |psi> with S^(n/2) formed by psd_power, plus the white-noise trace."""
+    n = len(state.dims)
+    summed = sum(kron_embed(dag(op) @ op, k, state.dims) for k, op in enumerate(assignment.ops))
+    powered = psd_power(summed / n, n / 2.0)
+    if isinstance(state, PureSOP):
+        comps, noise = [(1.0, state)], 0.0
+    else:
+        comps, noise = zip(state.weights, state.pures), state.white_noise_weight
+    value = sum(w * np.vdot(dense_vector(p), powered @ dense_vector(p)) for w, p in comps)
+    value += noise * np.trace(powered) / len(powered)
+    return float(value.real)
+
+
+def _dense_rhs2_cases():
+    """(state, assignment) pairs: pure, mixed and white-noise, with diagonal and non-diagonal A^dag A."""
+    rng = np.random.default_rng(2024)
+    for _ in range(6):
+        dims = tuple(int(d) for d in rng.integers(2, 4, int(rng.integers(2, 5))))
+        pure = random_pure_state(dims, int(rng.integers(1, 4)), rng)
+        weights = rng.dirichlet(np.ones(4))
+        mixed = MixedEnsemble(
+            dims,
+            tuple(weights[:3]),
+            tuple(random_pure_state(dims, 2, rng) for _ in range(3)),
+            float(weights[3]),
+        )
+        for state in (pure, mixed):
+            yield state, random_assignment(dims, rng)
+            yield state, OperatorAssignment.annihilation(dims)
+    for n in (3, 4, 5):
+        noisy = build_state(
+            StateFamily("NoisyGHZ", {"n": n, "theta": float(rng.uniform(0, 1.5)), "p": 0.4,
+                                     "noise": "white"})
+        )
+        yield noisy, OperatorAssignment.qubit_lowering(n)
+        yield noisy, random_assignment(noisy.dims, rng)
+    for family, params in (
+        ("LSeparable", {"n": 5, "l": 2, "theta": 0.7, "thetas": [0.3, 1.1]}),
+        ("MixedSingleOut", {"n": 4, "theta": 0.9, "thetas": [0.2, 0.5, 1.3, 0.8]}),
+    ):
+        state = build_state(StateFamily(family, params))
+        yield state, OperatorAssignment.qubit_lowering(state.num_sites)
+        yield state, random_assignment(state.dims, rng)
+
+
+def test_dense_rhs2_matches_the_psd_power_reference():
+    """The spectral expectation equals <psi| psd_power(S, n/2) |psi> to 1e-12 relative."""
+    diagonal = non_diagonal = 0
+    for state, assignment in _dense_rhs2_cases():
+        squares = [dag(op) @ op for op in assignment.ops]
+        if all(np.count_nonzero(sq - np.diag(np.diagonal(sq))) == 0 for sq in squares):
+            diagonal += 1
+        else:
+            non_diagonal += 1
+        want = _reference_rhs2(state, assignment)
+        got = rhs_condition2(state, assignment, method="dense")
+        assert abs(got - want) <= 1e-12 * abs(want), (state.dims, got, want)
+    assert diagonal >= 10 and non_diagonal >= 10
