@@ -10,7 +10,8 @@ class DimensionMismatch(WitnessLabError):
 
 
 class DimensionCap(WitnessLabError):
-    """A dense full-space object would exceed ``linalg.DIMENSION_CAP``."""
+    """A dense full-space object would exceed ``linalg.DIMENSION_CAP``, or a
+    matrix side ``linalg.MATRIX_SIDE_CAP``."""
 
 
 class NonHermitian(WitnessLabError):

@@ -19,8 +19,13 @@ import numpy as np
 
 from .errors import DimensionCap, DimensionMismatch, NegativeSpectrum, NonHermitian
 
-#: Largest full-space dimension the dense fallback paths will materialize.
+#: Largest full-space dimension the dense paths will materialize.
 DIMENSION_CAP = 2**14
+
+#: Largest side of a square matrix the factorized routes build: a pure
+#: state's terms x terms pair matrices and a mode's annihilation operator.
+#: One complex matrix of that side takes 64 MiB.
+MATRIX_SIDE_CAP = 2048
 
 #: Default tolerance for Hermiticity checks and eigenvalue clamping.
 DEFAULT_TOL = 1e-10
@@ -74,6 +79,8 @@ def annihilation_op(dim: int) -> np.ndarray:
     """Truncated bosonic annihilation operator, a|m> = sqrt(m)|m-1>."""
     if dim < 1:
         raise DimensionMismatch("annihilation operator needs dim >= 1")
+    if dim > MATRIX_SIDE_CAP:
+        raise DimensionCap(f"annihilation operator dim {dim} exceeds cap {MATRIX_SIDE_CAP}")
     return np.diag(np.sqrt(np.arange(1, dim, dtype=float)).astype(complex), 1)
 
 

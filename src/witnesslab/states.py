@@ -66,9 +66,9 @@ class PureSOP:
     ``PureSOP(dims, terms)`` takes explicit :class:`ProductTerm` objects,
     each carrying one unit-norm local ket per subsystem; every site is
     then stored in ket form.  :meth:`from_labels` builds the label form
-    directly; its (terms, sites) label array is ``labels`` (-1 on ket-form
-    sites), which is None for a state built from terms.  Instances are
-    immutable; the arrays they hand out are read-only.
+    directly.  Either way ``labels`` is the (terms, sites) integer label
+    array, -1 on every ket-form site.  Instances are immutable; the
+    arrays they hand out are read-only.
     """
 
     def __init__(self, dims, terms):
@@ -91,8 +91,8 @@ class PureSOP:
             for k in range(len(dims))
         ]
         amps = np.array([term.amplitude for term in terms], dtype=complex)
-        self._setup(dims, amps, None, stacks)
-        self._terms = terms
+        labels = _read_only(np.full((len(terms), len(dims)), -1, dtype=np.int64))
+        self._setup(dims, amps, labels, stacks)
 
     @classmethod
     def from_labels(cls, dims, amplitudes, labels, kets=None) -> "PureSOP":
@@ -133,7 +133,6 @@ class PureSOP:
             raise BadParameter(f"kets given for unknown sites {sorted(kets)}")
         state = cls.__new__(cls)
         state._setup(dims, amps, labels, columns)
-        state._terms = None
         return state
 
     def _setup(self, dims, amps, labels, columns) -> None:
@@ -151,8 +150,8 @@ class PureSOP:
 
     @property
     def terms(self) -> Sequence[ProductTerm]:
-        """The product terms; label-form terms are built on access."""
-        return self._terms if self._terms is not None else _LabelTerms(self)
+        """The product terms, each built on access."""
+        return _Terms(self)
 
     def amplitudes(self) -> np.ndarray:
         return self._amps
@@ -201,15 +200,14 @@ class PureSOP:
         scale = self.norm()
         if scale == 0.0:
             raise BadParameter("cannot normalize a zero state")
-        if self._terms is not None:
-            terms = tuple(ProductTerm(t.amplitude / scale, t.factors) for t in self._terms)
-            return PureSOP(self.dims, terms)
+        # one Python division per amplitude: numpy would scale by 1/scale instead
+        amps = [complex(amp) / scale for amp in self._amps]
         kets = {k: column for k, column in enumerate(self._columns) if column.ndim == 2}
-        return PureSOP.from_labels(self.dims, self._amps / scale, self.labels, kets)
+        return PureSOP.from_labels(self.dims, amps, self.labels, kets)
 
 
-class _LabelTerms(Sequence):
-    """Read-only sequence of a label-form state's terms, each built on access."""
+class _Terms(Sequence):
+    """Read-only sequence of a state's product terms, each built on access."""
 
     def __init__(self, state: PureSOP):
         self._state = state
@@ -542,14 +540,15 @@ def build_state(family: StateFamily, tail_tol: float = DEFAULT_TAIL_TOL) -> Stat
 
 
 def dense_vector(state: PureSOP) -> np.ndarray:
-    """Expand a pure SOP state into a full state vector (dense fallback)."""
+    """Expand a pure SOP state into a full state vector (dense route)."""
     total = total_dimension(state.dims)
     if total > DIMENSION_CAP:
         raise DimensionCap(f"full-space dimension {total} exceeds cap {DIMENSION_CAP}")
+    stacks = [state.site_stack(k) for k in range(state.num_sites)]
     vec = np.zeros(total, dtype=complex)
-    for term in state.terms:
-        comp = np.array([term.amplitude], dtype=complex)
-        for factor in term.factors:
-            comp = np.outer(comp, factor).ravel()  # the 1-D kron, without its overhead
+    for j, amp in enumerate(state.amplitudes()):
+        comp = np.array([amp], dtype=complex)
+        for stack in stacks:
+            comp = np.outer(comp, stack[j]).ravel()  # the 1-D kron, without its overhead
         vec += comp
     return vec

@@ -12,24 +12,27 @@ value of lhs exceeding either bound (beyond tolerance) certifies
 entanglement; non-violation is inconclusive.
 
 Expectation values factorize over the sum-of-products state
-representation, which is the default "fast" route: one terms x terms
-pair matrix per site.  On a label-form site (see ``states``) the pair
-matrix is a gather of operator entries and the overlap an equality
-test; on a ket-form site both are products of the stacked kets.
-``rhs2`` needs the n/2 power of a genuinely multipartite operator; it is
-computed without dense matrices whenever every local ket of every
-product term is an eigenvector of its site's A^dag A (true for
-number-diagonal operators on Fock/basis product terms), and through a
-dense full-space fallback otherwise, which sums the embedded A_k^dag A_k
-in place into one matrix S and weighs squared overlaps with S's
-eigenvectors by the n/2 power of its eigenvalues (S^(n/2) is never
-formed).  Both routes agree within round-off wherever both apply.
+representation: one terms x terms pair matrix per site.  On a label-form
+site (see ``states``) the pair matrix is a gather of operator entries
+and the overlap an equality test; on a ket-form site both are products
+of the stacked kets.  A pure component with more than
+:data:`~witnesslab.linalg.MATRIX_SIDE_CAP` terms raises
+:class:`DimensionCap` before any such matrix is built.
+
+``rhs2`` needs the n/2 power of a genuinely multipartite operator.  Its
+route follows from the structure alone, with no tolerance: when every
+A_k^dag A_k is exactly diagonal and every site of every pure component
+is in label form, each product term is an eigenvector of the operator
+average, and rhs2 is read off the labels and term overlaps.  Every other
+state takes the dense full-space route, which sums the embedded
+A_k^dag A_k in place into one matrix S and weighs squared overlaps with
+S's eigenvectors by the n/2 power of its eigenvalues (S^(n/2) is never
+formed).  The two agree within round-off wherever both apply.
 
 Work is done once per evaluation, not once per side: each distinct local
-operator's A^dag A, its projector test and its moment operator
-(A^dag A)^(n/2) are kept on the :class:`OperatorAssignment`, and the
-per-site overlaps on the state, so lhs, rhs1, rhs2 and
-:func:`site_second_moments` share them.
+operator's A^dag A and its moment operator (A^dag A)^(n/2) are kept on
+the :class:`OperatorAssignment`, and the per-site overlaps on the state,
+so lhs, rhs1, rhs2 and :func:`site_second_moments` share them.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ import numpy as np
 from .errors import BadParameter, DimensionCap, DimensionMismatch
 from .linalg import (
     DIMENSION_CAP,
+    MATRIX_SIDE_CAP,
     annihilation_op,
     as_operator,
     dag,
@@ -58,12 +62,6 @@ from .states import PureSOP, State, dense_vector
 
 #: Scale for the default detection tolerance, see :func:`evaluate`.
 DEFAULT_EPSILON_SCALE = 1e-9
-
-#: Absolute bound on ||N^2 - N|| under which (A^dag A)^(n/2) = A^dag A is used.
-PROJECTOR_TOL = 1e-12
-
-#: Relative residual bound for the eigenvector fast path of ``rhs_condition2``.
-EIGENVECTOR_RTOL = 1e-11
 
 
 class _LocalOperator:
@@ -82,34 +80,9 @@ class _LocalOperator:
         return np.count_nonzero(self.square) == np.count_nonzero(np.diagonal(self.square))
 
     @cached_property
-    def column_residuals(self) -> np.ndarray:
-        """max_i |(A^dag A)[i, c]| over i != c, per column c: how far |c> is from an eigenvector."""
-        if self.is_diagonal:
-            return np.zeros(len(self.square))
-        off = self.square - np.diag(np.diagonal(self.square))
-        return np.max(np.abs(off), axis=0)
-
-    @cached_property
-    def scale(self) -> float:
-        return max(1.0, float(np.max(np.abs(self.square))))
-
-    @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.square)
-
-    @cached_property
-    def is_projector(self) -> bool:
-        square = self.square
-        if self.is_diagonal:
-            # the diagonal of square @ square, without the d^3 product
-            entries = np.diagonal(square)
-            return np.max(np.abs(entries * entries - entries)) <= PROJECTOR_TOL
-        return np.max(np.abs(square @ square - square)) <= PROJECTOR_TOL
-
-    @cached_property
     def moment(self) -> np.ndarray:
-        """(A^dag A)^(n/2); projectors are fixed points of every positive power."""
-        return self.square if self.is_projector else psd_power(self.square, self.n / 2.0)
+        """(A^dag A)^(n/2)."""
+        return psd_power(self.square, self.n / 2.0)
 
 
 @dataclass(frozen=True)
@@ -228,9 +201,22 @@ def _check_assignment(state: State, assignment: OperatorAssignment) -> None:
 
 
 def _components(state: State) -> tuple[tuple[tuple[float, PureSOP], ...], float]:
+    """(weight, pure) pairs and the white-noise weight.
+
+    Every route calls this before it builds a terms x terms array, so the
+    term cap is checked here.
+    """
     if isinstance(state, PureSOP):
-        return ((1.0, state),), 0.0
-    return tuple(zip(state.weights, state.pures)), state.white_noise_weight
+        comps, noise = ((1.0, state),), 0.0
+    else:
+        comps, noise = tuple(zip(state.weights, state.pures)), state.white_noise_weight
+    for _, pure in comps:
+        count = len(pure.amplitudes())
+        if count > MATRIX_SIDE_CAP:
+            raise DimensionCap(
+                f"pure component has {count} product terms > cap {MATRIX_SIDE_CAP}"
+            )
+    return comps, noise
 
 
 def _pair_matrix(pure: PureSOP, site: int, op: np.ndarray) -> np.ndarray:
@@ -328,7 +314,7 @@ def rhs_condition1(
                 for k, mop in enumerate(moment_ops)
             ]
         )
-    elif method in ("auto", "fast"):
+    elif method == "auto":
         values = _site_expectations(state, moment_ops)
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -338,43 +324,37 @@ def rhs_condition1(
     return float(result)
 
 
-def _fast_rhs2(state: State, local, n: int) -> float | None:
-    """Eigenvector route for rhs2; returns None when ineligible.
+def _factorized_rhs2(state: State, local, n: int) -> float | None:
+    """Factorized route for rhs2; returns None, before any work, when it does not apply.
 
-    Requires every local ket of every product term to be an eigenvector
-    of its site's A^dag A.  Each term is then an eigenvector of the
-    operator average S, so S^(n/2) acts by scalar powers and only term
-    overlaps are needed.  On a label-form site the test reads the
-    matching columns of A^dag A exactly.
+    It applies when every A_k^dag A_k is exactly diagonal and every site
+    of every pure component is in label form.  Each product term is then
+    an eigenvector of S = (1/n) sum_k A_k^dag A_k, with eigenvalue the
+    mean of the diagonal entries its labels pick, so S^(n/2) acts by
+    scalar powers and only term overlaps are needed.  White noise
+    averages those powers over all label tuples.
     """
     comps, noise = _components(state)
+    if not all(op.is_diagonal for op in local):
+        return None
+    if any(np.any(pure.labels < 0) for _, pure in comps):
+        return None
+    if noise and total_dimension(state.dims) > DIMENSION_CAP:
+        return None
     half = n / 2.0
     value = 0.0
     for weight, pure in comps:
         amps = pure.amplitudes()
         sums = np.zeros(len(amps))
         for k, op in enumerate(local):
-            labels = pure.site_labels(k)
-            if labels is not None:
-                if np.max(op.column_residuals[labels]) > EIGENVECTOR_RTOL * op.scale:
-                    return None
-                sums += op.diagonal[labels]
-                continue
-            stack = pure.site_stack(k)
-            acted = stack @ op.square.T
-            mu = np.einsum("jd,jd->j", stack.conj(), acted)
-            residual = float(np.max(np.abs(acted - mu[:, None] * stack)))
-            if residual > EIGENVECTOR_RTOL * op.scale:
-                return None
-            sums += mu.real
+            sums += op.diagonal[pure.site_labels(k)]
         powered = np.maximum(sums / n, 0.0) ** half
         value += weight * float((amps.conj() @ (pure.overlaps() * powered[None, :]) @ amps).real)
     if noise:
-        if total_dimension(state.dims) > DIMENSION_CAP:
-            return None
         spectrum = np.zeros(1)
         for op in local:
-            spectrum = np.add.outer(spectrum, op.eigenvalues).ravel()
+            # ascending, as eigvalsh returns it: this fixes the mean's summation order
+            spectrum = np.add.outer(spectrum, np.sort(op.diagonal)).ravel()
         value += noise * float(np.mean(np.maximum(spectrum / n, 0.0) ** half))
     return value
 
@@ -386,8 +366,12 @@ def rhs_condition2(
 ) -> float:
     """Operator-average bound: <((1/n) sum_k A_k^dag A_k)^(n/2)>.
 
-    The dense route (``method="dense"``, or ``"auto"`` when the eigenvector
-    route is ineligible) sums the n embedded ``A_k^dag A_k`` in place into
+    ``method="auto"`` takes the factorized route when every
+    ``A_k^dag A_k`` is exactly diagonal and every site of every pure
+    component is in label form (see ``states``); every other state takes
+    the dense route, which ``method="dense"`` forces (the oracle twin).
+
+    The dense route sums the n embedded ``A_k^dag A_k`` in place into
     one full-space matrix S, one :func:`~witnesslab.linalg.kron_embed` per
     site, and takes S's clamped spectrum from
     :func:`~witnesslab.linalg.psd_eigh`.  Each pure component then
@@ -395,16 +379,15 @@ def rhs_condition2(
     (elementwise on ``|psi_i|^2`` when S is exactly diagonal), and white
     noise ``mean_i f(l_i)``; no power of S is formed.  It raises
     :class:`DimensionCap` when the full dimension exceeds
-    :data:`~witnesslab.linalg.DIMENSION_CAP`.
+    :data:`~witnesslab.linalg.DIMENSION_CAP`.  Either route raises it
+    for a pure component over :data:`~witnesslab.linalg.MATRIX_SIDE_CAP` terms.
     """
     _check_assignment(state, assignment)
     n = len(state.dims)
-    if method in ("auto", "fast"):
-        value = _fast_rhs2(state, assignment._local, n)
+    if method == "auto":
+        value = _factorized_rhs2(state, assignment._local, n)
         if value is not None:
             return float(value)
-        if method == "fast":
-            raise ValueError("fast path ineligible: some local ket is not an eigenvector")
     elif method != "dense":
         raise ValueError(f"unknown method {method!r}")
     total = total_dimension(state.dims)

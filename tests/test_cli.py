@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -54,6 +55,26 @@ def test_detect_table_format(capsys):
     out = capsys.readouterr().out
     assert "lhs = " in out
     assert out.startswith("#")
+
+
+def test_detect_over_the_side_cap_exits_2_before_allocating(capsys):
+    """x=0.999 needs 11508 Fock levels: refused at once, while x=0.99 (1146) evaluates."""
+
+    def detect(x):
+        family = json.dumps({"family": "NModeSqueezed", "params": {"n": 3, "x": x}})
+        return run(["detect", "--family", family, "--ops", "annihilation"])
+
+    assert detect(0.99) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["detected2"]
+    tracemalloc.start()
+    try:
+        code = detect(0.999)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "exceeds cap" in capsys.readouterr().err
+    assert peak < 16 * 2**20  # one 11508 x 11508 complex matrix is 2.1 GB
 
 
 def test_scan_csv_deterministic(capsys):

@@ -1,12 +1,15 @@
 """Property tests: label-form states evaluate exactly like their explicit-ket twins."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from witnesslab import witness
 from witnesslab.errors import BadParameter
-from witnesslab.linalg import annihilation_op
+from witnesslab.linalg import annihilation_op, kron_embed
 from witnesslab.states import ProductTerm, PureSOP, StateFamily, build_state
 from witnesslab.witness import (
     OperatorAssignment,
@@ -38,7 +41,11 @@ def _operator(kind: str, dim: int, rng: np.random.Generator) -> np.ndarray:
 
 @st.composite
 def label_cases(draw):
-    """(labelled state, explicit twin, assignment, any site with a non-diagonal A^dag A)."""
+    """(labelled state, explicit twin, assignment, whether rhs2 must take the dense route).
+
+    The dense route is due when the labelled state has a ket site or some
+    site has a non-diagonal A^dag A; the explicit twin has only ket sites.
+    """
     n = draw(st.integers(2, 4))
     dims = tuple(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
     count = draw(st.integers(1, 5))
@@ -66,7 +73,7 @@ def label_cases(draw):
 
     ops = tuple(_operator(kind, d, rng) for kind, d in zip(kinds, dims))
     non_diagonal = any(kind == "gaussian" and d > 1 for kind, d in zip(kinds, dims))
-    return labelled, explicit, OperatorAssignment(ops), non_diagonal
+    return labelled, explicit, OperatorAssignment(ops), non_diagonal or bool(ket_sites)
 
 
 def _close(a, b, tol):
@@ -76,7 +83,7 @@ def _close(a, b, tol):
 @settings(max_examples=150, deadline=None)
 @given(label_cases())
 def test_label_form_matches_explicit_kets_and_dense(case):
-    labelled, explicit, assignment, non_diagonal = case
+    labelled, explicit, assignment, labelled_dense = case
     assert len(labelled.terms) == len(explicit.terms)
     for got, want in zip(labelled.terms, explicit.terms):
         assert got.amplitude == want.amplitude
@@ -102,11 +109,17 @@ def test_label_form_matches_explicit_kets_and_dense(case):
         assert _close(rhs_condition1(state, assignment), dense_rhs1, 1e-8)
         assert _close(rhs_condition2(state, assignment), dense_rhs2, 1e-8)
 
-    # a non-diagonal A^dag A makes no generic ket an eigenvector: no fast route
-    if non_diagonal:
-        for state in (labelled, explicit):
-            with pytest.raises(ValueError):
-                rhs_condition2(state, assignment, method="fast")
+    # the rhs2 route follows from structure: n full-space embeds on the dense
+    # route, which then gives exactly the dense value, and none otherwise
+    n = labelled.num_sites
+    for state, dense in ((labelled, labelled_dense), (explicit, True)):
+        with mock.patch.object(witness, "kron_embed", wraps=kron_embed) as spy:
+            value = rhs_condition2(state, assignment)
+        assert spy.call_count == (n if dense else 0)
+        if dense:
+            assert value == rhs_condition2(state, assignment, method="dense")
+    with pytest.raises(ValueError):
+        rhs_condition2(labelled, assignment, method="fast")
 
 
 @pytest.mark.parametrize(

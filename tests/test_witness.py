@@ -1,10 +1,12 @@
 """Tests for the condition-evaluation engine."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from witnesslab import witness
 from witnesslab.errors import BadParameter, DimensionCap, DimensionMismatch
 from witnesslab.linalg import dag, kron_embed, psd_power
 from witnesslab.oracle import random_assignment, random_pure_state
@@ -261,17 +263,52 @@ def test_dimension_mismatch():
         product_expectation(ghz(3, 0.2), OperatorAssignment.qubit_lowering(4))
 
 
-def test_fast_method_rejects_superposition_locals():
-    """LSeparable locals are not eigenvectors of |1><1|, so 'fast' refuses."""
-    state = build_state(
+def _rhs2_embeds(state, assignment):
+    """rhs2 on the default route, and how many full-space embeds it made."""
+    with mock.patch.object(witness, "kron_embed", wraps=kron_embed) as spy:
+        value = rhs_condition2(state, assignment)
+    return value, spy.call_count
+
+
+def test_rhs2_route_follows_state_structure():
+    """Label form with diagonal A^dag A embeds nothing; a tilted site takes the dense route."""
+    lowering = OperatorAssignment.qubit_lowering(4)
+    noisy = StateFamily("NoisyGHZ", {"n": 4, "theta": 0.6, "p": 0.55, "noise": "white"})
+    for state in (ghz(4, 0.4), build_state(noisy)):
+        assert _rhs2_embeds(state, lowering)[1] == 0
+    tilted = build_state(
         StateFamily("LSeparable", {"n": 4, "l": 1, "theta": 0.4, "thetas": [0.3]})
     )
-    with pytest.raises(ValueError):
-        rhs_condition2(state, OperatorAssignment.qubit_lowering(4), method="fast")
-    # auto silently falls back to the dense route
-    dense = rhs_condition2(state, OperatorAssignment.qubit_lowering(4), method="dense")
-    auto = rhs_condition2(state, OperatorAssignment.qubit_lowering(4))
-    assert auto == pytest.approx(dense, abs=1e-12)
+    value, embeds = _rhs2_embeds(tilted, lowering)
+    assert embeds == 4
+    assert value == rhs_condition2(tilted, lowering, method="dense")
+    # "fast" is no longer a method of either condition
+    for condition in (rhs_condition1, rhs_condition2):
+        with pytest.raises(ValueError):
+            condition(tilted, lowering, method="fast")
+
+
+def test_every_route_refuses_a_state_over_the_side_cap(monkeypatch):
+    """More product terms than the cap raise DimensionCap on every route; the cap itself runs."""
+    monkeypatch.setattr(witness, "MATRIX_SIDE_CAP", 8)
+    at_cap = build_state(StateFamily("NModeSqueezed", {"n": 2, "x": 0.1, "cutoff": 7}))
+    assert len(at_cap.amplitudes()) == 8
+    evaluate(at_cap, OperatorAssignment.annihilation(at_cap.dims))
+    over = build_state(StateFamily("NModeSqueezed", {"n": 2, "x": 0.1, "cutoff": 8}))
+    assignment = OperatorAssignment.annihilation(over.dims)
+    mixed = MixedEnsemble(over.dims, (0.5,), (over,), white_noise_weight=0.5)
+    for state in (over, mixed):
+        for route in (
+            lambda: product_expectation(state, assignment),
+            lambda: product_expectation_dense(state, assignment),
+            lambda: site_second_moments(state, assignment),
+            lambda: rhs_condition1(state, assignment),
+            lambda: rhs_condition1(state, assignment, method="dense"),
+            lambda: rhs_condition2(state, assignment),
+            lambda: rhs_condition2(state, assignment, method="dense"),
+        ):
+            with pytest.raises(DimensionCap):
+                route()
 
 
 def test_rhs_condition2_dimension_cap():
