@@ -17,9 +17,7 @@ from .formulas import run_verification
 from .oracle import run_lemma_trials, run_separable_trials
 from .scan import SweepSpec, find_threshold, sweep, sweep_to_csv, sweep_to_json
 from .states import DEFAULT_TAIL_TOL, StateFamily, build_state
-from .witness import DEFAULT_EPSILON_SCALE, canonical_assignment, evaluate
-
-_OPS_CHOICES = ("lowering", "raising", "flipped", "annihilation")
+from .witness import DEFAULT_EPSILON_SCALE, OPERATOR_CHOICES, canonical_assignment, evaluate
 
 
 def _parse_family(text: str) -> StateFamily:
@@ -223,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     detect = sub.add_parser("detect", help="evaluate both conditions on one state")
     detect.add_argument("--family", required=True, help="family tag or JSON descriptor")
-    detect.add_argument("--ops", choices=_OPS_CHOICES, default="lowering")
+    detect.add_argument("--ops", choices=OPERATOR_CHOICES, default="lowering")
     detect.add_argument("--epsilon", type=float, default=None)
     common(detect, ("json", "table"), "json")
     detect.set_defaults(func=_cmd_detect)
@@ -232,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan_p.add_argument("--family", required=True)
     scan_p.add_argument("--param", required=True)
     scan_p.add_argument("--grid", required=True, help="lo,hi,steps")
-    scan_p.add_argument("--ops", choices=_OPS_CHOICES, default="lowering")
+    scan_p.add_argument("--ops", choices=OPERATOR_CHOICES, default="lowering")
     scan_p.add_argument("--condition", choices=("1", "2", "both"), default="both")
     scan_p.add_argument("--epsilon", type=float, default=None)
     common(scan_p, ("csv", "json", "table"), "csv")
@@ -244,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     thresh.add_argument("--condition", choices=("1", "2"), required=True)
     thresh.add_argument("--bracket", required=True, help="lo,hi")
     thresh.add_argument("--tol", type=float, default=1e-6)
-    thresh.add_argument("--ops", choices=_OPS_CHOICES, default="annihilation")
+    thresh.add_argument("--ops", choices=OPERATOR_CHOICES, default="annihilation")
     common(thresh, ("json", "table"), "table")
     thresh.set_defaults(func=_cmd_threshold)
 

@@ -22,14 +22,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import BadParameter, MissingParameter
 from .oracle import random_assignment, random_pure_state
 from .scan import bisect_margin
-from .states import StateFamily, build_state
+from .states import DEFAULT_TAIL_TOL, FAMILIES, StateFamily, build_state
 from .witness import canonical_assignment, evaluate, site_second_moments
 
 
@@ -314,11 +314,11 @@ def _bipartite_c2(p: dict) -> tuple[float, float]:
 CV_COMPARE_TAIL_TOL = 1e-15
 
 
-def _report(family: str, params: dict, ops: str = "lowering", tail_tol: float | None = None):
-    state = build_state(
-        StateFamily(family, params),
-        **({} if tail_tol is None else {"tail_tol": tail_tol}),
-    )
+def _report(family: str, p: dict, ops="lowering", tail_tol=DEFAULT_TAIL_TOL, **fixed):
+    """Engine report on ``family``; each required parameter comes from ``fixed``, else ``p``."""
+    required = FAMILIES[family].required
+    params = {name: fixed[name] if name in fixed else p[name] for name in required}
+    state = build_state(StateFamily(family, params), tail_tol)
     return evaluate(state, canonical_assignment(ops, state.dims))
 
 
@@ -326,38 +326,26 @@ def _pick(report, condition: int) -> tuple[float, float]:
     return report.lhs, (report.rhs1 if condition == 1 else report.rhs2)
 
 
-def _numeric_ghz(p: dict, condition: int) -> tuple[float, float]:
-    return _pick(_report("GHZ", {"n": int(p["n"]), "theta": p["theta"]}), condition)
+def _raw_sides(family: str, condition: int, ops="lowering", tail_tol=DEFAULT_TAIL_TOL):
+    """Engine counterpart of a relation printed on the raw condition sides."""
+    return lambda p: _pick(_report(family, p, ops, tail_tol), condition)
+
+
+def _numeric_cv(family: str, condition: int):
+    """Raw condition sides of a Fock-truncated family, measured with annihilation operators."""
+    return _raw_sides(family, condition, "annihilation", CV_COMPARE_TAIL_TOL)
 
 
 def _numeric_noisy(p: dict) -> tuple[float, float]:
     prob = float(p["p"])
-    rep = _report(
-        "NoisyGHZ", {"n": int(p["n"]), "theta": p["theta"], "p": prob, "noise": "white"}
-    )
+    rep = _report("NoisyGHZ", p, noise="white")
     return rep.lhs / prob, rep.rhs1 / prob
 
 
-def _numeric_two_group(p: dict, condition: int) -> tuple[float, float]:
-    rep = _report(
-        "TwoGroupGHZ",
-        {
-            "n": int(p["n"]),
-            "l": int(p["l"]),
-            "theta1": p["theta1"],
-            "theta2": p["theta2"],
-        },
-    )
-    return _pick(rep, condition)
-
-
 def _numeric_tg_l1n3(p: dict, condition: int) -> tuple[float, float]:
-    theta2 = float(p["theta2"])
-    rep = _report(
-        "TwoGroupGHZ", {"n": 3, "l": 1, "theta1": math.pi / 4, "theta2": theta2}
-    )
+    rep = _report("TwoGroupGHZ", p, n=3, l=1, theta1=math.pi / 4)
     if condition == 1:
-        s2 = abs(math.sin(theta2))
+        s2 = abs(math.sin(float(p["theta2"])))
         if s2 < 1e-12:
             raise BadParameter("theta2 must avoid multiples of pi")
         return 2.0 * rep.lhs / s2, 2.0 * rep.rhs1 / s2
@@ -365,25 +353,14 @@ def _numeric_tg_l1n3(p: dict, condition: int) -> tuple[float, float]:
 
 
 def _numeric_tg_l2n4(p: dict, condition: int) -> tuple[float, float]:
-    rep = _report(
-        "TwoGroupGHZ",
-        {"n": 4, "l": 2, "theta1": p["theta1"], "theta2": p["theta2"]},
-    )
+    rep = _report("TwoGroupGHZ", p, n=4, l=2)
     if condition == 1:
         return rep.lhs, rep.rhs1
     return rep.lhs, 2.0 * rep.rhs2 - rep.lhs
 
 
 def _numeric_lsep(p: dict) -> tuple[float, float]:
-    rep = _report(
-        "LSeparable",
-        {
-            "n": int(p["n"]),
-            "l": int(p["l"]),
-            "theta": p["theta"],
-            "thetas": list(p["thetas"]),
-        },
-    )
+    rep = _report("LSeparable", p)
     scale = abs(math.sin(float(p["theta"])))
     for t in p["thetas"]:
         scale *= abs(math.cos(float(t)) * math.sin(float(t)))
@@ -393,32 +370,9 @@ def _numeric_lsep(p: dict) -> tuple[float, float]:
 
 
 def _numeric_mixed(p: dict, condition: int) -> tuple[float, float]:
+    lhs, rhs = _pick(_report("MixedSingleOut", p), condition)
     n = int(p["n"])
-    rep = _report(
-        "MixedSingleOut", {"n": n, "theta": p["theta"], "thetas": list(p["thetas"])}
-    )
-    lhs, rhs = _pick(rep, condition)
     return n * lhs, n * rhs
-
-
-def _numeric_sqz(p: dict, condition: int) -> tuple[float, float]:
-    rep = _report(
-        "NModeSqueezed",
-        {"n": int(p["n"]), "x": float(p["x"])},
-        ops="annihilation",
-        tail_tol=CV_COMPARE_TAIL_TOL,
-    )
-    return _pick(rep, condition)
-
-
-def _numeric_mod4(p: dict, condition: int) -> tuple[float, float]:
-    rep = _report(
-        "ModifiedFourMode",
-        {"x": float(p["x"])},
-        ops="annihilation",
-        tail_tol=CV_COMPARE_TAIL_TOL,
-    )
-    return _pick(rep, condition)
 
 
 def _bipartite_instance(seed: int, dims) -> tuple:
@@ -453,17 +407,36 @@ def _numeric_bipartite(p: dict, condition: int) -> tuple[float, float]:
 # registry
 
 
+class Asymptotic(NamedTuple):
+    """An asymptotic tag's check: its closed-form threshold in ``var`` on
+    ``bracket`` against ``exact_tag``'s at ``exact_params``."""
+
+    exact_tag: FormulaId
+    exact_params: dict
+    asym_params: dict
+    var: str
+    bracket: tuple[float, float]
+
+
 @dataclass(frozen=True)
 class Formula:
+    """One printed relation: its closed form and, for an exact tag, the engine counterpart.
+
+    An exact tag has ``numeric`` and ``sampler``, and ``pinned`` names its
+    canonical case, checked first by :func:`run_verification`.  An
+    asymptotic tag has neither and an :class:`Asymptotic` check instead.
+    """
+
     required: tuple[str, ...]
-    exact: bool
     note: str
     closed: Callable[[dict], tuple[float, float]]
-    numeric: Callable[[dict], tuple[float, float]] | None
-    sampler: Callable[[np.random.Generator], dict] | None
+    numeric: Callable[[dict], tuple[float, float]] | None = None
+    sampler: Callable[[np.random.Generator], dict] | None = None
     # extra parameters the engine-side counterpart needs (e.g. the system
     # size when the printed formula is size-independent)
     numeric_required: tuple[str, ...] = ()
+    pinned: dict | None = None
+    asymptotic: Asymptotic | None = None
 
 
 def _sample_theta(rng) -> float:
@@ -533,95 +506,118 @@ def _sample_bipartite(rng) -> dict:
     return sample_bipartite_case(int(rng.integers(0, 2**31 - 1)))
 
 
+_MIXED_PINNED = {"n": 4, "theta": 0.2, "thetas": [0.3, 0.5, 0.7, 0.9]}
+_TG_ASYMP_EXACT = {"n": 40, "l": 1, "theta1": math.pi / 4}
+_MIXED_ASYMP_EXACT = {"n": 8, "thetas": [math.pi / 4] + [0.0] * 7}
+
 _REGISTRY: dict[FormulaId, Formula] = {
     FormulaId.GHZ_LHS: Formula(
-        ("theta",), True, "raw condition-1 sides", _ghz_sides,
-        lambda p: _numeric_ghz(p, 1), _sample_ghz, numeric_required=("n",),
+        ("theta",), "raw condition-1 sides", _ghz_sides, _raw_sides("GHZ", 1), _sample_ghz,
+        numeric_required=("n",), pinned={"n": 3, "theta": math.pi / 6},
     ),
     FormulaId.GHZ_RHS: Formula(
-        ("theta",), True, "raw condition-2 sides (bounds coincide here)", _ghz_sides,
-        lambda p: _numeric_ghz(p, 2), _sample_ghz, numeric_required=("n",),
+        ("theta",), "raw condition-2 sides (bounds coincide here)", _ghz_sides,
+        _raw_sides("GHZ", 2), _sample_ghz,
+        numeric_required=("n",), pinned={"n": 3, "theta": math.pi / 6},
     ),
     FormulaId.NOISY_COND1: Formula(
-        ("theta", "p"), True, "both condition-1 sides divided by p", _noisy_cond1,
-        _numeric_noisy, _sample_noisy, numeric_required=("n",),
+        ("theta", "p"), "both condition-1 sides divided by p", _noisy_cond1,
+        _numeric_noisy, _sample_noisy,
+        numeric_required=("n",), pinned={"n": 3, "theta": math.pi / 8, "p": 0.8},
     ),
     FormulaId.TWOGROUP_C1: Formula(
-        ("n", "l", "theta1", "theta2"), True, "raw condition-1 sides",
-        _two_group_c1, lambda p: _numeric_two_group(p, 1), _sample_two_group,
+        ("n", "l", "theta1", "theta2"), "raw condition-1 sides", _two_group_c1,
+        _raw_sides("TwoGroupGHZ", 1), _sample_two_group,
+        pinned={"n": 4, "l": 2, "theta1": 0.4, "theta2": 0.4},
     ),
     FormulaId.TWOGROUP_C2: Formula(
-        ("n", "l", "theta1", "theta2"), True, "raw condition-2 sides",
-        _two_group_c2, lambda p: _numeric_two_group(p, 2), _sample_two_group,
+        ("n", "l", "theta1", "theta2"), "raw condition-2 sides", _two_group_c2,
+        _raw_sides("TwoGroupGHZ", 2), _sample_two_group,
+        pinned={"n": 4, "l": 2, "theta1": 0.4, "theta2": 0.4},
     ),
     FormulaId.TG_L1N3_C1: Formula(
-        ("theta2",), True, "both sides scaled by 2/|sin theta2| (equals cubing + clearing)",
+        ("theta2",), "both sides scaled by 2/|sin theta2| (equals cubing + clearing)",
         _tg_l1n3_c1, lambda p: _numeric_tg_l1n3(p, 1), _sample_tg_theta2,
+        pinned={"theta2": 0.3},
     ),
     FormulaId.TG_L1N3_C2: Formula(
-        ("theta2",), True, "both condition-2 sides doubled", _tg_l1n3_c2,
-        lambda p: _numeric_tg_l1n3(p, 2), _sample_tg_theta2,
+        ("theta2",), "both condition-2 sides doubled", _tg_l1n3_c2,
+        lambda p: _numeric_tg_l1n3(p, 2), _sample_tg_theta2, pinned={"theta2": math.pi / 4},
     ),
     FormulaId.TG_L2N4_C1: Formula(
-        ("theta1", "theta2"), True, "raw condition-1 sides", _tg_l2n4_c1,
+        ("theta1", "theta2"), "raw condition-1 sides", _tg_l2n4_c1,
         lambda p: _numeric_tg_l2n4(p, 1), _sample_tg_pair,
+        pinned={"theta1": 0.4, "theta2": 0.7},
     ),
     FormulaId.TG_L2N4_C2: Formula(
-        ("theta1", "theta2"), True,
-        "condition-2 sides doubled with the lhs cross term moved right",
+        ("theta1", "theta2"), "condition-2 sides doubled with the lhs cross term moved right",
         _tg_l2n4_c2, lambda p: _numeric_tg_l2n4(p, 2), _sample_tg_pair,
+        pinned={"theta1": 0.4, "theta2": 0.4},
     ),
     FormulaId.TG_ASYMP_C1: Formula(
-        ("theta1", "theta2"), False, "large-n approximation of the group condition 1",
-        _tg_asymp_c1, None, None,
+        ("theta1", "theta2"), "large-n approximation of the group condition 1", _tg_asymp_c1,
+        asymptotic=Asymptotic(
+            FormulaId.TWOGROUP_C1, _TG_ASYMP_EXACT, {"theta1": math.pi / 4}, "theta2", (0.05, 1.5)
+        ),
     ),
     FormulaId.TG_ASYMP_C2: Formula(
-        ("l", "theta1", "theta2"), False, "large-n approximation of the group condition 2",
-        _tg_asymp_c2, None, None,
+        ("l", "theta1", "theta2"), "large-n approximation of the group condition 2",
+        _tg_asymp_c2,
+        asymptotic=Asymptotic(
+            FormulaId.TWOGROUP_C2, _TG_ASYMP_EXACT, {"l": 1, "theta1": math.pi / 4}, "theta2",
+            (0.05, 1.5),
+        ),
     ),
     FormulaId.LSEP_C1: Formula(
-        ("n", "l", "theta", "thetas"), True,
+        ("n", "l", "theta", "thetas"),
         "both condition-1 sides divided by |sin theta| prod |cos_i sin_i|",
         _lsep_c1, _numeric_lsep, _sample_lsep,
+        pinned={"n": 6, "l": 2, "theta": 0.3, "thetas": [math.pi / 4] * 2},
     ),
     FormulaId.MIXED_C1: Formula(
-        ("n", "theta", "thetas"), True, "both condition-1 sides multiplied by n",
-        _mixed_c1, lambda p: _numeric_mixed(p, 1), _sample_mixed,
+        ("n", "theta", "thetas"), "both condition-1 sides multiplied by n", _mixed_c1,
+        lambda p: _numeric_mixed(p, 1), _sample_mixed, pinned=_MIXED_PINNED,
     ),
     FormulaId.MIXED_C2: Formula(
-        ("n", "theta", "thetas"), True, "both condition-2 sides multiplied by n",
-        _mixed_c2, lambda p: _numeric_mixed(p, 2), _sample_mixed,
+        ("n", "theta", "thetas"), "both condition-2 sides multiplied by n", _mixed_c2,
+        lambda p: _numeric_mixed(p, 2), _sample_mixed, pinned=_MIXED_PINNED,
     ),
     FormulaId.MIXED_ASYMP_C1: Formula(
-        ("n", "theta"), False, "large-n, one tilted site approximation (condition 1)",
-        _mixed_asymp_c1, None, None,
+        ("n", "theta"), "large-n, one tilted site approximation (condition 1)",
+        _mixed_asymp_c1,
+        asymptotic=Asymptotic(
+            FormulaId.MIXED_C1, _MIXED_ASYMP_EXACT, {"n": 8}, "theta", (1e-3, 0.3)
+        ),
     ),
     FormulaId.MIXED_ASYMP_C2: Formula(
-        ("n", "theta"), False, "large-n, one tilted site approximation (condition 2)",
-        _mixed_asymp_c2, None, None,
+        ("n", "theta"), "large-n, one tilted site approximation (condition 2)",
+        _mixed_asymp_c2,
+        asymptotic=Asymptotic(
+            FormulaId.MIXED_C2, _MIXED_ASYMP_EXACT, {"n": 8}, "theta", (0.01, 0.3)
+        ),
     ),
     FormulaId.SQZ_LHS: Formula(
-        ("n", "x"), True, "raw condition-1 sides (series summed to tolerance)",
-        _sqz_sides, lambda p: _numeric_sqz(p, 1), _sample_sqz,
+        ("n", "x"), "raw condition-1 sides (series summed to tolerance)", _sqz_sides,
+        _numeric_cv("NModeSqueezed", 1), _sample_sqz, pinned={"n": 3, "x": 0.5},
     ),
     FormulaId.SQZ_RHS: Formula(
-        ("n", "x"), True, "raw condition-2 sides (bounds coincide here)",
-        _sqz_sides, lambda p: _numeric_sqz(p, 2), _sample_sqz,
+        ("n", "x"), "raw condition-2 sides (bounds coincide here)", _sqz_sides,
+        _numeric_cv("NModeSqueezed", 2), _sample_sqz, pinned={"n": 3, "x": 0.5},
     ),
     FormulaId.MOD4_LHS: Formula(
-        ("x",), True, "raw condition-1 sides in closed form", _mod4_c1_sides,
-        lambda p: _numeric_mod4(p, 1), _sample_mod4,
+        ("x",), "raw condition-1 sides in closed form", _mod4_c1_sides,
+        _numeric_cv("ModifiedFourMode", 1), _sample_mod4, pinned={"x": 0.5},
     ),
     FormulaId.MOD4_RHS2: Formula(
-        ("x",), True, "raw condition-2 sides in closed form", _mod4_c2_sides,
-        lambda p: _numeric_mod4(p, 2), _sample_mod4,
+        ("x",), "raw condition-2 sides in closed form", _mod4_c2_sides,
+        _numeric_cv("ModifiedFourMode", 2), _sample_mod4, pinned={"x": 0.5},
     ),
     FormulaId.BIPARTITE_C1: Formula(
-        ("prod_moment", "moment_a", "moment_b"), True, "both condition-1 sides squared",
+        ("prod_moment", "moment_a", "moment_b"), "both condition-1 sides squared",
         _bipartite_c1, lambda p: _numeric_bipartite(p, 1), _sample_bipartite,
     ),
     FormulaId.BIPARTITE_C2: Formula(
-        ("prod_moment", "moment_a", "moment_b"), True, "both condition-2 sides squared",
+        ("prod_moment", "moment_a", "moment_b"), "both condition-2 sides squared",
         _bipartite_c2, lambda p: _numeric_bipartite(p, 2), _sample_bipartite,
     ),
 }
@@ -642,7 +638,7 @@ def rearrangement_note(tag: FormulaId) -> str:
 
 
 def is_exact(tag: FormulaId) -> bool:
-    return _entry(tag).exact
+    return _entry(tag).numeric is not None
 
 
 def closed_form(tag: FormulaId, params: dict) -> tuple[float, float]:
@@ -705,58 +701,6 @@ class CrossCheckRow:
         }
 
 
-_PINNED_CASES: dict[FormulaId, dict] = {
-    FormulaId.GHZ_LHS: {"n": 3, "theta": math.pi / 6},
-    FormulaId.GHZ_RHS: {"n": 3, "theta": math.pi / 6},
-    FormulaId.NOISY_COND1: {"n": 3, "theta": math.pi / 8, "p": 0.8},
-    FormulaId.TWOGROUP_C1: {"n": 4, "l": 2, "theta1": 0.4, "theta2": 0.4},
-    FormulaId.TWOGROUP_C2: {"n": 4, "l": 2, "theta1": 0.4, "theta2": 0.4},
-    FormulaId.TG_L1N3_C1: {"theta2": 0.3},
-    FormulaId.TG_L1N3_C2: {"theta2": math.pi / 4},
-    FormulaId.TG_L2N4_C1: {"theta1": 0.4, "theta2": 0.7},
-    FormulaId.TG_L2N4_C2: {"theta1": 0.4, "theta2": 0.4},
-    FormulaId.LSEP_C1: {"n": 6, "l": 2, "theta": 0.3, "thetas": [math.pi / 4] * 2},
-    FormulaId.MIXED_C1: {"n": 4, "theta": 0.2, "thetas": [0.3, 0.5, 0.7, 0.9]},
-    FormulaId.MIXED_C2: {"n": 4, "theta": 0.2, "thetas": [0.3, 0.5, 0.7, 0.9]},
-    FormulaId.SQZ_LHS: {"n": 3, "x": 0.5},
-    FormulaId.SQZ_RHS: {"n": 3, "x": 0.5},
-    FormulaId.MOD4_LHS: {"x": 0.5},
-    FormulaId.MOD4_RHS2: {"x": 0.5},
-}
-_PINNED_CASES[FormulaId.MOD4_RHS1] = _PINNED_CASES[FormulaId.MOD4_LHS]
-
-_ASYMPTOTIC_SETUPS: dict[FormulaId, dict] = {
-    FormulaId.TG_ASYMP_C1: {
-        "exact_tag": FormulaId.TWOGROUP_C1,
-        "exact_params": {"n": 40, "l": 1, "theta1": math.pi / 4},
-        "asym_params": {"theta1": math.pi / 4},
-        "var": "theta2",
-        "bracket": (0.05, 1.5),
-    },
-    FormulaId.TG_ASYMP_C2: {
-        "exact_tag": FormulaId.TWOGROUP_C2,
-        "exact_params": {"n": 40, "l": 1, "theta1": math.pi / 4},
-        "asym_params": {"l": 1, "theta1": math.pi / 4},
-        "var": "theta2",
-        "bracket": (0.05, 1.5),
-    },
-    FormulaId.MIXED_ASYMP_C1: {
-        "exact_tag": FormulaId.MIXED_C1,
-        "exact_params": {"n": 8, "thetas": [math.pi / 4] + [0.0] * 7},
-        "asym_params": {"n": 8},
-        "var": "theta",
-        "bracket": (1e-3, 0.3),
-    },
-    FormulaId.MIXED_ASYMP_C2: {
-        "exact_tag": FormulaId.MIXED_C2,
-        "exact_params": {"n": 8, "thetas": [math.pi / 4] + [0.0] * 7},
-        "asym_params": {"n": 8},
-        "var": "theta",
-        "bracket": (0.01, 0.3),
-    },
-}
-
-
 def closed_form_threshold(
     tag: FormulaId, params: dict, var: str, bracket: tuple[float, float], tol: float = 1e-9
 ) -> float:
@@ -772,9 +716,7 @@ def closed_form_threshold(
 
 def _exact_row(tag: FormulaId, rng: np.random.Generator, points: int) -> CrossCheckRow:
     entry = _entry(tag)
-    cases = []
-    if tag in _PINNED_CASES:
-        cases.append(_PINNED_CASES[tag])
+    cases = [] if entry.pinned is None else [entry.pinned]
     while len(cases) < points:
         cases.append(entry.sampler(rng))
     worst = 0.0
@@ -794,13 +736,11 @@ def _exact_row(tag: FormulaId, rng: np.random.Generator, points: int) -> CrossCh
 
 
 def _asymptotic_row(tag: FormulaId) -> CrossCheckRow:
-    setup = _ASYMPTOTIC_SETUPS[tag]
+    setup = _entry(tag).asymptotic
     exact_root = closed_form_threshold(
-        setup["exact_tag"], setup["exact_params"], setup["var"], setup["bracket"]
+        setup.exact_tag, setup.exact_params, setup.var, setup.bracket
     )
-    asym_root = closed_form_threshold(
-        tag, setup["asym_params"], setup["var"], setup["bracket"]
-    )
+    asym_root = closed_form_threshold(tag, setup.asym_params, setup.var, setup.bracket)
     ratio = exact_root / asym_root
     error = max(ratio, 1.0 / ratio)
     return CrossCheckRow(
@@ -810,7 +750,7 @@ def _asymptotic_row(tag: FormulaId) -> CrossCheckRow:
         error=error,
         tolerance=ASYMPTOTIC_RATIO_BOUND,
         passed=error <= ASYMPTOTIC_RATIO_BOUND,
-        note=f"threshold ratio vs {setup['exact_tag'].value} at {setup['exact_params']}",
+        note=f"threshold ratio vs {setup.exact_tag.value} at {setup.exact_params}",
     )
 
 
@@ -841,7 +781,7 @@ def run_verification(seed: int = 0, points: int = 20) -> list[CrossCheckRow]:
     rng = np.random.default_rng([int(seed), 1])
     rows = []
     for tag in FormulaId:
-        if _entry(tag).exact:
+        if is_exact(tag):
             rows.append(_exact_row(tag, rng, points))
         else:
             rows.append(_asymptotic_row(tag))

@@ -27,7 +27,7 @@ DIMENSION_CAP = 2**14
 #: One complex matrix of that side takes 64 MiB.
 MATRIX_SIDE_CAP = 2048
 
-#: Default tolerance for Hermiticity checks and eigenvalue clamping.
+#: Tolerance for Hermiticity checks and eigenvalue clamping.
 DEFAULT_TOL = 1e-10
 
 
@@ -143,7 +143,7 @@ def kron_product(ops) -> np.ndarray:
     return out
 
 
-def psd_eigh(op, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray | None]:
+def psd_eigh(op) -> tuple[np.ndarray, np.ndarray | None]:
     """Clamped spectrum of a Hermitian positive-semidefinite matrix.
 
     Returns ``(evals, vecs)`` with the eigenvalues clamped at zero
@@ -151,9 +151,9 @@ def psd_eigh(op, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray | Non
     like -1e-15) and the eigenvectors as columns.  An exactly diagonal
     matrix is its own eigendecomposition: its (real) diagonal is
     returned, in diagonal order, with ``vecs=None``.  Eigenvalues below
-    ``-tol * max(1, spectral radius)`` are treated as genuinely negative
-    and raise :class:`NegativeSpectrum`; a Hermiticity defect above
-    ``tol`` raises :class:`NonHermitian`.
+    ``-DEFAULT_TOL * max(1, spectral radius)`` are treated as genuinely
+    negative and raise :class:`NegativeSpectrum`; a Hermiticity defect
+    above :data:`DEFAULT_TOL` raises :class:`NonHermitian`.
     """
     mat = as_operator(op)
     diagonal = np.diagonal(mat)
@@ -163,8 +163,8 @@ def psd_eigh(op, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray | Non
         defect = float(np.max(np.abs(2.0 * diagonal.imag)))
     else:
         defect = float(np.max(np.abs(mat - dag(mat))))
-    if defect > tol:
-        raise NonHermitian(f"Hermiticity defect {defect:.3e} exceeds tol {tol:.3e}")
+    if defect > DEFAULT_TOL:
+        raise NonHermitian(f"Hermiticity defect {defect:.3e} exceeds tol {DEFAULT_TOL:.3e}")
     if is_diagonal:
         evals, vecs = diagonal.real, None
         lowest = float(np.min(evals))
@@ -172,12 +172,12 @@ def psd_eigh(op, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray | Non
         evals, vecs = np.linalg.eigh(mat)
         lowest = float(evals[0])
     radius = float(np.max(np.abs(evals)))
-    if lowest < -tol * max(1.0, radius):
-        raise NegativeSpectrum(f"eigenvalue {lowest:.3e} below -tol for tol {tol:.3e}")
+    if lowest < -DEFAULT_TOL * max(1.0, radius):
+        raise NegativeSpectrum(f"eigenvalue {lowest:.3e} below -tol for tol {DEFAULT_TOL:.3e}")
     return np.maximum(evals, 0.0), vecs
 
 
-def psd_power(op, power: float, tol: float = DEFAULT_TOL) -> np.ndarray:
+def psd_power(op, power: float) -> np.ndarray:
     """Fractional power of a Hermitian positive-semidefinite matrix.
 
     Computed spectrally from :func:`psd_eigh`, under its Hermiticity and
@@ -187,7 +187,7 @@ def psd_power(op, power: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     mat = as_operator(op)
     if power <= 0:
         raise ValueError(f"power must be positive, got {power}")
-    clamped, vecs = psd_eigh(mat, tol)
+    clamped, vecs = psd_eigh(mat)
     if vecs is None:
         return np.diag((clamped**power).astype(complex))
     return (vecs * clamped**power) @ dag(vecs)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, InvalidDensityMatrix
-from .linalg import as_operator, dag, psd_power
+from .linalg import DEFAULT_TOL, as_operator, dag, psd_power
 from .states import MixedEnsemble, ProductTerm, PureSOP
 from .witness import OperatorAssignment, evaluate
 
@@ -27,6 +27,12 @@ SEPARABLE_MARGIN_TOL = -1e-9
 
 #: Same, for the operator-power inequality.
 LEMMA_MARGIN_TOL = -1e-10
+
+#: Dimension of the random operators and density matrices in lemma trials.
+LEMMA_DIM = 6
+
+#: Powers p drawn for the lemma trials.
+LEMMA_POWERS = (1.5, 2.0, 3.0)
 
 
 def haar_ket(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -109,21 +115,21 @@ def check_separable_bounds(
     return report.rhs1 - report.lhs, report.rhs2 - report.lhs
 
 
-def check_lemma(op, rho, power: float, tol: float = 1e-10) -> float:
+def check_lemma(op, rho, power: float) -> float:
     """Slack <B^p> - <B>^p of the operator-power inequality, p > 1."""
     if power <= 1.0:
         raise BadParameter(f"power must exceed 1, got {power}")
     rho = as_operator(rho)
     defect = float(np.max(np.abs(rho - dag(rho))))
-    if defect > tol:
+    if defect > DEFAULT_TOL:
         raise InvalidDensityMatrix(f"Hermiticity defect {defect:.3e}")
     trace = complex(np.trace(rho))
     if abs(trace - 1.0) > 1e-8:
         raise InvalidDensityMatrix(f"trace {trace} != 1")
     evals = np.linalg.eigvalsh(rho)
-    if evals[0] < -tol:
+    if evals[0] < -DEFAULT_TOL:
         raise InvalidDensityMatrix(f"negative eigenvalue {evals[0]:.3e}")
-    powered = psd_power(op, power, tol)
+    powered = psd_power(op, power)
     mean = max(float(np.trace(rho @ as_operator(op)).real), 0.0)
     mean_powered = float(np.trace(rho @ powered).real)
     return mean_powered - mean**power
@@ -151,7 +157,6 @@ def run_separable_trials(
     max_n: int = 4,
     max_dim: int = 3,
     max_terms: int = 4,
-    margin_tol: float = SEPARABLE_MARGIN_TOL,
 ) -> SeparableTrialSummary:
     """Seeded batch of random separable ensembles vs random operators.
 
@@ -183,7 +188,7 @@ def run_separable_trials(
         margin1, margin2 = check_separable_bounds(ensemble, assignment)
         worst1 = min(worst1, margin1)
         worst2 = min(worst2, margin2)
-        if margin1 < margin_tol or margin2 < margin_tol:
+        if margin1 < SEPARABLE_MARGIN_TOL or margin2 < SEPARABLE_MARGIN_TOL:
             violations += 1
     return SeparableTrialSummary(int(trials), violations, float(worst1), float(worst2))
 
@@ -199,26 +204,19 @@ class LemmaTrialSummary:
         return self.violations == 0
 
 
-def run_lemma_trials(
-    trials: int,
-    seed: int,
-    dim: int = 6,
-    powers=(1.5, 2.0, 3.0),
-    margin_tol: float = LEMMA_MARGIN_TOL,
-) -> LemmaTrialSummary:
+def run_lemma_trials(trials: int, seed: int) -> LemmaTrialSummary:
     """Seeded batch of (B, rho, p) triples for the operator-power inequality."""
     if trials < 1:
         raise BadParameter(f"trials must be >= 1, got {trials}")
     violations = 0
     worst = np.inf
-    powers = tuple(float(p) for p in powers)
     for trial in range(int(trials)):
         rng = np.random.default_rng([int(seed), trial, 7])
-        op = random_psd(dim, rng)
-        rho = random_density_matrix(dim, rng)
-        power = powers[int(rng.integers(len(powers)))]
+        op = random_psd(LEMMA_DIM, rng)
+        rho = random_density_matrix(LEMMA_DIM, rng)
+        power = LEMMA_POWERS[int(rng.integers(len(LEMMA_POWERS)))]
         margin = check_lemma(op, rho, power)
         worst = min(worst, margin)
-        if margin < margin_tol:
+        if margin < LEMMA_MARGIN_TOL:
             violations += 1
     return LemmaTrialSummary(int(trials), violations, float(worst))

@@ -28,8 +28,10 @@ amplitudes are renormalized.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,8 +86,8 @@ class PureSOP:
             for ket, dim in zip(term.factors, dims):
                 if ket.shape != (dim,):
                     raise BadParameter(f"local ket shape {ket.shape} != ({dim},)")
-                if abs(np.linalg.norm(ket) - 1.0) > 1e-10:
-                    raise BadParameter("local kets must be unit-normalized")
+                if not abs(np.linalg.norm(ket) - 1.0) <= 1e-10:
+                    raise BadParameter("local kets must be finite and unit-normalized")
         stacks = [
             np.array([term.factors[k] for term in terms], dtype=complex)
             for k in range(len(dims))
@@ -122,8 +124,8 @@ class PureSOP:
                     raise BadParameter(f"site {site} has kets, so its labels must be -1")
                 if stack.shape != (amps.size, dim):
                     raise BadParameter(f"kets at site {site} have shape {stack.shape}")
-                if np.any(np.abs(np.linalg.norm(stack, axis=1) - 1.0) > 1e-10):
-                    raise BadParameter("local kets must be unit-normalized")
+                if not np.all(np.abs(np.linalg.norm(stack, axis=1) - 1.0) <= 1e-10):
+                    raise BadParameter("local kets must be finite and unit-normalized")
                 columns.append(stack)
             elif lows[site] < 0 or highs[site] >= dim:
                 raise BadParameter(f"basis label outside dimension {dim} at site {site}")
@@ -136,6 +138,8 @@ class PureSOP:
         return state
 
     def _setup(self, dims, amps, labels, columns) -> None:
+        if not np.isfinite(amps).all():
+            raise BadParameter("amplitudes must be finite")
         self.dims = dims
         self.labels = labels
         self._amps = _read_only(amps)
@@ -246,10 +250,11 @@ class MixedEnsemble:
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         if len(self.weights) != len(self.pures):
             raise BadParameter("one weight per pure component required")
-        if any(w < -1e-12 for w in self.weights) or self.white_noise_weight < -1e-12:
-            raise BadParameter("mixture weights must be nonnegative")
+        weights = (*self.weights, self.white_noise_weight)
+        if not all(math.isfinite(w) and w >= -1e-12 for w in weights):
+            raise BadParameter("mixture weights must be finite and nonnegative")
         total = sum(self.weights) + self.white_noise_weight
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise BadParameter(f"mixture weights sum to {total}, expected 1")
         for pure in self.pures:
             if pure.dims != self.dims:
@@ -262,19 +267,6 @@ class MixedEnsemble:
 
 State = PureSOP | MixedEnsemble
 
-#: Family tag -> (required parameter names, optional parameter names).
-FAMILY_PARAMS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    "GHZ": (("n", "theta"), ()),
-    "FlippedGHZ": (("n", "theta"), ()),
-    "TwoGroupGHZ": (("n", "l", "theta1", "theta2"), ()),
-    "LSeparable": (("n", "l", "theta", "thetas"), ()),
-    "MixedSingleOut": (("n", "theta", "thetas"), ()),
-    "NoisyGHZ": (("n", "theta", "p", "noise"), ()),
-    "NModeSqueezed": (("n", "x"), ("cutoff",)),
-    "ModifiedFourMode": (("x",), ("cutoff",)),
-}
-
-
 @dataclass(frozen=True)
 class StateFamily:
     """Parametric descriptor of a state family, serializable to JSON."""
@@ -283,14 +275,12 @@ class StateFamily:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.family not in FAMILY_PARAMS:
-            raise BadParameter(
-                f"unknown family {self.family!r}; known: {sorted(FAMILY_PARAMS)}"
-            )
+        if self.family not in FAMILIES:
+            raise BadParameter(f"unknown family {self.family!r}; known: {sorted(FAMILIES)}")
 
     def with_param(self, name: str, value) -> "StateFamily":
-        required, optional = FAMILY_PARAMS[self.family]
-        if name not in required + optional:
+        spec = FAMILIES[self.family]
+        if name not in spec.required + spec.optional:
             raise BadParameter(f"family {self.family} has no parameter {name!r}")
         params = dict(self.params)
         params[name] = value
@@ -372,17 +362,6 @@ def _as_angles(params: dict, name: str, family: str, length: int) -> list[float]
     return angles
 
 
-def _check_params(family: StateFamily) -> dict:
-    required, optional = FAMILY_PARAMS[family.family]
-    missing = [name for name in required if name not in family.params]
-    if missing:
-        raise BadParameter(f"family {family.family} missing parameters {missing}")
-    unknown = [name for name in family.params if name not in required + optional]
-    if unknown:
-        raise BadParameter(f"family {family.family} got unknown parameters {unknown}")
-    return dict(family.params)
-
-
 def _superposition_qubit(theta: float) -> np.ndarray:
     return np.array([math.cos(theta), math.sin(theta)], dtype=complex)
 
@@ -406,19 +385,12 @@ def _ghz_state(n: int, theta: float, tilted=None, flipped: int | None = None) ->
     return PureSOP.from_labels((2,) * n, amps, labels, kets)
 
 
-def _build_ghz(params: dict) -> PureSOP:
-    n = _as_int(params, "n", "GHZ", 2)
-    theta = _as_float(params, "theta", "GHZ")
-    return _ghz_state(n, theta)
+def _build_ghz(params: dict, tail_tol: float, family="GHZ", flipped=None) -> PureSOP:
+    n = _as_int(params, "n", family, 2)
+    return _ghz_state(n, _as_float(params, "theta", family), flipped=flipped)
 
 
-def _build_flipped_ghz(params: dict) -> PureSOP:
-    n = _as_int(params, "n", "FlippedGHZ", 2)
-    theta = _as_float(params, "theta", "FlippedGHZ")
-    return _ghz_state(n, theta, flipped=0)
-
-
-def _build_two_group_ghz(params: dict) -> PureSOP:
+def _build_two_group_ghz(params: dict, tail_tol: float) -> PureSOP:
     n = _as_int(params, "n", "TwoGroupGHZ", 2)
     l = _as_int(params, "l", "TwoGroupGHZ", 1)
     if l >= n:
@@ -433,7 +405,7 @@ def _build_two_group_ghz(params: dict) -> PureSOP:
     return PureSOP.from_labels((2,) * n, amps, labels)
 
 
-def _build_l_separable(params: dict) -> PureSOP:
+def _build_l_separable(params: dict, tail_tol: float) -> PureSOP:
     n = _as_int(params, "n", "LSeparable", 2)
     l = _as_int(params, "l", "LSeparable", 1)
     if l >= n:
@@ -445,7 +417,7 @@ def _build_l_separable(params: dict) -> PureSOP:
     return _ghz_state(n, theta, tilted=tilted)
 
 
-def _build_mixed_single_out(params: dict) -> MixedEnsemble:
+def _build_mixed_single_out(params: dict, tail_tol: float) -> MixedEnsemble:
     n = _as_int(params, "n", "MixedSingleOut", 2)
     theta = _as_float(params, "theta", "MixedSingleOut")
     thetas = _as_angles(params, "thetas", "MixedSingleOut", n)
@@ -455,7 +427,7 @@ def _build_mixed_single_out(params: dict) -> MixedEnsemble:
     return MixedEnsemble((2,) * n, (1.0 / n,) * n, pures)
 
 
-def _build_noisy_ghz(params: dict) -> MixedEnsemble:
+def _build_noisy_ghz(params: dict, tail_tol: float) -> MixedEnsemble:
     n = _as_int(params, "n", "NoisyGHZ", 2)
     theta = _as_float(params, "theta", "NoisyGHZ")
     p = _as_float(params, "p", "NoisyGHZ")
@@ -515,28 +487,39 @@ def _build_modified_four_mode(params: dict, tail_tol: float) -> PureSOP:
     )
 
 
+class FamilySpec(NamedTuple):
+    """A family's parameter names and its builder ``build(params, tail_tol)``."""
+
+    required: tuple[str, ...]
+    optional: tuple[str, ...]
+    build: Callable[[dict, float], State]
+
+
+#: Family tag -> its parameter names and builder.
+FAMILIES: dict[str, FamilySpec] = {
+    "GHZ": FamilySpec(("n", "theta"), (), _build_ghz),
+    "FlippedGHZ": FamilySpec(
+        ("n", "theta"), (), partial(_build_ghz, family="FlippedGHZ", flipped=0)
+    ),
+    "TwoGroupGHZ": FamilySpec(("n", "l", "theta1", "theta2"), (), _build_two_group_ghz),
+    "LSeparable": FamilySpec(("n", "l", "theta", "thetas"), (), _build_l_separable),
+    "MixedSingleOut": FamilySpec(("n", "theta", "thetas"), (), _build_mixed_single_out),
+    "NoisyGHZ": FamilySpec(("n", "theta", "p", "noise"), (), _build_noisy_ghz),
+    "NModeSqueezed": FamilySpec(("n", "x"), ("cutoff",), _build_n_mode_squeezed),
+    "ModifiedFourMode": FamilySpec(("x",), ("cutoff",), _build_modified_four_mode),
+}
+
+
 def build_state(family: StateFamily, tail_tol: float = DEFAULT_TAIL_TOL) -> State:
     """Construct the normalized state described by a family descriptor."""
-    params = _check_params(family)
-    tail_tol = _check_tail_tol(tail_tol)
-    tag = family.family
-    if tag == "GHZ":
-        return _build_ghz(params)
-    if tag == "FlippedGHZ":
-        return _build_flipped_ghz(params)
-    if tag == "TwoGroupGHZ":
-        return _build_two_group_ghz(params)
-    if tag == "LSeparable":
-        return _build_l_separable(params)
-    if tag == "MixedSingleOut":
-        return _build_mixed_single_out(params)
-    if tag == "NoisyGHZ":
-        return _build_noisy_ghz(params)
-    if tag == "NModeSqueezed":
-        return _build_n_mode_squeezed(params, tail_tol)
-    if tag == "ModifiedFourMode":
-        return _build_modified_four_mode(params, tail_tol)
-    raise BadParameter(f"unknown family {tag!r}")  # unreachable; guarded in __post_init__
+    spec = FAMILIES[family.family]
+    missing = [name for name in spec.required if name not in family.params]
+    if missing:
+        raise BadParameter(f"family {family.family} missing parameters {missing}")
+    unknown = [name for name in family.params if name not in spec.required + spec.optional]
+    if unknown:
+        raise BadParameter(f"family {family.family} got unknown parameters {unknown}")
+    return spec.build(dict(family.params), _check_tail_tol(tail_tol))
 
 
 def dense_vector(state: PureSOP) -> np.ndarray:

@@ -131,15 +131,13 @@ class OperatorAssignment:
         return cls((qubit_raising_op(),) * n)
 
     @classmethod
-    def qubit_flipped(cls, n: int, flipped_sites=(0,)) -> "OperatorAssignment":
-        """Raising on the flipped sites, lowering elsewhere.
+    def qubit_flipped(cls, n: int) -> "OperatorAssignment":
+        """Raising on site 0, lowering elsewhere.
 
-        Matches states in which those spins are flipped relative to the
-        rest, e.g. the single-flip GHZ variant.
+        Matches states whose site-0 spin is flipped relative to the rest,
+        the single-flip GHZ variant.
         """
-        flipped = set(flipped_sites)
-        raising, lowering = qubit_raising_op(), qubit_lowering_op()
-        return cls(tuple(raising if k in flipped else lowering for k in range(n)))
+        return cls((qubit_raising_op(),) + (qubit_lowering_op(),) * (n - 1))
 
     @classmethod
     def annihilation(cls, dims) -> "OperatorAssignment":
@@ -148,23 +146,26 @@ class OperatorAssignment:
         return cls(tuple(ops[int(d)] for d in dims))
 
 
+#: Named operator choices: name -> (qubit subsystems only, assignment from the dims).
+OPERATOR_CHOICES = {
+    "lowering": (True, lambda dims: OperatorAssignment.qubit_lowering(len(dims))),
+    "raising": (True, lambda dims: OperatorAssignment.qubit_raising(len(dims))),
+    "flipped": (True, lambda dims: OperatorAssignment.qubit_flipped(len(dims))),
+    "annihilation": (False, OperatorAssignment.annihilation),
+}
+
+
 def canonical_assignment(name: str, dims) -> OperatorAssignment:
     """Resolve one of the named operator choices against subsystem dims."""
     dims = tuple(int(d) for d in dims)
-    if name == "annihilation":
-        return OperatorAssignment.annihilation(dims)
-    if name in ("lowering", "raising", "flipped"):
-        if any(d != 2 for d in dims):
-            raise DimensionMismatch(f"{name} operators require qubit subsystems, got {dims}")
-        n = len(dims)
-        if name == "lowering":
-            return OperatorAssignment.qubit_lowering(n)
-        if name == "raising":
-            return OperatorAssignment.qubit_raising(n)
-        return OperatorAssignment.qubit_flipped(n)
-    raise DimensionMismatch(
-        f"unknown operator choice {name!r}; known: lowering, raising, flipped, annihilation"
-    )
+    if not isinstance(name, str) or name not in OPERATOR_CHOICES:
+        raise DimensionMismatch(
+            f"unknown operator choice {name!r}; known: {', '.join(OPERATOR_CHOICES)}"
+        )
+    qubits_only, assign = OPERATOR_CHOICES[name]
+    if qubits_only and any(d != 2 for d in dims):
+        raise DimensionMismatch(f"{name} operators require qubit subsystems, got {dims}")
+    return assign(dims)
 
 
 @dataclass(frozen=True)
@@ -439,9 +440,11 @@ def evaluate(
     A negative or non-finite ``epsilon`` raises :class:`BadParameter`.
     """
     epsilon = _check_epsilon(epsilon)
+    # rhs2 first: only its dense route can raise DimensionCap for the full
+    # dimension, and lhs and rhs1 cost seconds on such large states
+    rhs2 = rhs_condition2(state, assignment)
     lhs = abs(product_expectation(state, assignment))
     rhs1 = rhs_condition1(state, assignment)
-    rhs2 = rhs_condition2(state, assignment)
     if epsilon is None:
         epsilon = DEFAULT_EPSILON_SCALE * max(1.0, rhs1, rhs2)
     margin1 = lhs - rhs1

@@ -274,9 +274,7 @@ def test_criterion_9_modified_four_mode():
 def test_criterion_10_separable_oracle():
     with criterion(10, "10^4 random separable ensembles: zero bound violations, < 60 s"):
         start = time.perf_counter()
-        summary = run_separable_trials(
-            10_000, seed=20260808, max_n=4, max_dim=3, max_terms=4, margin_tol=-1e-9
-        )
+        summary = run_separable_trials(10_000, seed=20260808, max_n=4, max_dim=3, max_terms=4)
         elapsed = time.perf_counter() - start
         assert summary.violations == 0
         assert summary.worst_margin >= -1e-9
@@ -285,7 +283,7 @@ def test_criterion_10_separable_oracle():
 
 def test_criterion_11_operator_power_inequality():
     with criterion(11, "10^3 random (B, rho, p) triples keep <B^p> >= <B>^p"):
-        summary = run_lemma_trials(1_000, seed=31337, dim=6, powers=(1.5, 2.0, 3.0))
+        summary = run_lemma_trials(1_000, seed=31337)
         assert summary.violations == 0
         assert summary.worst_margin >= -1e-10
 

@@ -147,6 +147,21 @@ def test_missing_parameter():
         numeric_form(FormulaId.GHZ_LHS, {"theta": 0.3})
 
 
+@pytest.mark.parametrize(
+    "tag,params",
+    [
+        (FormulaId.GHZ_LHS, {"n": 3.5, "theta": 0.3}),
+        (FormulaId.TWOGROUP_C2, {"n": 4.5, "l": 2, "theta1": 0.4, "theta2": 0.4}),
+        (FormulaId.MIXED_C1, {"n": 3.5, "theta": 0.2, "thetas": [0.3, 0.5, 0.7]}),
+        (FormulaId.SQZ_LHS, {"n": 3.5, "x": 0.5}),
+    ],
+)
+def test_numeric_form_rejects_a_non_integer_size(tag, params):
+    """The engine counterpart builds the family as given: n is never truncated."""
+    with pytest.raises(BadParameter):
+        numeric_form(tag, params)
+
+
 def test_every_tag_has_note_and_params():
     for tag in FormulaId:
         assert rearrangement_note(tag)

@@ -1,4 +1,4 @@
-"""Property tests: label-form states evaluate exactly like their explicit-ket twins."""
+"""Property tests: label-form states and mixtures evaluate exactly like their explicit-ket twins."""
 
 from unittest import mock
 
@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from witnesslab import witness
 from witnesslab.errors import BadParameter
 from witnesslab.linalg import annihilation_op, kron_embed
-from witnesslab.states import ProductTerm, PureSOP, StateFamily, build_state
+from witnesslab.states import MixedEnsemble, ProductTerm, PureSOP, StateFamily, build_state
 from witnesslab.witness import (
+    OPERATOR_CHOICES,
     OperatorAssignment,
+    canonical_assignment,
     evaluate,
     product_expectation,
     product_expectation_dense,
@@ -39,20 +41,11 @@ def _operator(kind: str, dim: int, rng: np.random.Generator) -> np.ndarray:
     return annihilation_op(dim).T * np.exp(1j * rng.uniform(0, 2 * np.pi))
 
 
-@st.composite
-def label_cases(draw):
-    """(labelled state, explicit twin, assignment, whether rhs2 must take the dense route).
-
-    The dense route is due when the labelled state has a ket site or some
-    site has a non-diagonal A^dag A; the explicit twin has only ket sites.
-    """
-    n = draw(st.integers(2, 4))
-    dims = tuple(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
+def _pure_twins(draw, dims, rng):
+    """A label-form pure state with random ket sites, and its explicit-ket twin."""
+    n = len(dims)
     count = draw(st.integers(1, 5))
     ket_sites = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
-    kinds = draw(st.lists(st.sampled_from(OP_KINDS), min_size=n, max_size=n))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-
     amps = _unit(rng.standard_normal(count) + 1j * rng.standard_normal(count))
     labels = np.array([rng.integers(0, d, count) for d in dims]).T
     kets = {}
@@ -69,11 +62,52 @@ def label_cases(draw):
             for k, d in enumerate(dims)
         )
         terms.append(ProductTerm(complex(amp), factors))
-    explicit = PureSOP(dims, tuple(terms))
+    return labelled, PureSOP(dims, tuple(terms)), bool(ket_sites)
 
-    ops = tuple(_operator(kind, d, rng) for kind, d in zip(kinds, dims))
-    non_diagonal = any(kind == "gaussian" and d > 1 for kind, d in zip(kinds, dims))
-    return labelled, explicit, OperatorAssignment(ops), non_diagonal or bool(ket_sites)
+
+@st.composite
+def label_cases(draw):
+    """(labelled state, explicit twin, assignment, whether rhs2 must take the dense route).
+
+    The state is pure, or a mixture of 1-3 pure components with an
+    optional white-noise weight; the twin mixes the explicit-ket twins
+    with the same weights.  The operators are random per site, or one of
+    the named choices.  The dense route is due when some labelled
+    component has a ket site or some site has a non-diagonal A^dag A;
+    the explicit twin has only ket sites.
+    """
+    n = draw(st.integers(2, 4))
+    named = draw(st.one_of(st.none(), st.sampled_from(tuple(OPERATOR_CHOICES))))
+    if named in ("lowering", "raising", "flipped"):
+        dims = (2,) * n
+    else:
+        dims = tuple(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
+    components = draw(st.integers(1, 3))
+    noise = draw(st.one_of(st.none(), st.floats(0.0, 0.9)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    twins = [_pure_twins(draw, dims, rng) for _ in range(components)]
+    if noise is None and components == 1:
+        labelled, explicit, has_kets = twins[0]
+    else:
+        noise = noise or 0.0
+        weights = tuple(float(w) * (1.0 - noise) for w in rng.dirichlet(np.ones(components)))
+        labelled, explicit = (
+            MixedEnsemble(dims, weights, tuple(t[i] for t in twins), white_noise_weight=noise)
+            for i in (0, 1)
+        )
+        has_kets = any(t[2] for t in twins)
+
+    if named is not None:
+        assignment = canonical_assignment(named, dims)
+        non_diagonal = False
+    else:
+        kinds = draw(st.lists(st.sampled_from(OP_KINDS), min_size=n, max_size=n))
+        assignment = OperatorAssignment(
+            tuple(_operator(kind, d, rng) for kind, d in zip(kinds, dims))
+        )
+        non_diagonal = any(kind == "gaussian" and d > 1 for kind, d in zip(kinds, dims))
+    return labelled, explicit, assignment, non_diagonal or has_kets
 
 
 def _close(a, b, tol):
@@ -84,11 +118,13 @@ def _close(a, b, tol):
 @given(label_cases())
 def test_label_form_matches_explicit_kets_and_dense(case):
     labelled, explicit, assignment, labelled_dense = case
-    assert len(labelled.terms) == len(explicit.terms)
-    for got, want in zip(labelled.terms, explicit.terms):
-        assert got.amplitude == want.amplitude
-        for a, b in zip(got.factors, want.factors):
-            np.testing.assert_array_equal(a, b)
+    pures = (getattr(state, "pures", (state,)) for state in (labelled, explicit))
+    for pure_l, pure_e in zip(*pures):
+        assert len(pure_l.terms) == len(pure_e.terms)
+        for got, want in zip(pure_l.terms, pure_e.terms):
+            assert got.amplitude == want.amplitude
+            for a, b in zip(got.factors, want.factors):
+                np.testing.assert_array_equal(a, b)
 
     rep_l, rep_e = evaluate(labelled, assignment), evaluate(explicit, assignment)
     for field in ("lhs", "rhs1", "rhs2"):

@@ -245,6 +245,38 @@ def test_mixed_ensemble_rejects_bad_weights():
         MixedEnsemble((2, 3), (1.0,), (pure,))  # dims disagree
 
 
+_UP = np.array([1.0, 0.0], dtype=complex)
+_GOOD = PureSOP((2, 2), (ProductTerm(1.0 + 0j, (_UP, _UP)),))
+_NAN_KET = np.array([math.nan, 0.0], dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: PureSOP.from_labels((2, 2), [math.nan], [[0, 1]]),
+        lambda: PureSOP.from_labels((2, 2), [math.inf], [[0, 1]]),
+        lambda: PureSOP.from_labels((2, 2), [1.0, complex(0, math.inf)], [[0, 1], [1, 0]]),
+        lambda: PureSOP((2, 2), (ProductTerm(complex(math.nan), (_UP, _UP)),)),
+        lambda: PureSOP((2, 2), (ProductTerm(complex(math.inf), (_UP, _UP)),)),
+        lambda: PureSOP((2, 2), (ProductTerm(1.0 + 0j, (_UP, _NAN_KET)),)),
+        lambda: PureSOP((2, 2), (ProductTerm(1.0 + 0j, (_UP, np.array([math.inf, 0.0]))),)),
+        lambda: PureSOP.from_labels((2, 2), [1.0], [[0, -1]], {1: [_NAN_KET]}),
+        lambda: MixedEnsemble((2, 2), (math.nan,), (_GOOD,)),
+        lambda: MixedEnsemble((2, 2), (1.0, math.nan), (_GOOD, _GOOD)),
+        lambda: MixedEnsemble((2, 2), (1.0,), (_GOOD,), white_noise_weight=math.nan),
+    ],
+    ids=[
+        "labels-nan-amplitude", "labels-inf-amplitude", "labels-imag-inf-amplitude",
+        "terms-nan-amplitude", "terms-inf-amplitude", "terms-nan-ket", "terms-inf-ket",
+        "labels-nan-ket", "nan-weight", "one-nan-weight", "nan-noise-weight",
+    ],
+)
+def test_non_finite_state_inputs_are_rejected(make):
+    """NaN or inf amplitudes, kets and weights raise instead of evaluating to NaN."""
+    with pytest.raises(BadParameter):
+        make()
+
+
 def test_modified_four_mode_shifted_occupation():
     """Last two modes carry one extra excitation per term."""
     state = build_state(StateFamily("ModifiedFourMode", {"x": 0.3, "cutoff": 4}), tail_tol=1e-3)

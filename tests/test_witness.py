@@ -311,6 +311,21 @@ def test_every_route_refuses_a_state_over_the_side_cap(monkeypatch):
                 route()
 
 
+def test_evaluate_refuses_an_over_cap_state_before_lhs_and_rhs1():
+    """rhs2 runs first, so its DimensionCap comes before any lhs or rhs1 work."""
+    state = build_state(
+        StateFamily("MixedSingleOut", {"n": 15, "theta": 0.3, "thetas": [0.2] * 15})
+    )
+    assert np.prod(state.dims) > 2**14
+    with (
+        mock.patch.object(witness, "product_expectation") as lhs,
+        mock.patch.object(witness, "rhs_condition1") as rhs1,
+        pytest.raises(DimensionCap),
+    ):
+        evaluate(state, OperatorAssignment.qubit_lowering(15))
+    assert lhs.call_count == 0 and rhs1.call_count == 0
+
+
 def test_rhs_condition2_dimension_cap():
     """Random operators on a large Fock space leave no viable route."""
     from witnesslab.oracle import random_assignment
