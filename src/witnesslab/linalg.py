@@ -100,6 +100,19 @@ def total_dimension(dims) -> int:
     return math.prod(int(d) for d in dims)
 
 
+def capped_dimension(dims, what: str) -> int:
+    """Full dimension of ``dims``; raises :class:`DimensionCap` above :data:`DIMENSION_CAP`.
+
+    The message writes a size from 10^12 up as ``~10^x``, from ``math.log10``
+    of the exact integer, so even 2^1100 is never converted to a float.
+    """
+    total = total_dimension(dims)
+    if total > DIMENSION_CAP:
+        size = total if total < 10**12 else f"~10^{math.log10(total):.1f}"
+        raise DimensionCap(f"{what} needs full dimension {size} <= cap {DIMENSION_CAP}")
+    return total
+
+
 def kron_embed(op, site: int, dims) -> np.ndarray:
     """Embed a local operator at one site of a multipartite space.
 
@@ -119,9 +132,7 @@ def kron_embed(op, site: int, dims) -> np.ndarray:
         raise DimensionMismatch(
             f"operator dim {mat.shape[0]} != subsystem dim {dims[site]} at site {site}"
         )
-    total = total_dimension(dims)
-    if total > DIMENSION_CAP:
-        raise DimensionCap(f"full-space dimension {total} exceeds cap {DIMENSION_CAP}")
+    total = capped_dimension(dims, "kron_embed")
     left = total_dimension(dims[:site])
     right = total_dimension(dims[site + 1 :])
     out = np.zeros((left, dims[site], right) * 2, dtype=complex)
@@ -135,8 +146,7 @@ def kron_product(ops) -> np.ndarray:
     mats = [as_operator(op) for op in ops]
     if not mats:
         raise DimensionMismatch("need at least one operator")
-    if total_dimension(m.shape[0] for m in mats) > DIMENSION_CAP:
-        raise DimensionCap("full product operator exceeds dimension cap")
+    capped_dimension([m.shape[0] for m in mats], "kron_product")
     out = mats[0]
     for mat in mats[1:]:
         out = np.kron(out, mat)

@@ -6,19 +6,17 @@ of such pure states, optionally with a maximally-mixed component.  This
 sum-of-products form is what lets expectation values factorize per site
 instead of going through the full tensor-product space.
 
-A pure state keeps its terms in one of two forms per site:
-
-- label form: when every term's ket at a site is a computational-basis
-  ket, the site is one integer column of a (terms x sites) label array
-  next to the amplitude array.  Every built-in family stores its
-  basis-ket sites this way, so no length-d basis kets are built, and
-  overlaps and matrix elements on those sites are index lookups;
-- ket form: any other site (tilted qubits, random kets) keeps a
-  (terms x dim) stack of unit-norm local kets.
-
-``PureSOP.terms`` and ``PureSOP.site_stack`` materialize basis kets only
-when asked for.  Per-site overlap matrices are computed once per state
-and kept on it.
+A pure state has one storage layout, read only in this module: a
+(terms x sites) integer ``labels`` array next to the amplitudes, and a
+dict from each ket-form site to its (terms x dim) stack of unit-norm
+kets.  A site whose kets are all computational-basis kets (every
+basis-ket site of the built-in families) is its label column, so its
+overlaps and matrix elements are index lookups; any other site (tilted
+qubits, random kets) is in the dict, with labels -1.  Other modules use
+``PureSOP.pair_matrix(site, op)``, the terms x terms matrix of
+``<u_j|op|u_j'>``, and ``PureSOP.site_gram(site)``, which is computed
+once and kept on the state.  ``PureSOP.terms`` and
+``PureSOP.site_stack`` materialize basis kets only when asked for.
 
 Fock-truncated continuous-variable families carry an explicit cutoff;
 the discarded tail weight is checked against a tolerance and the kept
@@ -35,8 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadParameter, DimensionCap, TruncationTooCoarse
-from .linalg import DIMENSION_CAP, basis_ket, total_dimension
+from .errors import BadParameter, TruncationTooCoarse
+from .linalg import basis_ket, capped_dimension
 
 #: Largest acceptable discarded probability for truncated CV states.
 DEFAULT_TAIL_TOL = 1e-10
@@ -51,8 +49,8 @@ class ProductTerm:
 
 
 def _check_dims(dims) -> tuple[int, ...]:
-    dims = tuple(int(d) for d in dims)
-    if len(dims) < 2 or any(d < 1 for d in dims):
+    dims = tuple(map(int, dims))
+    if len(dims) < 2 or min(dims) < 1:
         raise BadParameter(f"need at least 2 subsystems of dim >= 1, got {dims}")
     return dims
 
@@ -88,13 +86,13 @@ class PureSOP:
                     raise BadParameter(f"local ket shape {ket.shape} != ({dim},)")
                 if not abs(np.linalg.norm(ket) - 1.0) <= 1e-10:
                     raise BadParameter("local kets must be finite and unit-normalized")
-        stacks = [
-            np.array([term.factors[k] for term in terms], dtype=complex)
+        kets = {
+            k: np.array([term.factors[k] for term in terms], dtype=complex)
             for k in range(len(dims))
-        ]
+        }
         amps = np.array([term.amplitude for term in terms], dtype=complex)
-        labels = _read_only(np.full((len(terms), len(dims)), -1, dtype=np.int64))
-        self._setup(dims, amps, labels, stacks)
+        labels = np.full((len(terms), len(dims)), -1, dtype=np.int64)
+        self._setup(dims, amps, labels, kets)
 
     @classmethod
     def from_labels(cls, dims, amplitudes, labels, kets=None) -> "PureSOP":
@@ -107,45 +105,40 @@ class PureSOP:
         """
         dims = _check_dims(dims)
         amps = np.array(amplitudes, dtype=complex)
-        labels = _read_only(np.array(labels))
-        kets = dict(kets or {})
+        labels = np.array(labels)
+        kets = {site: np.array(stack, dtype=complex) for site, stack in (kets or {}).items()}
         if amps.ndim != 1 or amps.size == 0:
             raise BadParameter("a state needs at least one product term")
         if labels.shape != (amps.size, len(dims)) or labels.dtype.kind not in "iu":
             raise BadParameter(
                 f"labels must be integers of shape {(amps.size, len(dims))}, got {labels.shape}"
             )
-        lows, highs = labels.min(axis=0), labels.max(axis=0)
-        columns = []
-        for site, dim in enumerate(dims):
+        lows, highs = labels.min(axis=0).tolist(), labels.max(axis=0).tolist()
+        for site, (dim, low, high) in enumerate(zip(dims, lows, highs)):
             if site in kets:
-                stack = np.array(kets.pop(site), dtype=complex)
-                if highs[site] != -1 or lows[site] != -1:
+                if low != -1 or high != -1:
                     raise BadParameter(f"site {site} has kets, so its labels must be -1")
-                if stack.shape != (amps.size, dim):
-                    raise BadParameter(f"kets at site {site} have shape {stack.shape}")
-                if not np.all(np.abs(np.linalg.norm(stack, axis=1) - 1.0) <= 1e-10):
-                    raise BadParameter("local kets must be finite and unit-normalized")
-                columns.append(stack)
-            elif lows[site] < 0 or highs[site] >= dim:
+            elif low < 0 or high >= dim:
                 raise BadParameter(f"basis label outside dimension {dim} at site {site}")
-            else:
-                columns.append(labels[:, site])
-        if kets:
-            raise BadParameter(f"kets given for unknown sites {sorted(kets)}")
+        for site, stack in kets.items():
+            if site not in range(len(dims)):
+                raise BadParameter(f"kets given for unknown site {site!r}")
+            if stack.shape != (amps.size, dims[site]):
+                raise BadParameter(f"kets at site {site} have shape {stack.shape}")
+            if not np.all(np.abs(np.linalg.norm(stack, axis=1) - 1.0) <= 1e-10):
+                raise BadParameter("local kets must be finite and unit-normalized")
         state = cls.__new__(cls)
-        state._setup(dims, amps, labels, columns)
+        state._setup(dims, amps, labels, kets)
         return state
 
-    def _setup(self, dims, amps, labels, columns) -> None:
+    def _setup(self, dims, amps, labels, kets) -> None:
         if not np.isfinite(amps).all():
             raise BadParameter("amplitudes must be finite")
         self.dims = dims
-        self.labels = labels
+        self.labels = _read_only(labels)
         self._amps = _read_only(amps)
-        # label columns are views of the read-only label array already
-        self._columns = tuple(c if c.ndim == 1 else _read_only(c) for c in columns)
-        self._grams: list = [None] * len(dims)
+        self._kets = {site: _read_only(stack) for site, stack in kets.items()}
+        self._grams: dict[int, np.ndarray] = {}
         self._overlaps = None
 
     @property
@@ -162,29 +155,32 @@ class PureSOP:
 
     def site_labels(self, site: int) -> np.ndarray | None:
         """Basis labels of all terms at a label-form site, or None for a ket-form site."""
-        column = self._columns[site]
-        return column if column.ndim == 1 else None
+        return None if site in self._kets else self.labels[:, site]
 
     def site_stack(self, site: int) -> np.ndarray:
         """All terms' local kets at one site, stacked to shape (terms, dim)."""
-        column = self._columns[site]
-        if column.ndim == 2:
-            return column
-        return np.eye(self.dims[site], dtype=complex)[column]
+        stack = self._kets.get(site)
+        if stack is None:
+            return np.eye(self.dims[site], dtype=complex)[self.labels[:, site]]
+        return stack
+
+    def pair_matrix(self, site: int, op: np.ndarray) -> np.ndarray:
+        """New array of the entries <u_j | op | u_j'> over the terms' kets at one site."""
+        stack, labels = self._kets.get(site), self.labels[:, site]
+        if stack is None:
+            return op[labels[:, None], labels]
+        return stack.conj() @ (op @ stack.T)
 
     def site_gram(self, site: int) -> np.ndarray:
         """Overlaps <u_j|u_j'> of the terms' kets at one site (kept on the state).
 
         On a label-form site this is the boolean equality of the labels.
         """
-        gram = self._grams[site]
+        gram = self._grams.get(site)
         if gram is None:
-            column = self._columns[site]
-            if column.ndim == 1:
-                gram = column[:, None] == column
-            else:
-                gram = column.conj() @ column.T
-            self._grams[site] = _read_only(gram)
+            stack, labels = self._kets.get(site), self.labels[:, site]
+            gram = labels[:, None] == labels if stack is None else stack.conj() @ stack.T
+            self._grams[site] = gram = _read_only(gram)
         return gram
 
     def overlaps(self) -> np.ndarray:
@@ -206,8 +202,7 @@ class PureSOP:
             raise BadParameter("cannot normalize a zero state")
         # one Python division per amplitude: numpy would scale by 1/scale instead
         amps = [complex(amp) / scale for amp in self._amps]
-        kets = {k: column for k, column in enumerate(self._columns) if column.ndim == 2}
-        return PureSOP.from_labels(self.dims, amps, self.labels, kets)
+        return PureSOP.from_labels(self.dims, amps, self.labels, self._kets)
 
 
 class _Terms(Sequence):
@@ -224,9 +219,10 @@ class _Terms(Sequence):
             return tuple(self[j] for j in range(len(self))[index])
         j = range(len(self))[index]
         state = self._state
+        kets = state._kets
         factors = tuple(
-            basis_ket(dim, int(column[j])) if column.ndim == 1 else column[j]
-            for dim, column in zip(state.dims, state._columns)
+            kets[site][j] if site in kets else basis_ket(dim, label)
+            for site, (dim, label) in enumerate(zip(state.dims, state.labels[j].tolist()))
         )
         return ProductTerm(complex(state.amplitudes()[j]), factors)
 
@@ -247,13 +243,15 @@ class MixedEnsemble:
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        if len(self.weights) != len(self.pures):
+        weights = tuple(_as_real(w, "weights", "MixedEnsemble") for w in self.weights)
+        noise = _as_real(self.white_noise_weight, "white_noise_weight", "MixedEnsemble")
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "white_noise_weight", noise)
+        if len(weights) != len(self.pures):
             raise BadParameter("one weight per pure component required")
-        weights = (*self.weights, self.white_noise_weight)
-        if not all(math.isfinite(w) and w >= -1e-12 for w in weights):
-            raise BadParameter("mixture weights must be finite and nonnegative")
-        total = sum(self.weights) + self.white_noise_weight
+        if not all(w >= -1e-12 for w in (*weights, noise)):
+            raise BadParameter("mixture weights must be nonnegative")
+        total = sum(weights) + noise
         if not abs(total - 1.0) <= 1e-12:
             raise BadParameter(f"mixture weights sum to {total}, expected 1")
         for pure in self.pures:
@@ -333,10 +331,21 @@ def auto_cutoff(x: float, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
     return cutoff
 
 
+def _as_real(value, name: str, family: str) -> float:
+    """``value`` as a finite float, else BadParameter naming the family and parameter."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise BadParameter(f"{family}: {name} must be a real number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise BadParameter(f"{family}: {name} must be finite")
+    return number
+
+
 def _as_int(params: dict, name: str, family: str, minimum: int) -> int:
-    value = params[name]
-    if not float(value).is_integer():
-        raise BadParameter(f"{family}: {name} must be an integer, got {value!r}")
+    value = _as_real(params[name], name, family)
+    if not value.is_integer():
+        raise BadParameter(f"{family}: {name} must be an integer, got {params[name]!r}")
     value = int(value)
     if value < minimum:
         raise BadParameter(f"{family}: {name} must be >= {minimum}, got {value}")
@@ -344,21 +353,16 @@ def _as_int(params: dict, name: str, family: str, minimum: int) -> int:
 
 
 def _as_float(params: dict, name: str, family: str) -> float:
-    value = float(params[name])
-    if not math.isfinite(value):
-        raise BadParameter(f"{family}: {name} must be finite")
-    return value
+    return _as_real(params[name], name, family)
 
 
 def _as_angles(params: dict, name: str, family: str, length: int) -> list[float]:
     value = params[name]
     if not isinstance(value, (list, tuple, np.ndarray)):
         raise BadParameter(f"{family}: {name} must be a list of angles")
-    angles = [float(v) for v in value]
+    angles = [_as_real(v, name, family) for v in value]
     if len(angles) != length:
         raise BadParameter(f"{family}: {name} needs {length} entries, got {len(angles)}")
-    if not all(math.isfinite(a) for a in angles):
-        raise BadParameter(f"{family}: {name} must be finite")
     return angles
 
 
@@ -524,9 +528,7 @@ def build_state(family: StateFamily, tail_tol: float = DEFAULT_TAIL_TOL) -> Stat
 
 def dense_vector(state: PureSOP) -> np.ndarray:
     """Expand a pure SOP state into a full state vector (dense route)."""
-    total = total_dimension(state.dims)
-    if total > DIMENSION_CAP:
-        raise DimensionCap(f"full-space dimension {total} exceeds cap {DIMENSION_CAP}")
+    total = capped_dimension(state.dims, "dense_vector")
     stacks = [state.site_stack(k) for k in range(state.num_sites)]
     vec = np.zeros(total, dtype=complex)
     for j, amp in enumerate(state.amplitudes()):

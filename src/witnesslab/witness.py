@@ -12,10 +12,9 @@ value of lhs exceeding either bound (beyond tolerance) certifies
 entanglement; non-violation is inconclusive.
 
 Expectation values factorize over the sum-of-products state
-representation: one terms x terms pair matrix per site.  On a label-form
-site (see ``states``) the pair matrix is a gather of operator entries
-and the overlap an equality test; on a ket-form site both are products
-of the stacked kets.  A pure component with more than
+representation: one terms x terms pair matrix per site, from
+:meth:`~witnesslab.states.PureSOP.pair_matrix` and
+:meth:`~witnesslab.states.PureSOP.site_gram`.  A pure component with more than
 :data:`~witnesslab.linalg.MATRIX_SIDE_CAP` terms raises
 :class:`DimensionCap` before any such matrix is built.
 
@@ -49,6 +48,7 @@ from .linalg import (
     MATRIX_SIDE_CAP,
     annihilation_op,
     as_operator,
+    capped_dimension,
     dag,
     kron_embed,
     kron_product,
@@ -220,20 +220,11 @@ def _components(state: State) -> tuple[tuple[tuple[float, PureSOP], ...], float]
     return comps, noise
 
 
-def _pair_matrix(pure: PureSOP, site: int, op: np.ndarray) -> np.ndarray:
-    """Entry [j, j'] = <u_j | op | u_j'> over the terms' local kets at one site."""
-    labels = pure.site_labels(site)
-    if labels is not None:
-        return op[labels[:, None], labels]
-    stack = pure.site_stack(site)
-    return stack.conj() @ (op @ stack.T)
-
-
 def _pure_product_expectation(pure: PureSOP, ops) -> complex:
     amps = pure.amplitudes()
-    total = _pair_matrix(pure, 0, ops[0])
+    total = pure.pair_matrix(0, ops[0])
     for site in range(1, len(ops)):
-        total *= _pair_matrix(pure, site, ops[site])
+        total *= pure.pair_matrix(site, ops[site])
     return complex(amps.conj() @ total @ amps)
 
 
@@ -250,7 +241,7 @@ def _pure_site_expectations(pure: PureSOP, site_ops) -> np.ndarray:
     values = np.empty(n, dtype=complex)
     for k in range(n - 1, -1, -1):
         env = prefix[k] * suffix
-        values[k] = amps.conj() @ (env * _pair_matrix(pure, k, site_ops[k])) @ amps
+        values[k] = amps.conj() @ (env * pure.pair_matrix(k, site_ops[k])) @ amps
         suffix = suffix * pure.site_gram(k)
     return values
 
@@ -391,12 +382,7 @@ def rhs_condition2(
             return float(value)
     elif method != "dense":
         raise ValueError(f"unknown method {method!r}")
-    total = total_dimension(state.dims)
-    if total > DIMENSION_CAP:
-        raise DimensionCap(
-            f"rhs_condition2 needs full dimension {total} <= cap {DIMENSION_CAP}"
-            " for the dense route"
-        )
+    capped_dimension(state.dims, "the dense rhs_condition2 route")
     local = assignment._local
     summed = kron_embed(local[0].square, 0, state.dims)
     for k in range(1, n):

@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 from witnesslab.cli import run
+from witnesslab.errors import BadParameter
+from witnesslab.states import StateFamily, build_state
 
 
 def test_detect_ghz_json(capsys):
@@ -248,6 +250,26 @@ def test_output_file_matches_stdout(tmp_path, capsys):
 def test_usage_errors_exit_2(argv, capsys):
     assert run(argv) == 2
     assert capsys.readouterr().err != ""
+
+
+@pytest.mark.parametrize(
+    "family,param",
+    [
+        ('{"family":"GHZ","params":{"n":null,"theta":0.3}}', "n"),
+        ('{"family":"GHZ","params":{"n":3,"theta":[1]}}', "theta"),
+        ('{"family":"GHZ","params":{"n":3,"theta":{}}}', "theta"),
+        ('{"family":"LSeparable","params":{"n":3,"l":1,"theta":0.3,"thetas":[null]}}', "thetas"),
+    ],
+    ids=["n-null", "theta-list", "theta-object", "thetas-null-entry"],
+)
+def test_non_numeric_family_parameters_exit_2(family, param, capsys):
+    """A parameter that is not a real number is a typed error naming family and parameter."""
+    assert run(["detect", "--family", family]) == 2
+    err = capsys.readouterr().err
+    name = json.loads(family)["family"]
+    assert err.startswith(f"error: {name}: {param} ") and "Traceback" not in err
+    with pytest.raises(BadParameter):
+        build_state(StateFamily.from_dict(json.loads(family)))
 
 
 def test_unknown_flag_exits_2(capsys):

@@ -190,9 +190,14 @@ def test_kron_embed_returns_a_new_array():
 
 
 def test_kron_embed_checks_the_cap_before_allocating():
-    """2^40 complex entries could not be allocated; the cap is checked first."""
-    with pytest.raises(DimensionCap):
-        kron_embed(np.eye(2), 3, (2,) * 40)
+    """2^40 complex entries could not be allocated; the cap is checked first.
+
+    The message writes a dimension past the float range (2^1100) in short form.
+    """
+    for n in (40, 1100):
+        with pytest.raises(DimensionCap) as info:
+            kron_embed(np.eye(2), 3, (2,) * n)
+        assert len(str(info.value)) < 200
 
 
 def test_psd_eigh_matches_psd_power():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from witnesslab.errors import BadParameter, TruncationTooCoarse
+from witnesslab.oracle import random_pure_state
 from witnesslab.states import (
     MixedEnsemble,
     ProductTerm,
@@ -120,6 +121,30 @@ def test_unit_norm(family, params):
         assert sum(state.weights) + state.white_noise_weight == pytest.approx(1.0, abs=1e-12)
         for pure in state.pures:
             assert pure.norm() == pytest.approx(1.0, abs=1e-10)
+
+
+def _assert_pair_matrices(state, rng):
+    """On every site of every pure component, pair_matrix and site_gram equal stack products."""
+    for pure in getattr(state, "pures", (state,)):
+        for site, dim in enumerate(pure.dims):
+            op = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            stack = pure.site_stack(site)
+            want = stack.conj() @ op @ stack.T
+            np.testing.assert_allclose(pure.pair_matrix(site, op), want, rtol=0, atol=1e-14)
+            gram = stack.conj() @ stack.T
+            np.testing.assert_allclose(pure.site_gram(site), gram, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("family,params", ALL_FAMILIES)
+def test_pair_matrix_matches_the_site_stacks(family, params):
+    """Label-form and ket-form sites give the pair matrices of their kets."""
+    _assert_pair_matrices(build_state(StateFamily(family, params)), np.random.default_rng(3))
+
+
+@pytest.mark.parametrize("dims,n_terms", [((2, 3, 2), 3), ((3, 3, 3, 3), 1), ((4, 2), 5)])
+def test_pair_matrix_matches_the_site_stacks_of_random_states(dims, n_terms):
+    rng = np.random.default_rng(4)
+    _assert_pair_matrices(random_pure_state(dims, n_terms, rng), rng)
 
 
 @pytest.mark.parametrize(
@@ -243,6 +268,17 @@ def test_mixed_ensemble_rejects_bad_weights():
         MixedEnsemble((2, 2), (1.2, -0.2), (pure, pure))  # negative weight
     with pytest.raises(BadParameter):
         MixedEnsemble((2, 3), (1.0,), (pure,))  # dims disagree
+
+
+def test_mixed_ensemble_weights_must_be_real_numbers():
+    """Both weight fields go through float() once; what it refuses is a BadParameter."""
+    pure = PureSOP.from_labels((2, 2), [1.0], [[0, 0]])
+    mixed = MixedEnsemble((2, 2), (0.5,), (pure,), white_noise_weight="0.5")
+    assert mixed.white_noise_weight == 0.5 and isinstance(mixed.white_noise_weight, float)
+    with pytest.raises(BadParameter):
+        MixedEnsemble((2, 2), (0.5,), (pure,), white_noise_weight=None)
+    with pytest.raises(BadParameter):
+        MixedEnsemble((2, 2), ("x",), (pure,))
 
 
 _UP = np.array([1.0, 0.0], dtype=complex)

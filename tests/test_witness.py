@@ -10,7 +10,14 @@ from witnesslab import witness
 from witnesslab.errors import BadParameter, DimensionCap, DimensionMismatch
 from witnesslab.linalg import dag, kron_embed, psd_power
 from witnesslab.oracle import random_assignment, random_pure_state
-from witnesslab.states import MixedEnsemble, PureSOP, StateFamily, build_state, dense_vector
+from witnesslab.states import (
+    MixedEnsemble,
+    ProductTerm,
+    PureSOP,
+    StateFamily,
+    build_state,
+    dense_vector,
+)
 from witnesslab.witness import (
     OperatorAssignment,
     canonical_assignment,
@@ -335,6 +342,13 @@ def test_rhs_condition2_dimension_cap():
     rng = np.random.default_rng(0)
     with pytest.raises(DimensionCap):
         rhs_condition2(state, random_assignment(state.dims, rng))
+    # a ket-form GHZ takes the dense route; its message writes 2^1000 in short form
+    up, down = np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)
+    amp = complex(math.sqrt(0.5))
+    ket_ghz = PureSOP((2,) * 1000, (ProductTerm(amp, (up,) * 1000), ProductTerm(amp, (down,) * 1000)))
+    with pytest.raises(DimensionCap) as info:
+        rhs_condition2(ket_ghz, OperatorAssignment.qubit_lowering(1000))
+    assert len(str(info.value)) < 200
 
 
 def test_report_json_schema():
