@@ -4,7 +4,8 @@ Sweeps evaluate a witness report per grid point and serialize the rows
 to CSV or JSON with full-precision floats, so identical inputs give
 byte-identical artifacts.  Threshold search bisects on the sign of the
 detection margin itself; the reporting tolerance epsilon plays no role
-in locating the root.
+in locating the root.  A sweep or a bisection builds its operator
+assignment once and rebuilds it only when the state's dims change.
 """
 
 from __future__ import annotations
@@ -65,13 +66,22 @@ def _validate(spec: SweepSpec, need_scalar_condition: bool = False) -> None:
         raise BadParameter("threshold search needs condition 1 or 2, not 'both'")
 
 
-def _evaluate_at(spec: SweepSpec, value: float) -> WitnessReport:
-    family = spec.family
-    for name in _param_names(spec):
-        family = family.with_param(name, float(value))
-    state = build_state(family, tail_tol=spec.tail_tol)
-    assignment = canonical_assignment(spec.operators, state.dims)
-    return evaluate(state, assignment, epsilon=spec.epsilon)
+def _evaluator(spec: SweepSpec) -> Callable[[float], WitnessReport]:
+    """Report at one value; the assignment is rebuilt only when the dims change."""
+    names = _param_names(spec)
+    assignment = None
+
+    def at(value: float) -> WitnessReport:
+        nonlocal assignment
+        family = spec.family
+        for name in names:
+            family = family.with_param(name, float(value))
+        state = build_state(family, tail_tol=spec.tail_tol)
+        if assignment is None or assignment.dims != state.dims:
+            assignment = canonical_assignment(spec.operators, state.dims)
+        return evaluate(state, assignment, epsilon=spec.epsilon)
+
+    return at
 
 
 def sweep(spec: SweepSpec) -> list[tuple[float, WitnessReport]]:
@@ -79,7 +89,8 @@ def sweep(spec: SweepSpec) -> list[tuple[float, WitnessReport]]:
     _validate(spec)
     lo, hi, steps = spec.grid
     values = [float(v) for v in np.linspace(float(lo), float(hi), int(steps))]
-    return [(value, _evaluate_at(spec, value)) for value in values]
+    at = _evaluator(spec)
+    return [(value, at(value)) for value in values]
 
 
 @dataclass(frozen=True)
@@ -144,8 +155,9 @@ def find_threshold(
         need_scalar_condition=True,
     )
     pick = (lambda r: r.margin1) if spec.condition == 1 else (lambda r: r.margin2)
+    at = _evaluator(spec)
     return bisect_margin(
-        lambda value: pick(_evaluate_at(spec, value)),
+        lambda value: pick(at(value)),
         bracket,
         tol,
         f"margin of condition {spec.condition} has the same sign at both ends of {bracket}",

@@ -342,8 +342,15 @@ def _as_real(value, name: str, family: str) -> float:
     return number
 
 
+def _as_param(value, name: str, family: str) -> float:
+    """A family parameter as a finite float; a bool or a string is a BadParameter."""
+    if isinstance(value, (bool, np.bool_, str)):
+        raise BadParameter(f"{family}: {name} must be a real number, got {value!r}")
+    return _as_real(value, name, family)
+
+
 def _as_int(params: dict, name: str, family: str, minimum: int) -> int:
-    value = _as_real(params[name], name, family)
+    value = _as_param(params[name], name, family)
     if not value.is_integer():
         raise BadParameter(f"{family}: {name} must be an integer, got {params[name]!r}")
     value = int(value)
@@ -353,14 +360,14 @@ def _as_int(params: dict, name: str, family: str, minimum: int) -> int:
 
 
 def _as_float(params: dict, name: str, family: str) -> float:
-    return _as_real(params[name], name, family)
+    return _as_param(params[name], name, family)
 
 
 def _as_angles(params: dict, name: str, family: str, length: int) -> list[float]:
     value = params[name]
     if not isinstance(value, (list, tuple, np.ndarray)):
         raise BadParameter(f"{family}: {name} must be a list of angles")
-    angles = [_as_real(v, name, family) for v in value]
+    angles = [_as_param(v, name, family) for v in value]
     if len(angles) != length:
         raise BadParameter(f"{family}: {name} needs {length} entries, got {len(angles)}")
     return angles

@@ -107,7 +107,7 @@ class OperatorAssignment:
                 copies[id(op)] = mat
         object.__setattr__(self, "ops", tuple(copies[id(op)] for op in ops))
 
-    @property
+    @cached_property
     def dims(self) -> tuple[int, ...]:
         return tuple(op.shape[0] for op in self.ops)
 

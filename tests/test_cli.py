@@ -259,15 +259,33 @@ def test_usage_errors_exit_2(argv, capsys):
         ('{"family":"GHZ","params":{"n":3,"theta":[1]}}', "theta"),
         ('{"family":"GHZ","params":{"n":3,"theta":{}}}', "theta"),
         ('{"family":"LSeparable","params":{"n":3,"l":1,"theta":0.3,"thetas":[null]}}', "thetas"),
+        ('{"family":"GHZ","params":{"n":3,"theta":true}}', "theta"),
+        ('{"family":"GHZ","params":{"n":"3","theta":"0.5"}}', "n"),
+        ('{"family":"LSeparable","params":{"n":3,"l":1,"theta":0.3,"thetas":[false]}}', "thetas"),
+        ('{"family":"NModeSqueezed","params":{"n":true,"x":0.5}}', "n"),
     ],
-    ids=["n-null", "theta-list", "theta-object", "thetas-null-entry"],
+    ids=[
+        "n-null",
+        "theta-list",
+        "theta-object",
+        "thetas-null-entry",
+        "theta-bool",
+        "numeric-strings",
+        "thetas-bool-entry",
+        "n-bool",
+    ],
 )
 def test_non_numeric_family_parameters_exit_2(family, param, capsys):
-    """A parameter that is not a real number is a typed error naming family and parameter."""
+    """A parameter that is not a real number is a typed error naming family and parameter.
+
+    Booleans and numeric strings count as not real numbers: float() would
+    quietly accept them.
+    """
     assert run(["detect", "--family", family]) == 2
     err = capsys.readouterr().err
     name = json.loads(family)["family"]
-    assert err.startswith(f"error: {name}: {param} ") and "Traceback" not in err
+    assert err.startswith(f"error: {name}: {param} must be a real number")
+    assert "Traceback" not in err
     with pytest.raises(BadParameter):
         build_state(StateFamily.from_dict(json.loads(family)))
 

@@ -5,20 +5,81 @@ import math
 
 import pytest
 
-from witnesslab.errors import BadParameter, NoSignChange
+from witnesslab import scan
+from witnesslab.errors import BadParameter, DimensionMismatch, NoSignChange
 from witnesslab.scan import (
     CSV_HEADER,
     SweepSpec,
+    bisect_margin,
     find_threshold,
     sweep,
     sweep_to_csv,
     sweep_to_json,
 )
-from witnesslab.states import StateFamily
+from witnesslab.states import StateFamily, build_state
+from witnesslab.witness import canonical_assignment, evaluate
 
 
 def ghz_spec(n, ops="lowering", steps=101, lo=1e-4, hi=math.pi / 2 - 1e-4):
     return SweepSpec(StateFamily("GHZ", {"n": n}), "theta", (lo, hi, steps), ops)
+
+
+def spy_assignments(monkeypatch) -> list:
+    """Record the dims of every assignment the scan module builds."""
+    built = []
+
+    def spy(name, dims):
+        built.append(tuple(dims))
+        return canonical_assignment(name, dims)
+
+    monkeypatch.setattr(scan, "canonical_assignment", spy)
+    return built
+
+
+def fresh_report(spec, value):
+    """The report at one value from a state and an assignment built for it alone."""
+    family = spec.family
+    for name in spec.param.split(","):
+        family = family.with_param(name, value)
+    state = build_state(family, tail_tol=spec.tail_tol)
+    return evaluate(state, canonical_assignment(spec.operators, state.dims), epsilon=spec.epsilon)
+
+
+def test_sweep_builds_one_assignment_for_equal_dims(monkeypatch):
+    spec = ghz_spec(3, steps=40)
+    built = spy_assignments(monkeypatch)
+    results = sweep(spec)
+    assert built == [(2, 2, 2)]
+    assert [report for _, report in results] == [fresh_report(spec, v) for v, _ in results]
+
+
+def test_threshold_builds_one_assignment(monkeypatch):
+    spec = SweepSpec(StateFamily("GHZ", {"n": 3}), "theta", (0.1, 1.4, 2), "lowering", 1)
+    built = spy_assignments(monkeypatch)
+    result = find_threshold(spec, (0.1, 1.4), 1e-6)
+    assert built == [(2, 2, 2)]
+    fresh = bisect_margin(lambda v: fresh_report(spec, v).margin1, (0.1, 1.4), 1e-6, "")
+    assert result == fresh and result.evaluations == fresh.evaluations
+    assert result.value == pytest.approx(math.pi / 4, abs=1e-6)
+
+
+def test_cv_sweep_rebuilds_assignment_when_cutoff_changes(monkeypatch):
+    """The cutoff moves with x, so one assignment is built per run of equal dims."""
+    spec = SweepSpec(StateFamily("NModeSqueezed", {"n": 3}), "x", (0.1, 0.6, 12), "annihilation")
+    built = spy_assignments(monkeypatch)
+    results = sweep(spec)
+    dims = [build_state(spec.family.with_param("x", v)).dims for v, _ in results]
+    runs = [d for i, d in enumerate(dims) if i == 0 or d != dims[i - 1]]
+    assert built == runs and 1 < len(runs) < len(dims)
+    assert [report for _, report in results] == [fresh_report(spec, v) for v, _ in results]
+
+
+def test_qubit_operators_on_cv_sweep_fail_at_first_point(monkeypatch):
+    spec = SweepSpec(StateFamily("NModeSqueezed", {"n": 3}), "x", (0.1, 0.6, 12), "lowering")
+    built = spy_assignments(monkeypatch)
+    with pytest.raises(DimensionMismatch):
+        sweep(spec)
+    assert built == [build_state(spec.family.with_param("x", 0.1)).dims]
 
 
 def test_ghz_sweep_detection_region_lowering():
