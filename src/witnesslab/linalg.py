@@ -100,17 +100,17 @@ def total_dimension(dims) -> int:
     return math.prod(int(d) for d in dims)
 
 
-def capped_dimension(dims, what: str) -> int:
-    """Full dimension of ``dims``; raises :class:`DimensionCap` above :data:`DIMENSION_CAP`.
+def check_cap(size: int, cap: int, what: str) -> int:
+    """``size``, or :class:`DimensionCap` "<what> <size> <= cap <cap>"; ``~10^x`` from 10^12 up."""
+    if size > cap:
+        shown = size if size < 10**12 else f"~10^{math.log10(size):.1f}"
+        raise DimensionCap(f"{what} {shown} <= cap {cap}")
+    return size
 
-    The message writes a size from 10^12 up as ``~10^x``, from ``math.log10``
-    of the exact integer, so even 2^1100 is never converted to a float.
-    """
-    total = total_dimension(dims)
-    if total > DIMENSION_CAP:
-        size = total if total < 10**12 else f"~10^{math.log10(total):.1f}"
-        raise DimensionCap(f"{what} needs full dimension {size} <= cap {DIMENSION_CAP}")
-    return total
+
+def capped_dimension(dims, what: str) -> int:
+    """Full dimension of ``dims``; raises :class:`DimensionCap` above :data:`DIMENSION_CAP`."""
+    return check_cap(total_dimension(dims), DIMENSION_CAP, f"{what} needs full dimension")
 
 
 def kron_embed(op, site: int, dims) -> np.ndarray:
@@ -197,7 +197,12 @@ def psd_power(op, power: float) -> np.ndarray:
     mat = as_operator(op)
     if power <= 0:
         raise ValueError(f"power must be positive, got {power}")
-    clamped, vecs = psd_eigh(mat)
+    return spectral_power(psd_eigh(mat), power)
+
+
+def spectral_power(spectrum, power: float) -> np.ndarray:
+    """``V diag(evals^power) V^dag`` from a :func:`psd_eigh` spectrum ``(evals, V)``."""
+    clamped, vecs = spectrum
     if vecs is None:
         return np.diag((clamped**power).astype(complex))
     return (vecs * clamped**power) @ dag(vecs)

@@ -34,10 +34,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadParameter, TruncationTooCoarse
-from .linalg import basis_ket, capped_dimension
+from .linalg import basis_ket, capped_dimension, check_cap
 
 #: Largest acceptable discarded probability for truncated CV states.
 DEFAULT_TAIL_TOL = 1e-10
+
+#: Most label entries (terms x sites, over all components) a family builder allocates.
+LABEL_ENTRY_CAP = 2**23
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,11 +51,13 @@ class ProductTerm:
     factors: tuple[np.ndarray, ...]
 
 
-def _check_dims(dims) -> tuple[int, ...]:
-    dims = tuple(map(int, dims))
-    if len(dims) < 2 or min(dims) < 1:
+def _check_dims(dims) -> tuple[tuple[int, ...], np.ndarray]:
+    """The dims as a tuple of ints and as an integer array."""
+    sizes = np.array(dims, dtype=np.int64)
+    dims = tuple(sizes.ravel().tolist())
+    if sizes.ndim != 1 or len(dims) < 2 or min(dims) < 1:
         raise BadParameter(f"need at least 2 subsystems of dim >= 1, got {dims}")
-    return dims
+    return dims, sizes
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -72,7 +77,7 @@ class PureSOP:
     """
 
     def __init__(self, dims, terms):
-        dims = _check_dims(dims)
+        dims = _check_dims(dims)[0]
         terms = tuple(terms)
         if not terms:
             raise BadParameter("a state needs at least one product term")
@@ -103,7 +108,7 @@ class PureSOP:
         unit-norm kets) is stored in ket form instead; its label column
         must be -1.
         """
-        dims = _check_dims(dims)
+        dims, sizes = _check_dims(dims)
         amps = np.array(amplitudes, dtype=complex)
         labels = np.array(labels)
         kets = {site: np.array(stack, dtype=complex) for site, stack in (kets or {}).items()}
@@ -113,13 +118,16 @@ class PureSOP:
             raise BadParameter(
                 f"labels must be integers of shape {(amps.size, len(dims))}, got {labels.shape}"
             )
-        lows, highs = labels.min(axis=0).tolist(), labels.max(axis=0).tolist()
-        for site, (dim, low, high) in enumerate(zip(dims, lows, highs)):
+        # read as unsigned, a negative label is larger than any dimension
+        bad = labels.astype(np.uint64).max(axis=0) >= sizes
+        for site in kets:  # a ket site's labels must be -1 instead
+            if site in range(len(dims)):
+                bad[site] = np.any(labels[:, site] != -1)
+        if bad.any():
+            site = int(np.argmax(bad))  # the first bad site
             if site in kets:
-                if low != -1 or high != -1:
-                    raise BadParameter(f"site {site} has kets, so its labels must be -1")
-            elif low < 0 or high >= dim:
-                raise BadParameter(f"basis label outside dimension {dim} at site {site}")
+                raise BadParameter(f"site {site} has kets, so its labels must be -1")
+            raise BadParameter(f"basis label outside dimension {dims[site]} at site {site}")
         for site, stack in kets.items():
             if site not in range(len(dims)):
                 raise BadParameter(f"kets given for unknown site {site!r}")
@@ -373,6 +381,10 @@ def _as_angles(params: dict, name: str, family: str, length: int) -> list[float]
     return angles
 
 
+def _check_entries(family: str, names: str, entries: int) -> None:
+    check_cap(entries, LABEL_ENTRY_CAP, f"{family}: label entries (terms x sites) from {names}:")
+
+
 def _superposition_qubit(theta: float) -> np.ndarray:
     return np.array([math.cos(theta), math.sin(theta)], dtype=complex)
 
@@ -398,11 +410,13 @@ def _ghz_state(n: int, theta: float, tilted=None, flipped: int | None = None) ->
 
 def _build_ghz(params: dict, tail_tol: float, family="GHZ", flipped=None) -> PureSOP:
     n = _as_int(params, "n", family, 2)
+    _check_entries(family, "n", 2 * n)
     return _ghz_state(n, _as_float(params, "theta", family), flipped=flipped)
 
 
 def _build_two_group_ghz(params: dict, tail_tol: float) -> PureSOP:
     n = _as_int(params, "n", "TwoGroupGHZ", 2)
+    _check_entries("TwoGroupGHZ", "n", 4 * n)
     l = _as_int(params, "l", "TwoGroupGHZ", 1)
     if l >= n:
         raise BadParameter(f"TwoGroupGHZ: l must be < n, got l={l}, n={n}")
@@ -418,6 +432,7 @@ def _build_two_group_ghz(params: dict, tail_tol: float) -> PureSOP:
 
 def _build_l_separable(params: dict, tail_tol: float) -> PureSOP:
     n = _as_int(params, "n", "LSeparable", 2)
+    _check_entries("LSeparable", "n", 2 * n)
     l = _as_int(params, "l", "LSeparable", 1)
     if l >= n:
         raise BadParameter(f"LSeparable: l must be < n, got l={l}, n={n}")
@@ -430,6 +445,7 @@ def _build_l_separable(params: dict, tail_tol: float) -> PureSOP:
 
 def _build_mixed_single_out(params: dict, tail_tol: float) -> MixedEnsemble:
     n = _as_int(params, "n", "MixedSingleOut", 2)
+    _check_entries("MixedSingleOut", "n", 2 * n * n)
     theta = _as_float(params, "theta", "MixedSingleOut")
     thetas = _as_angles(params, "thetas", "MixedSingleOut", n)
     pures = tuple(
@@ -440,6 +456,7 @@ def _build_mixed_single_out(params: dict, tail_tol: float) -> MixedEnsemble:
 
 def _build_noisy_ghz(params: dict, tail_tol: float) -> MixedEnsemble:
     n = _as_int(params, "n", "NoisyGHZ", 2)
+    _check_entries("NoisyGHZ", "n", (3 if params["noise"] == "ground" else 2) * n)
     theta = _as_float(params, "theta", "NoisyGHZ")
     p = _as_float(params, "p", "NoisyGHZ")
     if not 0.0 < p < 1.0:
@@ -464,15 +481,16 @@ def _squeezed_amplitudes(x: float, cutoff: int) -> np.ndarray:
     return (amps / math.sqrt(kept)).astype(complex)
 
 
-def _resolve_cutoff(params: dict, family: str, tail_tol: float) -> tuple[float, int]:
+def _resolve_cutoff(params: dict, family: str, tail_tol: float, sites: int, names: str):
+    """x and the cutoff, whose (cutoff + 1) x sites labels are checked against the cap."""
     x = _as_float(params, "x", family)
     if not 0.0 < x < 1.0:
         raise BadParameter(f"{family}: x must lie in (0, 1), got {x}")
-    if params.get("cutoff") is None:
-        return x, auto_cutoff(x, tail_tol)
-    cutoff = _as_int(params, "cutoff", family, 1)
+    given = params.get("cutoff") is not None
+    cutoff = _as_int(params, "cutoff", family, 1) if given else auto_cutoff(x, tail_tol)
+    _check_entries(family, names, (cutoff + 1) * sites)
     tail = tail_weight(x, cutoff)
-    if tail > tail_tol:
+    if given and tail > tail_tol:
         raise TruncationTooCoarse(
             f"{family}: tail weight {tail:.3e} at cutoff {cutoff} exceeds {tail_tol:.3e}"
         )
@@ -481,7 +499,7 @@ def _resolve_cutoff(params: dict, family: str, tail_tol: float) -> tuple[float, 
 
 def _build_n_mode_squeezed(params: dict, tail_tol: float) -> PureSOP:
     n = _as_int(params, "n", "NModeSqueezed", 2)
-    x, cutoff = _resolve_cutoff(params, "NModeSqueezed", tail_tol)
+    x, cutoff = _resolve_cutoff(params, "NModeSqueezed", tail_tol, n, "n and the cutoff")
     occupation = np.arange(cutoff + 1)
     labels = np.repeat(occupation[:, None], n, axis=1)
     dim = cutoff + 1
@@ -489,7 +507,7 @@ def _build_n_mode_squeezed(params: dict, tail_tol: float) -> PureSOP:
 
 
 def _build_modified_four_mode(params: dict, tail_tol: float) -> PureSOP:
-    x, cutoff = _resolve_cutoff(params, "ModifiedFourMode", tail_tol)
+    x, cutoff = _resolve_cutoff(params, "ModifiedFourMode", tail_tol, 4, "the cutoff")
     m = np.arange(cutoff + 1)
     labels = np.stack([m, m, m + 1, m + 1], axis=1)
     low, high = cutoff + 1, cutoff + 2

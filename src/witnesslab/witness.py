@@ -19,17 +19,16 @@ representation: one terms x terms pair matrix per site, from
 :class:`DimensionCap` before any such matrix is built.
 
 ``rhs2`` needs the n/2 power of a genuinely multipartite operator.  Its
-route follows from the structure alone, with no tolerance: when every
-A_k^dag A_k is exactly diagonal and every site of every pure component
-is in label form, each product term is an eigenvector of the operator
-average, and rhs2 is read off the labels and term overlaps.  Every other
-state takes the dense full-space route, which sums the embedded
-A_k^dag A_k in place into one matrix S and weighs squared overlaps with
-S's eigenvectors by the n/2 power of its eigenvalues (S^(n/2) is never
-formed).  The two agree within round-off wherever both apply.
+route, one of three, follows from the structure alone: rhs2 is read off
+the labels and term overlaps when every A_k^dag A_k is exactly diagonal
+and every site is in label form (factorized), else off the local
+spectra of the A_k^dag A_k when every pure component is one product
+term (eigenbasis).  Every other state takes the dense route: the
+spectrum of the full-space sum S of the embedded A_k^dag A_k weighs the
+squared overlaps.  The routes agree within round-off where they overlap.
 
 Work is done once per evaluation, not once per side: each distinct local
-operator's A^dag A and its moment operator (A^dag A)^(n/2) are kept on
+operator's A^dag A, spectrum and moment (A^dag A)^(n/2) are kept on
 the :class:`OperatorAssignment`, and the per-site overlaps on the state,
 so lhs, rhs1, rhs2 and :func:`site_second_moments` share them.
 """
@@ -38,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -53,9 +52,9 @@ from .linalg import (
     kron_embed,
     kron_product,
     psd_eigh,
-    psd_power,
     qubit_lowering_op,
     qubit_raising_op,
+    spectral_power,
     total_dimension,
 )
 from .states import PureSOP, State, dense_vector
@@ -80,9 +79,13 @@ class _LocalOperator:
         return np.count_nonzero(self.square) == np.count_nonzero(np.diagonal(self.square))
 
     @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray | None]:
+        return psd_eigh(self.square)
+
+    @cached_property
     def moment(self) -> np.ndarray:
         """(A^dag A)^(n/2)."""
-        return psd_power(self.square, self.n / 2.0)
+        return spectral_power(self.spectrum, self.n / 2.0)
 
 
 @dataclass(frozen=True)
@@ -343,11 +346,33 @@ def _factorized_rhs2(state: State, local, n: int) -> float | None:
         powered = np.maximum(sums / n, 0.0) ** half
         value += weight * float((amps.conj() @ (pure.overlaps() * powered[None, :]) @ amps).real)
     if noise:
-        spectrum = np.zeros(1)
-        for op in local:
-            # ascending, as eigvalsh returns it: this fixes the mean's summation order
-            spectrum = np.add.outer(spectrum, np.sort(op.diagonal)).ravel()
+        # ascending, as eigvalsh returns it: this fixes the mean's summation order
+        spectrum = reduce(np.add.outer, [np.sort(op.diagonal) for op in local]).ravel()
         value += noise * float(np.mean(np.maximum(spectrum / n, 0.0) ** half))
+    return value
+
+
+def _eigenbasis_rhs2(state: State, local, n: int) -> float | None:
+    """Eigenbasis route for rhs2; returns None, before any work, when it does not apply.
+
+    It applies when every pure component is one product term a|u_1...u_n>: S is diagonal
+    in the local eigenbases V_k, and f(eigenvalue) weighs |a|^2 prod_k |V_k^dag u_k|^2.
+    """
+    comps, noise = _components(state)
+    if any(len(pure.amplitudes()) != 1 for _, pure in comps):
+        return None
+    capped_dimension(state.dims, "the eigenbasis rhs_condition2 route")
+    spectra = [op.spectrum for op in local]
+    sums = reduce(np.add.outer, [evals for evals, _ in spectra]).ravel()
+    powered = (sums / n) ** (n / 2.0)
+    value = noise * float(np.mean(powered)) if noise else 0.0
+    for weight, pure in comps:
+        probs = np.abs(pure.amplitudes()) ** 2
+        for k, (_, vecs) in enumerate(spectra):
+            ket = pure.site_stack(k)[0]
+            ket = ket if vecs is None else dag(vecs) @ ket
+            probs = np.outer(probs, ket.real**2 + ket.imag**2).ravel()
+        value += weight * float(powered @ probs)
     return value
 
 
@@ -358,10 +383,9 @@ def rhs_condition2(
 ) -> float:
     """Operator-average bound: <((1/n) sum_k A_k^dag A_k)^(n/2)>.
 
-    ``method="auto"`` takes the factorized route when every
-    ``A_k^dag A_k`` is exactly diagonal and every site of every pure
-    component is in label form (see ``states``); every other state takes
-    the dense route, which ``method="dense"`` forces (the oracle twin).
+    ``method="auto"`` takes the factorized route or else the eigenbasis
+    route where it applies (see the module docstring); every other state
+    takes the dense route, which ``method="dense"`` forces (the oracle twin).
 
     The dense route sums the n embedded ``A_k^dag A_k`` in place into
     one full-space matrix S, one :func:`~witnesslab.linalg.kron_embed` per
@@ -371,15 +395,17 @@ def rhs_condition2(
     (elementwise on ``|psi_i|^2`` when S is exactly diagonal), and white
     noise ``mean_i f(l_i)``; no power of S is formed.  It raises
     :class:`DimensionCap` when the full dimension exceeds
-    :data:`~witnesslab.linalg.DIMENSION_CAP`.  Either route raises it
-    for a pure component over :data:`~witnesslab.linalg.MATRIX_SIDE_CAP` terms.
+    :data:`~witnesslab.linalg.DIMENSION_CAP`, as the eigenbasis route does
+    before any spectrum.  Every route raises it for a pure component over
+    :data:`~witnesslab.linalg.MATRIX_SIDE_CAP` terms.
     """
     _check_assignment(state, assignment)
     n = len(state.dims)
     if method == "auto":
-        value = _factorized_rhs2(state, assignment._local, n)
-        if value is not None:
-            return float(value)
+        for route in (_factorized_rhs2, _eigenbasis_rhs2):
+            value = route(state, assignment._local, n)
+            if value is not None:
+                return float(value)
     elif method != "dense":
         raise ValueError(f"unknown method {method!r}")
     capped_dimension(state.dims, "the dense rhs_condition2 route")
@@ -426,8 +452,8 @@ def evaluate(
     A negative or non-finite ``epsilon`` raises :class:`BadParameter`.
     """
     epsilon = _check_epsilon(epsilon)
-    # rhs2 first: only its dense route can raise DimensionCap for the full
-    # dimension, and lhs and rhs1 cost seconds on such large states
+    # rhs2 first: its eigenbasis and dense routes can raise DimensionCap for
+    # the full dimension, and lhs and rhs1 cost seconds on such large states
     rhs2 = rhs_condition2(state, assignment)
     lhs = abs(product_expectation(state, assignment))
     rhs1 = rhs_condition1(state, assignment)

@@ -290,6 +290,24 @@ def test_non_numeric_family_parameters_exit_2(family, param, capsys):
         build_state(StateFamily.from_dict(json.loads(family)))
 
 
+@pytest.mark.parametrize("n", ["1e300", "1000000000"])
+def test_huge_family_size_exits_2_before_allocating(n, capsys):
+    """GHZ with a huge n is a typed DimensionCap naming family and parameter,
+    raised before its 2 x n label array is allocated (n=10^9 would take 15 GiB)."""
+    family = '{"family":"GHZ","params":{"n":%s,"theta":0.3}}' % n
+    tracemalloc.start()
+    try:
+        code = run(["detect", "--family", family])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: GHZ: label entries (terms x sites) from n: ")
+    assert "Traceback" not in err and len(err) < 200
+    assert peak < 50 * 2**20
+
+
 def test_unknown_flag_exits_2(capsys):
     assert run(["detect", "--bogus"]) == 2
 

@@ -62,19 +62,20 @@ def _pure_twins(draw, dims, rng):
             for k, d in enumerate(dims)
         )
         terms.append(ProductTerm(complex(amp), factors))
-    return labelled, PureSOP(dims, tuple(terms)), bool(ket_sites)
+    return labelled, PureSOP(dims, tuple(terms)), bool(ket_sites), count
 
 
 @st.composite
 def label_cases(draw):
-    """(labelled state, explicit twin, assignment, whether rhs2 must take the dense route).
+    """(labelled state, explicit twin, assignment, labelled rhs2 route, twin rhs2 route).
 
     The state is pure, or a mixture of 1-3 pure components with an
     optional white-noise weight; the twin mixes the explicit-ket twins
     with the same weights.  The operators are random per site, or one of
-    the named choices.  The dense route is due when some labelled
-    component has a ket site or some site has a non-diagonal A^dag A;
-    the explicit twin has only ket sites.
+    the named choices.  rhs2 takes the factorized route when every site
+    of every component is a label site and every A^dag A is diagonal
+    (never on the twin, which has only ket sites), else the eigenbasis
+    route when every component has one term, else the dense route.
     """
     n = draw(st.integers(2, 4))
     named = draw(st.one_of(st.none(), st.sampled_from(tuple(OPERATOR_CHOICES))))
@@ -88,7 +89,7 @@ def label_cases(draw):
 
     twins = [_pure_twins(draw, dims, rng) for _ in range(components)]
     if noise is None and components == 1:
-        labelled, explicit, has_kets = twins[0]
+        labelled, explicit = twins[0][:2]
     else:
         noise = noise or 0.0
         weights = tuple(float(w) * (1.0 - noise) for w in rng.dirichlet(np.ones(components)))
@@ -96,7 +97,8 @@ def label_cases(draw):
             MixedEnsemble(dims, weights, tuple(t[i] for t in twins), white_noise_weight=noise)
             for i in (0, 1)
         )
-        has_kets = any(t[2] for t in twins)
+    has_kets = any(t[2] for t in twins)
+    fallback = "eigenbasis" if all(t[3] == 1 for t in twins) else "dense"
 
     if named is not None:
         assignment = canonical_assignment(named, dims)
@@ -107,7 +109,8 @@ def label_cases(draw):
             tuple(_operator(kind, d, rng) for kind, d in zip(kinds, dims))
         )
         non_diagonal = any(kind == "gaussian" and d > 1 for kind, d in zip(kinds, dims))
-    return labelled, explicit, assignment, non_diagonal or has_kets
+    labelled_route = fallback if non_diagonal or has_kets else "factorized"
+    return labelled, explicit, assignment, labelled_route, fallback
 
 
 def _close(a, b, tol):
@@ -117,7 +120,7 @@ def _close(a, b, tol):
 @settings(max_examples=150, deadline=None)
 @given(label_cases())
 def test_label_form_matches_explicit_kets_and_dense(case):
-    labelled, explicit, assignment, labelled_dense = case
+    labelled, explicit, assignment, labelled_route, explicit_route = case
     pures = (getattr(state, "pures", (state,)) for state in (labelled, explicit))
     for pure_l, pure_e in zip(*pures):
         assert len(pure_l.terms) == len(pure_e.terms)
@@ -145,14 +148,21 @@ def test_label_form_matches_explicit_kets_and_dense(case):
         assert _close(rhs_condition1(state, assignment), dense_rhs1, 1e-8)
         assert _close(rhs_condition2(state, assignment), dense_rhs2, 1e-8)
 
-    # the rhs2 route follows from structure: n full-space embeds on the dense
-    # route, which then gives exactly the dense value, and none otherwise
+    # the rhs2 route follows from structure: the factorized route leaves the
+    # eigenbasis route uncalled; only the dense route makes full-space
+    # embeds, n of them, and it then gives exactly the dense value
     n = labelled.num_sites
-    for state, dense in ((labelled, labelled_dense), (explicit, True)):
-        with mock.patch.object(witness, "kron_embed", wraps=kron_embed) as spy:
+    for state, route in ((labelled, labelled_route), (explicit, explicit_route)):
+        with (
+            mock.patch.object(witness, "kron_embed", wraps=kron_embed) as embeds,
+            mock.patch.object(
+                witness, "_eigenbasis_rhs2", wraps=witness._eigenbasis_rhs2
+            ) as eigenbasis,
+        ):
             value = rhs_condition2(state, assignment)
-        assert spy.call_count == (n if dense else 0)
-        if dense:
+        assert eigenbasis.call_count == (route != "factorized")
+        assert embeds.call_count == (n if route == "dense" else 0)
+        if route == "dense":
             assert value == rhs_condition2(state, assignment, method="dense")
     with pytest.raises(ValueError):
         rhs_condition2(labelled, assignment, method="fast")
@@ -181,8 +191,12 @@ def test_builders_store_basis_sites_as_labels(family, params):
 
 
 def test_from_labels_rejects_malformed_input():
-    with pytest.raises(BadParameter):
+    with pytest.raises(BadParameter, match="outside dimension 2 at site 1"):
         PureSOP.from_labels((2, 2), [1.0], [[0, 2]])  # label outside the dimension
+    with pytest.raises(BadParameter, match="outside dimension 3 at site 1"):
+        PureSOP.from_labels((2, 3, 2), [1.0, 1.0], [[0, -1, 0], [0, 0, 5]])  # first bad site
+    with pytest.raises(BadParameter, match="site 0 has kets"):
+        PureSOP.from_labels((2, 2), [1.0], [[0, 7]], {0: [[1.0, 0.0]]})
     with pytest.raises(BadParameter):
         PureSOP.from_labels((2, 2), [1.0], [[0.0, 1.0]])  # not integers
     with pytest.raises(BadParameter):

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from witnesslab.errors import BadParameter, TruncationTooCoarse
+from witnesslab.errors import BadParameter, DimensionCap, TruncationTooCoarse
 from witnesslab.oracle import random_pure_state
 from witnesslab.states import (
+    LABEL_ENTRY_CAP,
     MixedEnsemble,
     ProductTerm,
     PureSOP,
@@ -238,6 +239,35 @@ def test_state_family_json_round_trip():
 def test_bad_parameters(family, params):
     with pytest.raises(BadParameter):
         build_state(StateFamily(family, params))
+
+
+@pytest.mark.parametrize(
+    "family,params,names",
+    [
+        ("GHZ", {"n": 10**9, "theta": 0.2}, "n"),
+        ("FlippedGHZ", {"n": 1e300, "theta": 0.2}, "n"),
+        ("TwoGroupGHZ", {"n": 10**7, "l": 1, "theta1": 0.1, "theta2": 0.2}, "n"),
+        ("LSeparable", {"n": 10**7, "l": 1, "theta": 0.1, "thetas": [0.3]}, "n"),
+        ("MixedSingleOut", {"n": 2100, "theta": 0.1, "thetas": [0.3]}, "n"),
+        ("NoisyGHZ", {"n": 3 * 10**6, "theta": 0.1, "p": 0.5, "noise": "ground"}, "n"),
+        ("NModeSqueezed", {"n": 3, "x": 0.999999}, "n and the cutoff"),
+        ("NModeSqueezed", {"n": 3, "x": 0.5, "cutoff": 1e308}, "n and the cutoff"),
+        ("ModifiedFourMode", {"x": 0.5, "cutoff": 10**7}, "the cutoff"),
+    ],
+)
+def test_family_sizes_over_the_label_cap_raise_dimension_cap(family, params, names):
+    """Each builder checks its terms x sites label entries before allocating them."""
+    pattern = rf"^{family}: label entries \(terms x sites\) from {names}: "
+    with pytest.raises(DimensionCap, match=pattern):
+        build_state(StateFamily(family, params))
+
+
+def test_label_cap_admits_the_largest_sizes_that_run():
+    """MixedSingleOut at n=2000 (8e6 label entries) and GHZ at n=10^5 still build."""
+    thetas = [0.3] * 2000
+    mixed = build_state(StateFamily("MixedSingleOut", {"n": 2000, "theta": 0.1, "thetas": thetas}))
+    assert sum(p.labels.size for p in mixed.pures) == 8 * 10**6 <= LABEL_ENTRY_CAP
+    assert build_state(StateFamily("GHZ", {"n": 10**5, "theta": 0.2})).labels.shape == (2, 10**5)
 
 
 @pytest.mark.parametrize("tail_tol", [math.nan, 0.0, -1e-3, 1.0, 2.0, math.inf])

@@ -6,10 +6,15 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from witnesslab import witness
+from witnesslab import oracle, witness
 from witnesslab.errors import BadParameter, DimensionCap, DimensionMismatch
 from witnesslab.linalg import dag, kron_embed, psd_power
-from witnesslab.oracle import random_assignment, random_pure_state
+from witnesslab.oracle import (
+    SeparableSpec,
+    random_assignment,
+    random_pure_state,
+    sample_separable,
+)
 from witnesslab.states import (
     MixedEnsemble,
     ProductTerm,
@@ -278,11 +283,21 @@ def _rhs2_embeds(state, assignment):
 
 
 def test_rhs2_route_follows_state_structure():
-    """Label form with diagonal A^dag A embeds nothing; a tilted site takes the dense route."""
+    """Label form with diagonal A^dag A embeds nothing, nor does a mixture of
+    one-term products; a tilted site in a two-term state takes the dense route."""
     lowering = OperatorAssignment.qubit_lowering(4)
     noisy = StateFamily("NoisyGHZ", {"n": 4, "theta": 0.6, "p": 0.55, "noise": "white"})
     for state in (ghz(4, 0.4), build_state(noisy)):
         assert _rhs2_embeds(state, lowering)[1] == 0
+    rng = np.random.default_rng(3)
+    products = sample_separable(SeparableSpec((2, 2, 2, 2), 3, seed=5))
+    ground = PureSOP.from_labels((2,) * 4, (1.0,), np.zeros((1, 4), dtype=np.int64))
+    for state in (products, ground):
+        assignment = random_assignment(state.dims, rng)
+        value, embeds = _rhs2_embeds(state, assignment)
+        assert embeds == 0
+        dense = rhs_condition2(state, assignment, method="dense")
+        assert abs(value - dense) <= 1e-12 * max(1.0, abs(dense))
     tilted = build_state(
         StateFamily("LSeparable", {"n": 4, "l": 1, "theta": 0.4, "thetas": [0.3]})
     )
@@ -293,6 +308,54 @@ def test_rhs2_route_follows_state_structure():
     for condition in (rhs_condition1, rhs_condition2):
         with pytest.raises(ValueError):
             condition(tilted, lowering, method="fast")
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_eigenbasis_rhs2_matches_dense_on_the_oracle_stream(seed):
+    """The first 300 trials of run_separable_trials' own stream, up to D = 4^5:
+    auto rhs2 equals the dense route to 1e-10 relative and embeds nothing."""
+    trials = []
+
+    def record(state, assignment):
+        trials.append((state, assignment))
+        return 0.0, 0.0
+
+    with mock.patch.object(oracle, "check_separable_bounds", side_effect=record):
+        oracle.run_separable_trials(300, seed, max_n=5, max_dim=4, max_terms=6)
+    assert len(trials) == 300 and max(np.prod(s.dims) for s, _ in trials) > 256
+    for state, assignment in trials:
+        value, embeds = _rhs2_embeds(state, assignment)
+        assert embeds == 0
+        dense = rhs_condition2(state, assignment, method="dense")
+        assert abs(value - dense) <= 1e-10 * max(1.0, abs(dense)), (state.dims, value, dense)
+
+
+def test_eigenbasis_rhs2_with_white_noise_and_dim_one_sites():
+    """A white-noise mixture of product states, dim-1 sites included, matches the dense route."""
+    rng = np.random.default_rng(11)
+    for dims in ((1, 3, 2, 1), (2, 3, 4), (3, 1)):
+        products = sample_separable(SeparableSpec(dims, 4, seed=int(rng.integers(1000))))
+        weights = tuple(0.7 * w for w in products.weights)
+        noisy = MixedEnsemble(dims, weights, products.pures, white_noise_weight=0.3)
+        for assignment in (random_assignment(dims, rng), OperatorAssignment.annihilation(dims)):
+            value, embeds = _rhs2_embeds(noisy, assignment)
+            assert embeds == 0
+            dense = rhs_condition2(noisy, assignment, method="dense")
+            assert abs(value - dense) <= 1e-12 * max(1.0, abs(dense)), (dims, value, dense)
+
+
+def test_eigenbasis_rhs2_checks_the_cap_before_any_spectrum():
+    """A one-term product of 15 qubits raises DimensionCap with no local eigh done."""
+    rng = np.random.default_rng(4)
+    kets = tuple(oracle.haar_ket(2, rng) for _ in range(15))
+    state = PureSOP((2,) * 15, (ProductTerm(1.0, kets),))
+    assignment = random_assignment(state.dims, rng)
+    with (
+        mock.patch.object(witness, "psd_eigh", wraps=witness.psd_eigh) as eigh,
+        pytest.raises(DimensionCap, match="eigenbasis"),
+    ):
+        evaluate(state, assignment)
+    assert eigh.call_count == 0
 
 
 def test_every_route_refuses_a_state_over_the_side_cap(monkeypatch):
