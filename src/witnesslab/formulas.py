@@ -20,7 +20,7 @@ detection threshold they predict against the exact one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
 
@@ -690,15 +690,7 @@ class CrossCheckRow:
     note: str
 
     def to_json(self) -> dict:
-        return {
-            "tag": self.tag.value,
-            "kind": self.kind,
-            "cases": self.cases,
-            "error": self.error,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "note": self.note,
-        }
+        return {**asdict(self), "tag": self.tag.value}
 
 
 def closed_form_threshold(

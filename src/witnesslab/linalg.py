@@ -141,18 +141,6 @@ def kron_embed(op, site: int, dims) -> np.ndarray:
     return out.reshape(total, total)
 
 
-def kron_product(ops) -> np.ndarray:
-    """Kronecker product ``ops[0] ⊗ ops[1] ⊗ ...`` with a size guard."""
-    mats = [as_operator(op) for op in ops]
-    if not mats:
-        raise DimensionMismatch("need at least one operator")
-    capped_dimension([m.shape[0] for m in mats], "kron_product")
-    out = mats[0]
-    for mat in mats[1:]:
-        out = np.kron(out, mat)
-    return out
-
-
 def psd_eigh(op) -> tuple[np.ndarray, np.ndarray | None]:
     """Clamped spectrum of a Hermitian positive-semidefinite matrix.
 

@@ -25,6 +25,7 @@ amplitudes are renormalized.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
@@ -33,8 +34,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadParameter, TruncationTooCoarse
-from .linalg import basis_ket, capped_dimension, check_cap
+from .errors import BadParameter, DimensionCap, TruncationTooCoarse
+from .linalg import MATRIX_SIDE_CAP, basis_ket, capped_dimension, check_cap
 
 #: Largest acceptable discarded probability for truncated CV states.
 DEFAULT_TAIL_TOL = 1e-10
@@ -89,8 +90,6 @@ class PureSOP:
             for ket, dim in zip(term.factors, dims):
                 if ket.shape != (dim,):
                     raise BadParameter(f"local ket shape {ket.shape} != ({dim},)")
-                if not abs(np.linalg.norm(ket) - 1.0) <= 1e-10:
-                    raise BadParameter("local kets must be finite and unit-normalized")
         kets = {
             k: np.array([term.factors[k] for term in terms], dtype=complex)
             for k in range(len(dims))
@@ -133,13 +132,19 @@ class PureSOP:
                 raise BadParameter(f"kets given for unknown site {site!r}")
             if stack.shape != (amps.size, dims[site]):
                 raise BadParameter(f"kets at site {site} have shape {stack.shape}")
-            if not np.all(np.abs(np.linalg.norm(stack, axis=1) - 1.0) <= 1e-10):
-                raise BadParameter("local kets must be finite and unit-normalized")
         state = cls.__new__(cls)
         state._setup(dims, amps, labels, kets)
         return state
 
     def _setup(self, dims, amps, labels, kets) -> None:
+        """Both constructors end here: kets must be finite and unit-norm, amplitudes finite."""
+        if kets:
+            # every ket's norm at once, from the moduli: an inf entry gives inf, not a warning
+            moduli = np.abs(np.concatenate(list(kets.values()), axis=1))
+            starts = [0, *itertools.accumulate(dims[site] for site in kets)][:-1]
+            norms = np.sqrt(np.add.reduceat(moduli * moduli, starts, axis=1))
+            if not np.all(np.abs(norms - 1.0) <= 1e-10):
+                raise BadParameter("local kets must be finite and unit-normalized")
         if not np.isfinite(amps).all():
             raise BadParameter("amplitudes must be finite")
         self.dims = dims
@@ -482,7 +487,7 @@ def _squeezed_amplitudes(x: float, cutoff: int) -> np.ndarray:
 
 
 def _resolve_cutoff(params: dict, family: str, tail_tol: float, sites: int, names: str):
-    """x and the cutoff, whose (cutoff + 1) x sites labels are checked against the cap."""
+    """x and the cutoff, whose (cutoff + 1) x sites labels and cutoff + 1 terms are checked."""
     x = _as_float(params, "x", family)
     if not 0.0 < x < 1.0:
         raise BadParameter(f"{family}: x must lie in (0, 1), got {x}")
@@ -494,6 +499,8 @@ def _resolve_cutoff(params: dict, family: str, tail_tol: float, sites: int, name
         raise TruncationTooCoarse(
             f"{family}: tail weight {tail:.3e} at cutoff {cutoff} exceeds {tail_tol:.3e}"
         )
+    if cutoff + 1 > MATRIX_SIDE_CAP:  # no route evaluates more terms
+        raise DimensionCap(f"{family}: term count {cutoff + 1} exceeds cap {MATRIX_SIDE_CAP}")
     return x, cutoff
 
 

@@ -60,23 +60,26 @@ def test_detect_table_format(capsys):
 
 
 def test_detect_over_the_side_cap_exits_2_before_allocating(capsys):
-    """x=0.999 needs 11508 Fock levels: refused at once, while x=0.99 (1146) evaluates."""
+    """x=0.999 needs 11508 Fock levels and x=0.99999 1151287: refused before any
+    amplitude is built, whatever the operators, while x=0.99 (1146) evaluates."""
 
-    def detect(x):
-        family = json.dumps({"family": "NModeSqueezed", "params": {"n": 3, "x": x}})
-        return run(["detect", "--family", family, "--ops", "annihilation"])
+    def detect(x, n=3, ops="annihilation"):
+        family = json.dumps({"family": "NModeSqueezed", "params": {"n": n, "x": x}})
+        return run(["detect", "--family", family, "--ops", ops])
 
     assert detect(0.99) == 0
     assert json.loads(capsys.readouterr().out)["report"]["detected2"]
-    tracemalloc.start()
-    try:
-        code = detect(0.999)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 2
-    assert "exceeds cap" in capsys.readouterr().err
-    assert peak < 16 * 2**20  # one 11508 x 11508 complex matrix is 2.1 GB
+    refused = ((0.999, 3, "annihilation"), (0.99999, 2, "annihilation"), (0.99999, 2, "lowering"))
+    for x, n, ops in refused:
+        tracemalloc.start()
+        try:
+            code = detect(x, n, ops)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "NModeSqueezed: term count" in capsys.readouterr().err
+        assert peak < 2**20  # the 1151287 amplitudes alone take 17.6 MiB
 
 
 def test_scan_csv_deterministic(capsys):

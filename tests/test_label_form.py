@@ -17,11 +17,12 @@ from witnesslab.witness import (
     canonical_assignment,
     evaluate,
     product_expectation,
-    product_expectation_dense,
     rhs_condition1,
     rhs_condition2,
     site_second_moments,
 )
+
+from full_space import sides
 
 #: Operator kinds drawn per site; only "gaussian" has a non-diagonal A^dag A.
 OP_KINDS = ("gaussian", "annihilation", "diagonal", "raising")
@@ -139,13 +140,14 @@ def test_label_form_matches_explicit_kets_and_dense(case):
         atol=1e-12,
     )
 
-    # both forms against the full-space oracle routes (every case fits the cap)
-    dense_lhs = product_expectation_dense(labelled, assignment)
-    dense_rhs1 = rhs_condition1(labelled, assignment, method="dense")
+    # both forms against the full-space reference and the dense rhs2 route
+    # (every case fits the cap)
+    ref_lhs, ref_rhs1, ref_rhs2 = sides(labelled, assignment)
     dense_rhs2 = rhs_condition2(labelled, assignment, method="dense")
     for state in (labelled, explicit):
-        assert _close(product_expectation(state, assignment), dense_lhs, 1e-8)
-        assert _close(rhs_condition1(state, assignment), dense_rhs1, 1e-8)
+        assert _close(abs(product_expectation(state, assignment)), ref_lhs, 1e-8)
+        assert _close(rhs_condition1(state, assignment), ref_rhs1, 1e-8)
+        assert _close(rhs_condition2(state, assignment), ref_rhs2, 1e-8)
         assert _close(rhs_condition2(state, assignment), dense_rhs2, 1e-8)
 
     # the rhs2 route follows from structure: the factorized route leaves the

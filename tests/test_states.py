@@ -283,10 +283,15 @@ def test_pure_sop_rejects_malformed_terms():
     zero = np.array([1.0, 0.0], dtype=complex)
     with pytest.raises(BadParameter):
         PureSOP((2, 2), ())  # no terms
-    with pytest.raises(BadParameter):
+    with pytest.raises(BadParameter, match="term has 1 factors for 2 subsystems"):
         PureSOP((2, 2), (ProductTerm(1.0 + 0j, (zero,)),))  # one factor short
-    with pytest.raises(BadParameter):
+    with pytest.raises(BadParameter, match="unit-normalized"):
         PureSOP((2, 2), (ProductTerm(1.0 + 0j, (zero, 2.0 * zero)),))  # not unit norm
+    qutrit = np.array([0.0, 1.0, 0.0], dtype=complex)
+    ragged = (ProductTerm(1.0 + 0j, (zero, zero)), ProductTerm(1.0 + 0j, (zero, qutrit)))
+    for terms in (ragged, ragged[1:]):  # ragged at site 1, then one wrong-shaped ket
+        with pytest.raises(BadParameter, match=r"local ket shape \(3,\) != \(2,\)"):
+            PureSOP((2, 2), terms)
 
 
 def test_mixed_ensemble_rejects_bad_weights():
@@ -327,6 +332,7 @@ _NAN_KET = np.array([math.nan, 0.0], dtype=complex)
         lambda: PureSOP((2, 2), (ProductTerm(1.0 + 0j, (_UP, _NAN_KET)),)),
         lambda: PureSOP((2, 2), (ProductTerm(1.0 + 0j, (_UP, np.array([math.inf, 0.0]))),)),
         lambda: PureSOP.from_labels((2, 2), [1.0], [[0, -1]], {1: [_NAN_KET]}),
+        lambda: PureSOP.from_labels((2, 2), [1.0], [[0, -1]], {1: [[math.inf, 0.0]]}),
         lambda: MixedEnsemble((2, 2), (math.nan,), (_GOOD,)),
         lambda: MixedEnsemble((2, 2), (1.0, math.nan), (_GOOD, _GOOD)),
         lambda: MixedEnsemble((2, 2), (1.0,), (_GOOD,), white_noise_weight=math.nan),
@@ -334,7 +340,7 @@ _NAN_KET = np.array([math.nan, 0.0], dtype=complex)
     ids=[
         "labels-nan-amplitude", "labels-inf-amplitude", "labels-imag-inf-amplitude",
         "terms-nan-amplitude", "terms-inf-amplitude", "terms-nan-ket", "terms-inf-ket",
-        "labels-nan-ket", "nan-weight", "one-nan-weight", "nan-noise-weight",
+        "labels-nan-ket", "labels-inf-ket", "nan-weight", "one-nan-weight", "nan-noise-weight",
     ],
 )
 def test_non_finite_state_inputs_are_rejected(make):

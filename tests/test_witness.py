@@ -8,7 +8,7 @@ import pytest
 
 from witnesslab import oracle, witness
 from witnesslab.errors import BadParameter, DimensionCap, DimensionMismatch
-from witnesslab.linalg import dag, kron_embed, psd_power
+from witnesslab.linalg import dag, kron_embed
 from witnesslab.oracle import (
     SeparableSpec,
     random_assignment,
@@ -21,18 +21,18 @@ from witnesslab.states import (
     PureSOP,
     StateFamily,
     build_state,
-    dense_vector,
 )
 from witnesslab.witness import (
     OperatorAssignment,
     canonical_assignment,
     evaluate,
     product_expectation,
-    product_expectation_dense,
     rhs_condition1,
     rhs_condition2,
     site_second_moments,
 )
+
+from full_space import sides
 
 
 def ghz(n, theta):
@@ -210,18 +210,13 @@ FAST_DENSE_CASES = [
 
 @pytest.mark.parametrize("family,params,ops,tail", FAST_DENSE_CASES)
 def test_fast_equals_dense(family, params, ops, tail):
-    """Factorized and full-space evaluations agree on every family."""
+    """Factorized evaluations agree with the full-space reference on every family."""
     state = build_state(StateFamily(family, params), **({} if tail is None else {"tail_tol": tail}))
     assignment = canonical_assignment(ops, state.dims)
-    assert abs(
-        product_expectation(state, assignment) - product_expectation_dense(state, assignment)
-    ) < 1e-9
-    assert abs(
-        rhs_condition1(state, assignment) - rhs_condition1(state, assignment, method="dense")
-    ) < 1e-9
-    assert abs(
-        rhs_condition2(state, assignment) - rhs_condition2(state, assignment, method="dense")
-    ) < 1e-9
+    lhs, rhs1, rhs2 = sides(state, assignment)
+    assert abs(abs(product_expectation(state, assignment)) - lhs) < 1e-9
+    assert abs(rhs_condition1(state, assignment) - rhs1) < 1e-9
+    assert abs(rhs_condition2(state, assignment) - rhs2) < 1e-9
 
 
 def test_report_values_real_nonnegative():
@@ -304,10 +299,9 @@ def test_rhs2_route_follows_state_structure():
     value, embeds = _rhs2_embeds(tilted, lowering)
     assert embeds == 4
     assert value == rhs_condition2(tilted, lowering, method="dense")
-    # "fast" is no longer a method of either condition
-    for condition in (rhs_condition1, rhs_condition2):
-        with pytest.raises(ValueError):
-            condition(tilted, lowering, method="fast")
+    # "fast" is no longer a method of rhs2
+    with pytest.raises(ValueError):
+        rhs_condition2(tilted, lowering, method="fast")
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -370,10 +364,8 @@ def test_every_route_refuses_a_state_over_the_side_cap(monkeypatch):
     for state in (over, mixed):
         for route in (
             lambda: product_expectation(state, assignment),
-            lambda: product_expectation_dense(state, assignment),
             lambda: site_second_moments(state, assignment),
             lambda: rhs_condition1(state, assignment),
-            lambda: rhs_condition1(state, assignment, method="dense"),
             lambda: rhs_condition2(state, assignment),
             lambda: rhs_condition2(state, assignment, method="dense"),
         ):
@@ -449,20 +441,6 @@ def test_epsilon_must_be_finite_and_nonnegative(epsilon):
     assert evaluate(ghz(3, 0.0), OperatorAssignment.qubit_lowering(3), epsilon=0.0).epsilon == 0.0
 
 
-def _reference_rhs2(state, assignment) -> float:
-    """<psi| S^(n/2) |psi> with S^(n/2) formed by psd_power, plus the white-noise trace."""
-    n = len(state.dims)
-    summed = sum(kron_embed(dag(op) @ op, k, state.dims) for k, op in enumerate(assignment.ops))
-    powered = psd_power(summed / n, n / 2.0)
-    if isinstance(state, PureSOP):
-        comps, noise = [(1.0, state)], 0.0
-    else:
-        comps, noise = zip(state.weights, state.pures), state.white_noise_weight
-    value = sum(w * np.vdot(dense_vector(p), powered @ dense_vector(p)) for w, p in comps)
-    value += noise * np.trace(powered) / len(powered)
-    return float(value.real)
-
-
 def _dense_rhs2_cases():
     """(state, assignment) pairs: pure, mixed and white-noise, with diagonal and non-diagonal A^dag A."""
     rng = np.random.default_rng(2024)
@@ -495,8 +473,8 @@ def _dense_rhs2_cases():
         yield state, random_assignment(state.dims, rng)
 
 
-def test_dense_rhs2_matches_the_psd_power_reference():
-    """The spectral expectation equals <psi| psd_power(S, n/2) |psi> to 1e-12 relative."""
+def test_dense_rhs2_matches_the_full_space_reference():
+    """The spectral expectation equals the full-space reference's rhs2 to 1e-12 relative."""
     diagonal = non_diagonal = 0
     for state, assignment in _dense_rhs2_cases():
         squares = [dag(op) @ op for op in assignment.ops]
@@ -504,7 +482,7 @@ def test_dense_rhs2_matches_the_psd_power_reference():
             diagonal += 1
         else:
             non_diagonal += 1
-        want = _reference_rhs2(state, assignment)
+        want = sides(state, assignment)[2]
         got = rhs_condition2(state, assignment, method="dense")
         assert abs(got - want) <= 1e-12 * abs(want), (state.dims, got, want)
     assert diagonal >= 10 and non_diagonal >= 10
