@@ -16,6 +16,7 @@ from .errors import (
     NegativeSpectrum,
     NonHermitian,
     NoSignChange,
+    NumericalOverflow,
     TruncationTooCoarse,
     WitnessLabError,
 )
@@ -69,6 +70,7 @@ __all__ = [
     "NegativeSpectrum",
     "NonHermitian",
     "NoSignChange",
+    "NumericalOverflow",
     "OperatorAssignment",
     "ProductTerm",
     "PureSOP",

@@ -22,6 +22,10 @@ class NegativeSpectrum(WitnessLabError):
     """An operator required to be positive semidefinite has a genuinely negative eigenvalue."""
 
 
+class NumericalOverflow(WitnessLabError):
+    """A condition's side is not finite in double precision."""
+
+
 class BadParameter(WitnessLabError):
     """A state-family or sweep parameter is missing, malformed, or out of range."""
 

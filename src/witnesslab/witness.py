@@ -19,16 +19,16 @@ lhs and rhs1; nothing full-space is built for them.  A pure component
 with more than :data:`~witnesslab.linalg.MATRIX_SIDE_CAP` terms raises
 :class:`DimensionCap` before any such matrix is built.
 
-``rhs2`` needs the n/2 power of a genuinely multipartite operator.  Its
-route, one of three, follows from the structure alone: rhs2 is read off
-the labels and term overlaps when every A_k^dag A_k is exactly diagonal
-and every site is in label form (factorized), else off the local
-spectra of the A_k^dag A_k when every pure component is one product
-term (eigenbasis).  Every other state takes the dense route: the
-spectrum of the full-space sum S of the embedded A_k^dag A_k weighs the
-squared overlaps.  The routes agree within round-off where they overlap.
-The tests check every side against a full-space reference built from
-the definitions alone (``tests/full_space.py``).
+``rhs2`` needs the n/2 power of S = (1/n) sum_k A_k^dag A_k, a genuinely
+multipartite operator.  One decision reads its route off the structure:
+factorized when every site is in label form and every A_k^dag A_k is
+exactly diagonal (each product term is then an eigenvector of S, so
+term overlaps suffice), eigenbasis when every pure component is one
+product term (S is diagonal in the local eigenbases), and dense for
+every other state (the spectrum of the full-space S weighs the squared
+overlaps).  The routes agree within round-off where they overlap.  The
+tests check every side against a full-space reference built from the
+definitions alone (``tests/full_space.py``).
 
 Work is done once per evaluation, not once per side: each distinct local
 operator's A^dag A, spectrum and moment (A^dag A)^(n/2) are kept on
@@ -39,14 +39,13 @@ so lhs, rhs1, rhs2 and :func:`site_second_moments` share them.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, reduce
 
 import numpy as np
 
-from .errors import BadParameter, DimensionCap, DimensionMismatch
+from .errors import BadParameter, DimensionCap, DimensionMismatch, NumericalOverflow
 from .linalg import (
-    DIMENSION_CAP,
     MATRIX_SIDE_CAP,
     annihilation_op,
     as_operator,
@@ -57,7 +56,6 @@ from .linalg import (
     qubit_lowering_op,
     qubit_raising_op,
     spectral_power,
-    total_dimension,
 )
 from .states import PureSOP, State, dense_vector
 
@@ -69,16 +67,10 @@ class _LocalOperator:
     """One local operator A and what the conditions derive from it, each computed once."""
 
     def __init__(self, op: np.ndarray, n: int):
-        self.square = dag(op) @ op
+        square = dag(op) @ op
+        # Hermitian by construction; exact where A^dag A is diagonal
+        self.square = 0.5 * (square + dag(square))
         self.n = n
-
-    @cached_property
-    def diagonal(self) -> np.ndarray:
-        return np.diagonal(self.square).real
-
-    @cached_property
-    def is_diagonal(self) -> bool:
-        return np.count_nonzero(self.square) == np.count_nonzero(np.diagonal(self.square))
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray | None]:
@@ -187,7 +179,7 @@ class WitnessReport:
     epsilon: float
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _check_assignment(state: State, assignment: OperatorAssignment) -> None:
@@ -286,61 +278,19 @@ def rhs_condition1(state: State, assignment: OperatorAssignment) -> float:
     return float(result)
 
 
-def _factorized_rhs2(state: State, local, n: int) -> float | None:
-    """Factorized route for rhs2; returns None, before any work, when it does not apply.
+def _rhs2_route(comps, local) -> str:
+    """The rhs2 route the state's structure takes: "factorized", "eigenbasis" or "dense".
 
-    It applies when every A_k^dag A_k is exactly diagonal and every site
-    of every pure component is in label form.  Each product term is then
-    an eigenvector of S = (1/n) sum_k A_k^dag A_k, with eigenvalue the
-    mean of the diagonal entries its labels pick, so S^(n/2) acts by
-    scalar powers and only term overlaps are needed.  White noise
-    averages those powers over all label tuples.
+    Labels are read before any local spectrum, so a ket-form state asks
+    for none here.
     """
-    comps, noise = _components(state)
-    if not all(op.is_diagonal for op in local):
-        return None
-    if any(np.any(pure.labels < 0) for _, pure in comps):
-        return None
-    if noise and total_dimension(state.dims) > DIMENSION_CAP:
-        return None
-    half = n / 2.0
-    value = 0.0
-    for weight, pure in comps:
-        amps = pure.amplitudes()
-        sums = np.zeros(len(amps))
-        for k, op in enumerate(local):
-            sums += op.diagonal[pure.site_labels(k)]
-        powered = np.maximum(sums / n, 0.0) ** half
-        value += weight * float((amps.conj() @ (pure.overlaps() * powered[None, :]) @ amps).real)
-    if noise:
-        # ascending, as eigvalsh returns it: this fixes the mean's summation order
-        spectrum = reduce(np.add.outer, [np.sort(op.diagonal) for op in local]).ravel()
-        value += noise * float(np.mean(np.maximum(spectrum / n, 0.0) ** half))
-    return value
-
-
-def _eigenbasis_rhs2(state: State, local, n: int) -> float | None:
-    """Eigenbasis route for rhs2; returns None, before any work, when it does not apply.
-
-    It applies when every pure component is one product term a|u_1...u_n>: S is diagonal
-    in the local eigenbases V_k, and f(eigenvalue) weighs |a|^2 prod_k |V_k^dag u_k|^2.
-    """
-    comps, noise = _components(state)
-    if any(len(pure.amplitudes()) != 1 for _, pure in comps):
-        return None
-    capped_dimension(state.dims, "the eigenbasis rhs_condition2 route")
-    spectra = [op.spectrum for op in local]
-    sums = reduce(np.add.outer, [evals for evals, _ in spectra]).ravel()
-    powered = (sums / n) ** (n / 2.0)
-    value = noise * float(np.mean(powered)) if noise else 0.0
-    for weight, pure in comps:
-        probs = np.abs(pure.amplitudes()) ** 2
-        for k, (_, vecs) in enumerate(spectra):
-            ket = pure.site_stack(k)[0]
-            ket = ket if vecs is None else dag(vecs) @ ket
-            probs = np.outer(probs, ket.real**2 + ket.imag**2).ravel()
-        value += weight * float(powered @ probs)
-    return value
+    if all(np.all(pure.labels >= 0) for _, pure in comps) and all(
+        op.spectrum[1] is None for op in local
+    ):
+        return "factorized"
+    if all(len(pure.amplitudes()) == 1 for _, pure in comps):
+        return "eigenbasis"
+    return "dense"
 
 
 def rhs_condition2(
@@ -350,49 +300,68 @@ def rhs_condition2(
 ) -> float:
     """Operator-average bound: <((1/n) sum_k A_k^dag A_k)^(n/2)>.
 
-    ``method="auto"`` takes the factorized route or else the eigenbasis
-    route where it applies (see the module docstring); every other state
-    takes the dense route.  ``method="dense"`` forces the dense route on
-    any state; the benchmark's correctness gate compares with it.
-
-    The dense route sums the n embedded ``A_k^dag A_k`` in place into
-    one full-space matrix S, one :func:`~witnesslab.linalg.kron_embed` per
-    site, and takes S's clamped spectrum from
-    :func:`~witnesslab.linalg.psd_eigh`.  Each pure component then
-    contributes ``sum_i f(l_i) |<v_i|psi>|^2`` with ``f(l) = l^(n/2)``
-    (elementwise on ``|psi_i|^2`` when S is exactly diagonal), and white
-    noise ``mean_i f(l_i)``; no power of S is formed.  It raises
+    ``method="auto"`` takes the route :func:`_rhs2_route` reads off the
+    structure (see the module docstring).  ``method="dense"`` forces the
+    dense route on any state: a self-contained full-space reference, which
+    the benchmark's correctness gate compares with.  It sums S in place
+    from n :func:`~witnesslab.linalg.kron_embed` calls, and each pure
+    component contributes ``sum_i f(l_i) |<v_i|psi>|^2`` over S's clamped
+    spectrum with ``f(l) = l^(n/2)``; no power of S is formed.  White
+    noise adds the mean of f over S's spectrum on the dense route, and
+    over the outer sum of the local clamped spectra on the other two.
+    Every route but a noiseless factorized one raises
     :class:`DimensionCap` when the full dimension exceeds
-    :data:`~witnesslab.linalg.DIMENSION_CAP`, as the eigenbasis route does
-    before any spectrum.  Every route raises it for a pure component over
-    :data:`~witnesslab.linalg.MATRIX_SIDE_CAP` terms.
+    :data:`~witnesslab.linalg.DIMENSION_CAP`, and every route when a pure
+    component has more than :data:`~witnesslab.linalg.MATRIX_SIDE_CAP`
+    terms.
     """
     _check_assignment(state, assignment)
-    n = len(state.dims)
-    if method == "auto":
-        for route in (_factorized_rhs2, _eigenbasis_rhs2):
-            value = route(state, assignment._local, n)
-            if value is not None:
-                return float(value)
-    elif method != "dense":
+    if method not in ("auto", "dense"):
         raise ValueError(f"unknown method {method!r}")
-    capped_dimension(state.dims, "the dense rhs_condition2 route")
+    n = len(state.dims)
+    half = n / 2.0
     local = assignment._local
-    summed = kron_embed(local[0].square, 0, state.dims)
-    for k in range(1, n):
-        summed += kron_embed(local[k].square, k, state.dims)
-    summed *= 1.0 / n  # bit-identical to /= n, which numpy computes by scaling with 1/n
-    evals, vecs = psd_eigh(summed)
-    powered = evals ** (n / 2.0)
     comps, noise = _components(state)
+    route = _rhs2_route(comps, local) if method == "auto" else "dense"
+    if route != "factorized" or noise:
+        capped_dimension(state.dims, f"the {route} rhs_condition2 route")
     value = 0.0
-    for weight, pure in comps:
-        vec = dense_vector(pure)
-        if vecs is not None:
-            vec = dag(vecs) @ vec
-        value += weight * float(powered @ (vec.real**2 + vec.imag**2))
+    if route == "dense":
+        summed = kron_embed(local[0].square, 0, state.dims)
+        for k in range(1, n):
+            summed += kron_embed(local[k].square, k, state.dims)
+        summed *= 1.0 / n  # bit-identical to /= n, which numpy computes by scaling with 1/n
+        evals, vecs = psd_eigh(summed)
+        powered = evals**half
+        for weight, pure in comps:
+            vec = dense_vector(pure)
+            if vecs is not None:
+                vec = dag(vecs) @ vec
+            value += weight * float(powered @ (vec.real**2 + vec.imag**2))
+        return value + noise * float(np.mean(powered)) if noise else value
+    spectra = [op.spectrum for op in local]
     if noise:
-        value += noise * float(np.mean(powered))
+        # ascending local spectra fix the mean's summation order
+        grid = reduce(np.add.outer, [np.sort(evals) for evals, _ in spectra]).ravel()
+        value = noise * float(np.mean((grid / n) ** half))
+    if route == "factorized":
+        for weight, pure in comps:
+            amps = pure.amplitudes()
+            sums = np.zeros(len(amps))
+            for k, (evals, _) in enumerate(spectra):
+                sums += evals[pure.site_labels(k)]
+            powered = (sums / n) ** half
+            weighed = pure.overlaps() * powered[None, :]
+            value += weight * float((amps.conj() @ weighed @ amps).real)
+    else:
+        powered = (reduce(np.add.outer, [evals for evals, _ in spectra]).ravel() / n) ** half
+        for weight, pure in comps:
+            probs = np.abs(pure.amplitudes()) ** 2
+            for k, (_, vecs) in enumerate(spectra):
+                ket = pure.site_stack(k)[0]
+                ket = ket if vecs is None else dag(vecs) @ ket
+                probs = np.outer(probs, ket.real**2 + ket.imag**2).ravel()
+            value += weight * float(powered @ probs)
     return value
 
 
@@ -406,6 +375,14 @@ def _check_epsilon(epsilon: float | None) -> float | None:
     return epsilon
 
 
+def _finite(side: str, value) -> float:
+    """``value`` as a float; :class:`NumericalOverflow` naming ``side`` when it is not finite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise NumericalOverflow(f"{side} is {value} in double precision: a moment overflows")
+    return value
+
+
 def evaluate(
     state: State,
     assignment: OperatorAssignment,
@@ -417,14 +394,21 @@ def evaluate(
     only when its margin exceeds it.  When omitted it defaults to
     ``1e-9 * max(1, rhs1, rhs2)``, which keeps strict-inequality semantics
     at equality boundaries without misreading round-off as detection.
-    A negative or non-finite ``epsilon`` raises :class:`BadParameter`.
+    A negative or non-finite ``epsilon`` raises :class:`BadParameter`, and
+    a side that is not finite in double precision :class:`NumericalOverflow`.
     """
     epsilon = _check_epsilon(epsilon)
     # rhs2 first: its eigenbasis and dense routes can raise DimensionCap for
-    # the full dimension, and lhs and rhs1 cost seconds on such large states
-    rhs2 = rhs_condition2(state, assignment)
-    lhs = abs(product_expectation(state, assignment))
-    rhs1 = rhs_condition1(state, assignment)
+    # the full dimension, and lhs and rhs1 cost seconds on such large states.
+    # A moment m^(n/2) overflows for large n and then meets zeros as NaN:
+    # numpy's warnings on the way are kept back and each side is checked.
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            rhs2 = _finite("rhs2", rhs_condition2(state, assignment))
+            lhs = _finite("lhs", abs(product_expectation(state, assignment)))
+            rhs1 = _finite("rhs1", rhs_condition1(state, assignment))
+    except OverflowError as exc:
+        raise NumericalOverflow(f"a side overflows double precision: {exc}") from exc
     if epsilon is None:
         epsilon = DEFAULT_EPSILON_SCALE * max(1.0, rhs1, rhs2)
     margin1 = lhs - rhs1

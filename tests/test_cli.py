@@ -82,6 +82,15 @@ def test_detect_over_the_side_cap_exits_2_before_allocating(capsys):
         assert peak < 2**20  # the 1151287 amplitudes alone take 17.6 MiB
 
 
+def test_detect_overflow_exits_2(capsys):
+    """A moment that overflows double precision is an error line and exit 2, not NaN."""
+    family = json.dumps({"family": "NModeSqueezed", "params": {"n": 400, "x": 0.9}})
+    assert run(["detect", "--family", family, "--ops", "annihilation"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: rhs2 is nan in double precision")
+
+
 def test_scan_csv_deterministic(capsys):
     argv = [
         "scan",

@@ -150,19 +150,13 @@ def test_label_form_matches_explicit_kets_and_dense(case):
         assert _close(rhs_condition2(state, assignment), ref_rhs2, 1e-8)
         assert _close(rhs_condition2(state, assignment), dense_rhs2, 1e-8)
 
-    # the rhs2 route follows from structure: the factorized route leaves the
-    # eigenbasis route uncalled; only the dense route makes full-space
-    # embeds, n of them, and it then gives exactly the dense value
+    # the rhs2 route follows from structure; only the dense route makes
+    # full-space embeds, n of them, and it then gives exactly the dense value
     n = labelled.num_sites
     for state, route in ((labelled, labelled_route), (explicit, explicit_route)):
-        with (
-            mock.patch.object(witness, "kron_embed", wraps=kron_embed) as embeds,
-            mock.patch.object(
-                witness, "_eigenbasis_rhs2", wraps=witness._eigenbasis_rhs2
-            ) as eigenbasis,
-        ):
+        assert witness._rhs2_route(witness._components(state)[0], assignment._local) == route
+        with mock.patch.object(witness, "kron_embed", wraps=kron_embed) as embeds:
             value = rhs_condition2(state, assignment)
-        assert eigenbasis.call_count == (route != "factorized")
         assert embeds.call_count == (n if route == "dense" else 0)
         if route == "dense":
             assert value == rhs_condition2(state, assignment, method="dense")

@@ -62,8 +62,8 @@ def _case(kind: str, rng: np.random.Generator):
 
 
 def _factor(rng) -> complex:
-    """A complex scale with modulus in [1/4, 4] and a uniform phase."""
-    return complex(2.0 ** rng.uniform(-2.0, 2.0) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
+    """A complex scale with modulus in [2^-10, 2^10] and a uniform phase."""
+    return complex(2.0 ** rng.uniform(-10.0, 10.0) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
 
 
 @st.composite

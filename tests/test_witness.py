@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from witnesslab import oracle, witness
-from witnesslab.errors import BadParameter, DimensionCap, DimensionMismatch
+from witnesslab.errors import (
+    BadParameter,
+    DimensionCap,
+    DimensionMismatch,
+    NumericalOverflow,
+)
 from witnesslab.linalg import dag, kron_embed
 from witnesslab.oracle import (
     SeparableSpec,
@@ -486,3 +491,38 @@ def test_dense_rhs2_matches_the_full_space_reference():
         got = rhs_condition2(state, assignment, method="dense")
         assert abs(got - want) <= 1e-12 * abs(want), (state.dims, got, want)
     assert diagonal >= 10 and non_diagonal >= 10
+
+
+def test_overflowing_moment_is_a_typed_error():
+    """n=400 squeezed modes overflow (A^dag A)^(n/2) and meet zeros as NaN: evaluate
+    names the side in a NumericalOverflow, with no RuntimeWarning; n=300 stays finite."""
+    def squeezed(n):
+        state = build_state(StateFamily("NModeSqueezed", {"n": n, "x": 0.9}))
+        return state, OperatorAssignment.annihilation(state.dims)
+
+    with pytest.raises(NumericalOverflow, match="^rhs2 is nan"):
+        evaluate(*squeezed(400))
+    report = evaluate(*squeezed(300))
+    assert all(math.isfinite(v) for v in (report.lhs, report.rhs1, report.rhs2))
+    assert report.rhs2 > 1e295
+
+
+def test_python_float_overflow_is_a_typed_error(monkeypatch):
+    """An OverflowError from Python float ** leaves evaluate as NumericalOverflow."""
+    monkeypatch.setattr(witness, "rhs_condition1", lambda state, assignment: 1e200**2.0)
+    with pytest.raises(NumericalOverflow, match="overflows double precision"):
+        evaluate(ghz(3, 0.4), OperatorAssignment.qubit_lowering(3))
+
+
+def test_large_complex_operators_give_hermitian_squares():
+    """A^dag A is Hermitian by construction, so operators scaled by 1000 pass the
+    Hermiticity check that the round-off of dag(A) @ A alone mostly fails."""
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        dims = tuple(int(d) for d in rng.integers(2, 4, int(rng.integers(2, 5))))
+        ops = tuple(1000 * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+                    for d in dims)
+        assignment = OperatorAssignment(ops)
+        for local in assignment._local:
+            np.testing.assert_array_equal(local.square, dag(local.square))
+        evaluate(random_pure_state(dims, 2, rng), assignment)
