@@ -178,8 +178,15 @@ class PureSOP:
         return stack
 
     def pair_matrix(self, site: int, op: np.ndarray) -> np.ndarray:
-        """New array of the entries <u_j | op | u_j'> over the terms' kets at one site."""
+        """New array of the entries <u_j | op | u_j'> over the terms' kets at one site.
+
+        A 1-D ``op`` stands for the diagonal operator ``diag(op)``.
+        """
         stack, labels = self._kets.get(site), self.labels[:, site]
+        if op.ndim == 1:
+            if stack is None:
+                return np.where(self.site_gram(site), op[labels], 0j)
+            return stack.conj() @ (op[:, None] * stack.T)
         if stack is None:
             return op[labels[:, None], labels]
         return stack.conj() @ (op @ stack.T)

@@ -34,6 +34,15 @@ Work is done once per evaluation, not once per side: each distinct local
 operator's A^dag A, spectrum and moment (A^dag A)^(n/2) are kept on
 the :class:`OperatorAssignment`, and the per-site overlaps on the state,
 so lhs, rhs1, rhs2 and :func:`site_second_moments` share them.
+
+When every row of A has at most one nonzero (every named operator
+choice: lowering, raising, flipped, annihilation), the columns of A have
+disjoint supports and A^dag A is diagonal, with entries sum_i |A_ij|^2.
+It is then kept as that real 1-D diagonal, which is its own clamped
+spectrum, and its moment as the 1-D diagonal power: no matrix product,
+eigensolver or d x d matrix.  Wherever the engine meets an operator, a
+1-D array stands for the diagonal operator it lists.  A^dag A that
+overflows double precision raises :class:`NumericalOverflow`.
 """
 
 from __future__ import annotations
@@ -64,21 +73,44 @@ DEFAULT_EPSILON_SCALE = 1e-9
 
 
 class _LocalOperator:
-    """One local operator A and what the conditions derive from it, each computed once."""
+    """One local operator A and what the conditions derive from it, each computed once.
+
+    ``square`` (A^dag A) and ``moment`` ((A^dag A)^(n/2)) are 1-D, the
+    diagonal of a diagonal operator, when every row of A has at most one
+    nonzero; otherwise they are d x d matrices.
+    """
 
     def __init__(self, op: np.ndarray, n: int):
-        square = dag(op) @ op
-        # Hermitian by construction; exact where A^dag A is diagonal
-        self.square = 0.5 * (square + dag(square))
+        # more nonzeros than rows rules out one per row, without the per-row count
+        if np.count_nonzero(op) <= len(op) and np.all(np.count_nonzero(op, axis=1) <= 1):
+            # the columns have disjoint supports, so A^dag A is diagonal:
+            # sum_i |A_ij|^2, real and non-negative by construction
+            square = (op.real**2 + op.imag**2).sum(axis=0)
+        else:
+            square = dag(op) @ op
+            # Hermitian by construction; exact where A^dag A is diagonal
+            square = 0.5 * (square + dag(square))
+        if not np.isfinite(square).all():
+            scale = float(np.max(np.abs(op)))
+            raise NumericalOverflow(
+                f"A^dag A of an operator with largest modulus {scale:.3g} overflows double"
+                " precision"
+            )
+        self.square = square
         self.n = n
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray | None]:
+        if self.square.ndim == 1:
+            return self.square, None
         return psd_eigh(self.square)
 
     @cached_property
     def moment(self) -> np.ndarray:
         """(A^dag A)^(n/2)."""
+        if self.square.ndim == 1:
+            # complex like the kets and amplitudes it meets, so no product with it casts
+            return (self.square ** (self.n / 2.0)).astype(complex)
         return spectral_power(self.spectrum, self.n / 2.0)
 
 
@@ -112,9 +144,11 @@ class OperatorAssignment:
     def _local(self) -> tuple[_LocalOperator, ...]:
         """Per site, the local operator with its derived matrices (kept on the assignment)."""
         shared: dict[int, _LocalOperator] = {}
-        for op in self.ops:
-            if id(op) not in shared:
-                shared[id(op)] = _LocalOperator(op, len(self.ops))
+        # an A^dag A that overflows raises NumericalOverflow instead of a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            for op in self.ops:
+                if id(op) not in shared:
+                    shared[id(op)] = _LocalOperator(op, len(self.ops))
         return tuple(shared[id(op)] for op in self.ops)
 
     @classmethod
@@ -183,10 +217,14 @@ class WitnessReport:
 
 
 def _check_assignment(state: State, assignment: OperatorAssignment) -> None:
-    if assignment.dims != tuple(state.dims):
-        raise DimensionMismatch(
-            f"operator dims {assignment.dims} != state dims {tuple(state.dims)}"
-        )
+    """One operator per site, each of its site's dim; the message names one site, not all."""
+    ops, dims = assignment.dims, tuple(state.dims)
+    if ops == dims:
+        return
+    if len(ops) != len(dims):
+        raise DimensionMismatch(f"{len(ops)} operators for {len(dims)} subsystems")
+    site = next(k for k, (op_dim, dim) in enumerate(zip(ops, dims)) if op_dim != dim)
+    raise DimensionMismatch(f"operator dim {ops[site]} != state dim {dims[site]} at site {site}")
 
 
 def _components(state: State) -> tuple[tuple[tuple[float, PureSOP], ...], float]:
@@ -240,8 +278,10 @@ def _site_expectations(state: State, site_ops) -> np.ndarray:
     for weight, pure in comps:
         values += weight * _pure_site_expectations(pure, site_ops)
     if noise:
+        # the trace of a 1-D (diagonal) operator is its sum
+        traces = [np.sum(op) if op.ndim == 1 else np.trace(op) for op in site_ops]
         values += noise * np.array(
-            [np.trace(op) / d for op, d in zip(site_ops, state.dims)], dtype=complex
+            [trace / d for trace, d in zip(traces, state.dims)], dtype=complex
         )
     return values
 
@@ -327,9 +367,10 @@ def rhs_condition2(
         capped_dimension(state.dims, f"the {route} rhs_condition2 route")
     value = 0.0
     if route == "dense":
-        summed = kron_embed(local[0].square, 0, state.dims)
+        squares = [np.diag(op.square) if op.square.ndim == 1 else op.square for op in local]
+        summed = kron_embed(squares[0], 0, state.dims)
         for k in range(1, n):
-            summed += kron_embed(local[k].square, k, state.dims)
+            summed += kron_embed(squares[k], k, state.dims)
         summed *= 1.0 / n  # bit-identical to /= n, which numpy computes by scaling with 1/n
         evals, vecs = psd_eigh(summed)
         powered = evals**half

@@ -13,7 +13,7 @@ from witnesslab.errors import (
     DimensionMismatch,
     NumericalOverflow,
 )
-from witnesslab.linalg import dag, kron_embed
+from witnesslab.linalg import dag, kron_embed, qubit_lowering_op
 from witnesslab.oracle import (
     SeparableSpec,
     random_assignment,
@@ -271,8 +271,24 @@ def test_local_phase_invariance():
 
 
 def test_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match="4 operators for 3 subsystems"):
         product_expectation(ghz(3, 0.2), OperatorAssignment.qubit_lowering(4))
+
+
+def test_dimension_mismatch_message_names_one_site():
+    """400 squeezed modes of 110 levels against 74-level operators: the message
+    names the first mismatching site and stays short, whatever n is."""
+    state = build_state(StateFamily("NModeSqueezed", {"n": 400, "x": 0.9}))
+    assert state.dims == (110,) * 400
+    with pytest.raises(DimensionMismatch) as info:
+        site_second_moments(state, OperatorAssignment.annihilation((74,) * 400))
+    message = str(info.value)
+    assert message == "operator dim 74 != state dim 110 at site 0"
+    assert len(message) < 200
+    dims = (2, 2, 3, 2)
+    state = oracle.random_pure_state(dims, 2, np.random.default_rng(0))
+    with pytest.raises(DimensionMismatch, match="operator dim 2 != state dim 3 at site 2"):
+        rhs_condition1(state, OperatorAssignment.qubit_lowering(4))
 
 
 def _rhs2_embeds(state, assignment):
@@ -526,3 +542,17 @@ def test_large_complex_operators_give_hermitian_squares():
         for local in assignment._local:
             np.testing.assert_array_equal(local.square, dag(local.square))
         evaluate(random_pure_state(dims, 2, rng), assignment)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [1e160 * qubit_lowering_op(), 1e160 * np.ones((2, 2))],
+    ids=["row-sparse", "dense"],
+)
+def test_overflowing_square_is_a_typed_error(op):
+    """A finite operator whose A^dag A overflows raises NumericalOverflow naming
+    its scale, on the diagonal form and on the d x d form, with no RuntimeWarning."""
+    state = ghz(3, 0.4)
+    for side in (evaluate, site_second_moments):
+        with pytest.raises(NumericalOverflow, match=r"^A\^dag A .* largest modulus 1e\+160"):
+            side(state, OperatorAssignment((op,) * 3))
