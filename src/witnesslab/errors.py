@@ -10,8 +10,8 @@ class DimensionMismatch(WitnessLabError):
 
 
 class DimensionCap(WitnessLabError):
-    """A dense full-space object would exceed ``linalg.DIMENSION_CAP``, or a
-    matrix side ``linalg.MATRIX_SIDE_CAP``."""
+    """An array a builder or route is about to allocate would exceed the one
+    per-array byte budget, ``linalg.ARRAY_BYTES_CAP``."""
 
 
 class NonHermitian(WitnessLabError):

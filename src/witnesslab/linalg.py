@@ -19,13 +19,9 @@ import numpy as np
 
 from .errors import DimensionCap, DimensionMismatch, NegativeSpectrum, NonHermitian
 
-#: Largest full-space dimension the dense paths will materialize.
-DIMENSION_CAP = 2**14
-
-#: Largest side of a square matrix the factorized routes build: a pure
-#: state's terms x terms pair matrices and a mode's annihilation operator.
-#: One complex matrix of that side takes 64 MiB.
-MATRIX_SIDE_CAP = 2048
+#: Largest single array, in bytes, that a family builder or a route allocates
+#: (64 MiB): 2^23 label entries, 2048 x 2048 complex, or 2^23 floats.
+ARRAY_BYTES_CAP = 2**26
 
 #: Tolerance for Hermiticity checks and eigenvalue clamping.
 DEFAULT_TOL = 1e-10
@@ -79,8 +75,7 @@ def annihilation_op(dim: int) -> np.ndarray:
     """Truncated bosonic annihilation operator, a|m> = sqrt(m)|m-1>."""
     if dim < 1:
         raise DimensionMismatch("annihilation operator needs dim >= 1")
-    if dim > MATRIX_SIDE_CAP:
-        raise DimensionCap(f"annihilation operator dim {dim} exceeds cap {MATRIX_SIDE_CAP}")
+    check_bytes(dim * dim, 16, f"annihilation operator of dim {dim}:")
     return np.diag(np.sqrt(np.arange(1, dim, dtype=float)).astype(complex), 1)
 
 
@@ -100,17 +95,16 @@ def total_dimension(dims) -> int:
     return math.prod(int(d) for d in dims)
 
 
-def check_cap(size: int, cap: int, what: str) -> int:
-    """``size``, or :class:`DimensionCap` "<what> <size> <= cap <cap>"; ``~10^x`` from 10^12 up."""
-    if size > cap:
-        shown = size if size < 10**12 else f"~10^{math.log10(size):.1f}"
-        raise DimensionCap(f"{what} {shown} <= cap {cap}")
-    return size
+def check_bytes(entries: int, itemsize: int, what: str) -> None:
+    """Raise :class:`DimensionCap` if an array of ``entries`` items of ``itemsize``
+    bytes would exceed :data:`ARRAY_BYTES_CAP`; call it before allocating.
 
-
-def capped_dimension(dims, what: str) -> int:
-    """Full dimension of ``dims``; raises :class:`DimensionCap` above :data:`DIMENSION_CAP`."""
-    return check_cap(total_dimension(dims), DIMENSION_CAP, f"{what} needs full dimension")
+    The message is "<what> <entries> entries x <itemsize> B > cap <cap> B",
+    with ``entries`` written as ``~10^x`` from 10^12 up.
+    """
+    if entries * itemsize > ARRAY_BYTES_CAP:
+        shown = entries if entries < 10**12 else f"~10^{math.log10(entries):.1f}"
+        raise DimensionCap(f"{what} {shown} entries x {itemsize} B > cap {ARRAY_BYTES_CAP} B")
 
 
 def kron_embed(op, site: int, dims) -> np.ndarray:
@@ -121,8 +115,8 @@ def kron_embed(op, site: int, dims) -> np.ndarray:
     into the block diagonal of a zeroed ``(left, d, right, left, d,
     right)`` array through a strided view, so no product with an
     identity is formed; the entries equal ``np.kron``'s exactly.  Raises
-    :class:`DimensionCap`, before allocating, if the full space exceeds
-    :data:`DIMENSION_CAP`.
+    :class:`DimensionCap`, before allocating, if the D x D complex result
+    exceeds :data:`ARRAY_BYTES_CAP` (D = 2048 is the largest admitted).
     """
     dims = tuple(int(d) for d in dims)
     mat = as_operator(op)
@@ -132,7 +126,8 @@ def kron_embed(op, site: int, dims) -> np.ndarray:
         raise DimensionMismatch(
             f"operator dim {mat.shape[0]} != subsystem dim {dims[site]} at site {site}"
         )
-    total = capped_dimension(dims, "kron_embed")
+    total = total_dimension(dims)
+    check_bytes(total * total, 16, "kron_embed: full-space matrix of")
     left = total_dimension(dims[:site])
     right = total_dimension(dims[site + 1 :])
     out = np.zeros((left, dims[site], right) * 2, dtype=complex)

@@ -34,14 +34,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadParameter, DimensionCap, TruncationTooCoarse
-from .linalg import MATRIX_SIDE_CAP, basis_ket, capped_dimension, check_cap
+from .errors import BadParameter, TruncationTooCoarse
+from .linalg import basis_ket, check_bytes, total_dimension
 
 #: Largest acceptable discarded probability for truncated CV states.
 DEFAULT_TAIL_TOL = 1e-10
 
-#: Most label entries (terms x sites, over all components) a family builder allocates.
-LABEL_ENTRY_CAP = 2**23
+#: The start of every builder's label check: the label entries (terms x sites,
+#: over all components) it will allocate, 8 B each, checked by ``check_bytes``.
+_LABELS = "{}: label entries (terms x sites) from {}:"
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,10 +394,6 @@ def _as_angles(params: dict, name: str, family: str, length: int) -> list[float]
     return angles
 
 
-def _check_entries(family: str, names: str, entries: int) -> None:
-    check_cap(entries, LABEL_ENTRY_CAP, f"{family}: label entries (terms x sites) from {names}:")
-
-
 def _superposition_qubit(theta: float) -> np.ndarray:
     return np.array([math.cos(theta), math.sin(theta)], dtype=complex)
 
@@ -422,13 +419,13 @@ def _ghz_state(n: int, theta: float, tilted=None, flipped: int | None = None) ->
 
 def _build_ghz(params: dict, tail_tol: float, family="GHZ", flipped=None) -> PureSOP:
     n = _as_int(params, "n", family, 2)
-    _check_entries(family, "n", 2 * n)
+    check_bytes(2 * n, 8, _LABELS.format(family, "n"))
     return _ghz_state(n, _as_float(params, "theta", family), flipped=flipped)
 
 
 def _build_two_group_ghz(params: dict, tail_tol: float) -> PureSOP:
     n = _as_int(params, "n", "TwoGroupGHZ", 2)
-    _check_entries("TwoGroupGHZ", "n", 4 * n)
+    check_bytes(4 * n, 8, _LABELS.format("TwoGroupGHZ", "n"))
     l = _as_int(params, "l", "TwoGroupGHZ", 1)
     if l >= n:
         raise BadParameter(f"TwoGroupGHZ: l must be < n, got l={l}, n={n}")
@@ -444,7 +441,7 @@ def _build_two_group_ghz(params: dict, tail_tol: float) -> PureSOP:
 
 def _build_l_separable(params: dict, tail_tol: float) -> PureSOP:
     n = _as_int(params, "n", "LSeparable", 2)
-    _check_entries("LSeparable", "n", 2 * n)
+    check_bytes(2 * n, 8, _LABELS.format("LSeparable", "n"))
     l = _as_int(params, "l", "LSeparable", 1)
     if l >= n:
         raise BadParameter(f"LSeparable: l must be < n, got l={l}, n={n}")
@@ -457,7 +454,7 @@ def _build_l_separable(params: dict, tail_tol: float) -> PureSOP:
 
 def _build_mixed_single_out(params: dict, tail_tol: float) -> MixedEnsemble:
     n = _as_int(params, "n", "MixedSingleOut", 2)
-    _check_entries("MixedSingleOut", "n", 2 * n * n)
+    check_bytes(2 * n * n, 8, _LABELS.format("MixedSingleOut", "n"))
     theta = _as_float(params, "theta", "MixedSingleOut")
     thetas = _as_angles(params, "thetas", "MixedSingleOut", n)
     pures = tuple(
@@ -468,7 +465,7 @@ def _build_mixed_single_out(params: dict, tail_tol: float) -> MixedEnsemble:
 
 def _build_noisy_ghz(params: dict, tail_tol: float) -> MixedEnsemble:
     n = _as_int(params, "n", "NoisyGHZ", 2)
-    _check_entries("NoisyGHZ", "n", (3 if params["noise"] == "ground" else 2) * n)
+    check_bytes((3 if params["noise"] == "ground" else 2) * n, 8, _LABELS.format("NoisyGHZ", "n"))
     theta = _as_float(params, "theta", "NoisyGHZ")
     p = _as_float(params, "p", "NoisyGHZ")
     if not 0.0 < p < 1.0:
@@ -494,20 +491,20 @@ def _squeezed_amplitudes(x: float, cutoff: int) -> np.ndarray:
 
 
 def _resolve_cutoff(params: dict, family: str, tail_tol: float, sites: int, names: str):
-    """x and the cutoff, whose (cutoff + 1) x sites labels and cutoff + 1 terms are checked."""
+    """x and the cutoff, whose (cutoff + 1) x sites labels and pair matrices are checked."""
     x = _as_float(params, "x", family)
     if not 0.0 < x < 1.0:
         raise BadParameter(f"{family}: x must lie in (0, 1), got {x}")
     given = params.get("cutoff") is not None
     cutoff = _as_int(params, "cutoff", family, 1) if given else auto_cutoff(x, tail_tol)
-    _check_entries(family, names, (cutoff + 1) * sites)
+    check_bytes((cutoff + 1) * sites, 8, _LABELS.format(family, names))
     tail = tail_weight(x, cutoff)
     if given and tail > tail_tol:
         raise TruncationTooCoarse(
             f"{family}: tail weight {tail:.3e} at cutoff {cutoff} exceeds {tail_tol:.3e}"
         )
-    if cutoff + 1 > MATRIX_SIDE_CAP:  # no route evaluates more terms
-        raise DimensionCap(f"{family}: term count {cutoff + 1} exceeds cap {MATRIX_SIDE_CAP}")
+    # every route builds terms x terms pair matrices
+    check_bytes((cutoff + 1) ** 2, 16, f"{family}: term count {cutoff + 1}, pair matrix of")
     return x, cutoff
 
 
@@ -566,13 +563,15 @@ def build_state(family: StateFamily, tail_tol: float = DEFAULT_TAIL_TOL) -> Stat
 
 
 def dense_vector(state: PureSOP) -> np.ndarray:
-    """Expand a pure SOP state into a full state vector (dense route)."""
-    total = capped_dimension(state.dims, "dense_vector")
-    stacks = [state.site_stack(k) for k in range(state.num_sites)]
-    vec = np.zeros(total, dtype=complex)
-    for j, amp in enumerate(state.amplitudes()):
-        comp = np.array([amp], dtype=complex)
-        for stack in stacks:
-            comp = np.outer(comp, stack[j]).ravel()  # the 1-D kron, without its overhead
-        vec += comp
-    return vec
+    """Expand a pure SOP state into a full state vector (dense route).
+
+    Every term's vector is built at once, as a terms x D array: the
+    amplitudes times site 0's kets, then each further site's, summed in
+    term order.
+    """
+    amps = state.amplitudes()
+    check_bytes(len(amps) * total_dimension(state.dims), 16, "dense_vector: terms x D array of")
+    comps = amps[:, None]
+    for k in range(state.num_sites):
+        comps = (comps[:, :, None] * state.site_stack(k)[:, None, :]).reshape(len(amps), -1)
+    return comps.sum(axis=0)

@@ -15,9 +15,9 @@ Expectation values factorize over the sum-of-products state
 representation: one terms x terms pair matrix per site, from
 :meth:`~witnesslab.states.PureSOP.pair_matrix` and
 :meth:`~witnesslab.states.PureSOP.site_gram`.  That is the one route of
-lhs and rhs1; nothing full-space is built for them.  A pure component
-with more than :data:`~witnesslab.linalg.MATRIX_SIDE_CAP` terms raises
-:class:`DimensionCap` before any such matrix is built.
+lhs and rhs1; nothing full-space is built for them.  Memory has one
+bound, :data:`~witnesslab.linalg.ARRAY_BYTES_CAP` (64 MiB) per array:
+every route checks its largest array against it before building it.
 
 ``rhs2`` needs the n/2 power of S = (1/n) sum_k A_k^dag A_k, a genuinely
 multipartite operator.  One decision reads its route off the structure:
@@ -53,18 +53,18 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .errors import BadParameter, DimensionCap, DimensionMismatch, NumericalOverflow
+from .errors import BadParameter, DimensionMismatch, NumericalOverflow
 from .linalg import (
-    MATRIX_SIDE_CAP,
     annihilation_op,
     as_operator,
-    capped_dimension,
+    check_bytes,
     dag,
     kron_embed,
     psd_eigh,
     qubit_lowering_op,
     qubit_raising_op,
     spectral_power,
+    total_dimension,
 )
 from .states import PureSOP, State, dense_vector
 
@@ -230,19 +230,15 @@ def _check_assignment(state: State, assignment: OperatorAssignment) -> None:
 def _components(state: State) -> tuple[tuple[tuple[float, PureSOP], ...], float]:
     """(weight, pure) pairs and the white-noise weight.
 
-    Every route calls this before it builds a terms x terms array, so the
-    term cap is checked here.
+    Every route calls this before it builds a terms x terms array, so
+    their size is checked here.
     """
     if isinstance(state, PureSOP):
         comps, noise = ((1.0, state),), 0.0
     else:
         comps, noise = tuple(zip(state.weights, state.pures)), state.white_noise_weight
     for _, pure in comps:
-        count = len(pure.amplitudes())
-        if count > MATRIX_SIDE_CAP:
-            raise DimensionCap(
-                f"pure component has {count} product terms > cap {MATRIX_SIDE_CAP}"
-            )
+        check_bytes(len(pure.amplitudes()) ** 2, 16, "pure component: terms x terms pair matrix of")
     return comps, noise
 
 
@@ -349,11 +345,11 @@ def rhs_condition2(
     spectrum with ``f(l) = l^(n/2)``; no power of S is formed.  White
     noise adds the mean of f over S's spectrum on the dense route, and
     over the outer sum of the local clamped spectra on the other two.
-    Every route but a noiseless factorized one raises
-    :class:`DimensionCap` when the full dimension exceeds
-    :data:`~witnesslab.linalg.DIMENSION_CAP`, and every route when a pure
-    component has more than :data:`~witnesslab.linalg.MATRIX_SIDE_CAP`
-    terms.
+    :class:`DimensionCap` is raised before an array over the byte budget
+    :data:`~witnesslab.linalg.ARRAY_BYTES_CAP` is built: terms x terms
+    complex pair matrices (terms <= 2048), the dense route's D x D complex
+    S (D <= 2048), or the D floats of the eigenbasis or white-noise grid
+    (D <= 2^23).
     """
     _check_assignment(state, assignment)
     if method not in ("auto", "dense"):
@@ -363,10 +359,9 @@ def rhs_condition2(
     local = assignment._local
     comps, noise = _components(state)
     route = _rhs2_route(comps, local) if method == "auto" else "dense"
-    if route != "factorized" or noise:
-        capped_dimension(state.dims, f"the {route} rhs_condition2 route")
     value = 0.0
     if route == "dense":
+        check_bytes(total_dimension(state.dims) ** 2, 16, "the dense rhs_condition2 route: S of")
         squares = [np.diag(op.square) if op.square.ndim == 1 else op.square for op in local]
         summed = kron_embed(squares[0], 0, state.dims)
         for k in range(1, n):
@@ -380,8 +375,12 @@ def rhs_condition2(
                 vec = dag(vecs) @ vec
             value += weight * float(powered @ (vec.real**2 + vec.imag**2))
         return value + noise * float(np.mean(powered)) if noise else value
+    if route == "eigenbasis":
+        # one float per full-space basis state; checked before any local spectrum
+        check_bytes(total_dimension(state.dims), 8, "the eigenbasis rhs_condition2 route: grid of")
     spectra = [op.spectrum for op in local]
     if noise:
+        check_bytes(total_dimension(state.dims), 8, "white noise in rhs_condition2: grid of")
         # ascending local spectra fix the mean's summation order
         grid = reduce(np.add.outer, [np.sort(evals) for evals, _ in spectra]).ravel()
         value = noise * float(np.mean((grid / n) ** half))

@@ -1,0 +1,112 @@
+"""The per-array byte budget, ``linalg.ARRAY_BYTES_CAP``, at each route's boundary.
+
+Each case is run at its last admitted size and at its first refused one,
+under ``tracemalloc``: the refused size raises :class:`DimensionCap` before
+any large array is allocated, and the admitted one stays within a small
+multiple of the budget.  Sizes the budget newly admits (full dimensions
+past 2^14 on the eigenbasis route and for white noise) are checked
+against exact sums that share no code with the engine.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from witnesslab import oracle
+from witnesslab.errors import DimensionCap
+from witnesslab.linalg import ARRAY_BYTES_CAP, annihilation_op
+from witnesslab.states import ProductTerm, PureSOP, StateFamily, build_state
+from witnesslab.witness import canonical_assignment, evaluate, rhs_condition2
+
+
+def _product(n: int) -> PureSOP:
+    """One product term of n Haar-random qubit kets (the eigenbasis route)."""
+    rng = np.random.default_rng(n)
+    kets = tuple(oracle.haar_ket(2, rng) for _ in range(n))
+    return PureSOP((2,) * n, (ProductTerm(1.0, kets),))
+
+
+def _tilted(n: int):
+    """LSeparable with one tilted qubit: the dense route, D = 2^n."""
+    params = {"n": n, "l": 1, "theta": 0.5, "thetas": [0.3]}
+    state = build_state(StateFamily("LSeparable", params))
+    return evaluate(state, canonical_assignment("lowering", state.dims))
+
+
+def _eigenbasis(n: int):
+    state = _product(n)
+    return evaluate(state, canonical_assignment("lowering", state.dims))
+
+
+def _white_noise(n: int):
+    """White-noise NoisyGHZ: the factorized route plus a 2^n noise grid."""
+    params = {"n": n, "theta": 0.5, "p": 0.6, "noise": "white"}
+    state = build_state(StateFamily("NoisyGHZ", params))
+    return evaluate(state, canonical_assignment("lowering", state.dims))
+
+
+def _squeezed(terms: int):
+    """NModeSqueezed with n=2 and ``terms`` Fock levels: terms x terms pair matrices."""
+    state = build_state(StateFamily("NModeSqueezed", {"n": 2, "x": 0.99, "cutoff": terms - 1}))
+    return evaluate(state, canonical_assignment("annihilation", state.dims))
+
+
+@pytest.mark.parametrize(
+    "run, admitted",
+    [
+        (_tilted, 11),  # D x D complex S: D = 2048
+        (_eigenbasis, 23),  # D floats: D = 2^23
+        (_white_noise, 23),
+        (_squeezed, 2048),  # terms x terms complex: 2048 terms
+        (annihilation_op, 2048),  # d x d complex: d = 2048
+    ],
+)
+def test_each_route_refuses_past_the_budget_before_allocating(run, admitted):
+    """The last admitted size peaks within 4x the budget; the next one raises under 1 MiB."""
+    for size, refused in ((admitted, False), (admitted + 1, True)):
+        tracemalloc.start()
+        try:
+            if refused:
+                with pytest.raises(DimensionCap):
+                    run(size)
+            else:
+                run(size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (2**20 if refused else 4 * ARRAY_BYTES_CAP), (size, peak)
+
+
+def _poisson_binomial(probs) -> np.ndarray:
+    """P(s): the probability that s of the independent events with these probabilities occur."""
+    dist = np.array([1.0])
+    for p in probs:
+        dist = np.convolve(dist, [1.0 - p, p])
+    return dist
+
+
+@pytest.mark.parametrize("ops, level", [("lowering", 1), ("raising", 0)])
+def test_eigenbasis_rhs2_of_a_20_qubit_product_is_a_poisson_binomial_sum(ops, level):
+    """A^dag A = |level><level| on every site, so S = s/n on a basis state with s sites
+    at ``level``, and the product state puts Poisson-binomial weight on s."""
+    n = 20
+    state = _product(n)
+    probs = [abs(ket[level]) ** 2 for ket in state.terms[0].factors]
+    dist = _poisson_binomial(probs)
+    want = math.fsum(dist[s] * (s / n) ** (n / 2) for s in range(n + 1))
+    got = rhs_condition2(state, canonical_assignment(ops, state.dims))
+    assert abs(got - want) <= 1e-12 * want, (got, want)
+
+
+def test_white_noise_rhs2_at_20_qubits_is_a_binomial_sum():
+    """With lowering operators S is 0 on |0...0> and 1 on |1...1>, and white noise
+    weighs the s/n eigenvalue by C(n, s) / 2^n."""
+    n, theta, p = 20, 0.4, 0.7
+    params = {"n": n, "theta": theta, "p": p, "noise": "white"}
+    state = build_state(StateFamily("NoisyGHZ", params))
+    noise = math.fsum(math.comb(n, s) * (s / n) ** (n / 2) for s in range(n + 1)) / 2**n
+    want = p * math.sin(theta) ** 2 + (1.0 - p) * noise
+    got = rhs_condition2(state, canonical_assignment("lowering", state.dims))
+    assert abs(got - want) <= 1e-12 * want, (got, want)

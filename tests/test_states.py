@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from witnesslab.errors import BadParameter, DimensionCap, TruncationTooCoarse
+from witnesslab.linalg import ARRAY_BYTES_CAP
 from witnesslab.oracle import random_pure_state
 from witnesslab.states import (
-    LABEL_ENTRY_CAP,
     MixedEnsemble,
     ProductTerm,
     PureSOP,
@@ -200,6 +200,31 @@ def test_two_group_factorizes():
     assert full == pytest.approx(split, abs=1e-12)
 
 
+def test_dense_vector_equals_the_per_term_loop():
+    """All terms at once give the values of one np.outer per term and site, summed in
+    term order; a terms x D array over the byte budget is refused."""
+    rng = np.random.default_rng(3)
+    states = [random_pure_state(dims, 4, rng) for dims in ((2, 3, 2), (3, 1, 4))]
+    for family, params in (
+        ("LSeparable", {"n": 6, "l": 2, "theta": 0.7, "thetas": [0.2, 1.3]}),
+        ("MixedSingleOut", {"n": 5, "theta": 0.4, "thetas": [0.1, 0.5, 0.9, 1.3, 1.7]}),
+        ("TwoGroupGHZ", {"n": 5, "l": 2, "theta1": 0.3, "theta2": 1.1}),
+    ):
+        state = build_state(StateFamily(family, params))
+        states.extend(getattr(state, "pures", (state,)))
+    for state in states:
+        want = np.zeros(int(np.prod(state.dims)), dtype=complex)
+        for j, amp in enumerate(state.amplitudes()):
+            comp = np.array([amp])
+            for site in range(state.num_sites):
+                comp = np.outer(comp, state.site_stack(site)[j]).ravel()
+            want += comp
+        assert np.array_equal(dense_vector(state), want)
+    labels = rng.integers(0, 2, (2048, 12))  # 2048 terms x D = 4096 complex: 128 MiB
+    with pytest.raises(DimensionCap, match="^dense_vector: "):
+        dense_vector(PureSOP.from_labels((2,) * 12, np.ones(2048), labels))
+
+
 def test_l_separable_site_order():
     """Single-qubit factors occupy the leading sites, GHZ block the rest."""
     state = build_state(
@@ -263,10 +288,10 @@ def test_family_sizes_over_the_label_cap_raise_dimension_cap(family, params, nam
 
 
 def test_label_cap_admits_the_largest_sizes_that_run():
-    """MixedSingleOut at n=2000 (8e6 label entries) and GHZ at n=10^5 still build."""
+    """MixedSingleOut at n=2000 (8e6 label entries, 61 MiB) and GHZ at n=10^5 still build."""
     thetas = [0.3] * 2000
     mixed = build_state(StateFamily("MixedSingleOut", {"n": 2000, "theta": 0.1, "thetas": thetas}))
-    assert sum(p.labels.size for p in mixed.pures) == 8 * 10**6 <= LABEL_ENTRY_CAP
+    assert sum(p.labels.nbytes for p in mixed.pures) == 8 * 8 * 10**6 <= ARRAY_BYTES_CAP
     assert build_state(StateFamily("GHZ", {"n": 10**5, "theta": 0.2})).labels.shape == (2, 10**5)
 
 

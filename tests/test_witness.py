@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from witnesslab import oracle, witness
+from witnesslab import linalg, oracle, witness
 from witnesslab.errors import (
     BadParameter,
     DimensionCap,
@@ -360,10 +360,11 @@ def test_eigenbasis_rhs2_with_white_noise_and_dim_one_sites():
 
 
 def test_eigenbasis_rhs2_checks_the_cap_before_any_spectrum():
-    """A one-term product of 15 qubits raises DimensionCap with no local eigh done."""
+    """A one-term product of 24 qubits (a 2^24-float grid, 128 MiB) raises DimensionCap
+    with no local eigh done."""
     rng = np.random.default_rng(4)
-    kets = tuple(oracle.haar_ket(2, rng) for _ in range(15))
-    state = PureSOP((2,) * 15, (ProductTerm(1.0, kets),))
+    kets = tuple(oracle.haar_ket(2, rng) for _ in range(24))
+    state = PureSOP((2,) * 24, (ProductTerm(1.0, kets),))
     assignment = random_assignment(state.dims, rng)
     with (
         mock.patch.object(witness, "psd_eigh", wraps=witness.psd_eigh) as eigh,
@@ -374,14 +375,18 @@ def test_eigenbasis_rhs2_checks_the_cap_before_any_spectrum():
 
 
 def test_every_route_refuses_a_state_over_the_side_cap(monkeypatch):
-    """More product terms than the cap raise DimensionCap on every route; the cap itself runs."""
-    monkeypatch.setattr(witness, "MATRIX_SIDE_CAP", 8)
+    """Pair matrices over the byte budget raise DimensionCap on every route; 8 x 8 runs.
+
+    The states and operators are built first: the builder and the
+    annihilation operator check the same budget.
+    """
     at_cap = build_state(StateFamily("NModeSqueezed", {"n": 2, "x": 0.1, "cutoff": 7}))
-    assert len(at_cap.amplitudes()) == 8
-    evaluate(at_cap, OperatorAssignment.annihilation(at_cap.dims))
     over = build_state(StateFamily("NModeSqueezed", {"n": 2, "x": 0.1, "cutoff": 8}))
     assignment = OperatorAssignment.annihilation(over.dims)
     mixed = MixedEnsemble(over.dims, (0.5,), (over,), white_noise_weight=0.5)
+    monkeypatch.setattr(linalg, "ARRAY_BYTES_CAP", 8 * 8 * 16)
+    assert len(at_cap.amplitudes()) == 8
+    evaluate(at_cap, OperatorAssignment.annihilation(at_cap.dims))
     for state in (over, mixed):
         for route in (
             lambda: product_expectation(state, assignment),
