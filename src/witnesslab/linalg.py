@@ -47,7 +47,7 @@ def as_operator(op) -> np.ndarray:
     mat = np.asarray(op, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
         raise DimensionMismatch(f"operator must be square, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
+    if not np.isfinite(mat).all():
         raise ValueError("operator has non-finite entries")
     return mat
 
@@ -137,36 +137,43 @@ def kron_embed(op, site: int, dims) -> np.ndarray:
 
 
 def psd_eigh(op) -> tuple[np.ndarray, np.ndarray | None]:
-    """Clamped spectrum of a Hermitian positive-semidefinite matrix.
+    """Clamped spectrum of a Hermitian positive-semidefinite matrix, or of a stack of them.
 
-    Returns ``(evals, vecs)`` with the eigenvalues clamped at zero
-    (round-off from truncated operators routinely produces eigenvalues
-    like -1e-15) and the eigenvectors as columns.  An exactly diagonal
-    matrix is its own eigendecomposition: its (real) diagonal is
-    returned, in diagonal order, with ``vecs=None``.  Eigenvalues below
-    ``-DEFAULT_TOL * max(1, spectral radius)`` are treated as genuinely
-    negative and raise :class:`NegativeSpectrum`; a Hermiticity defect
-    above :data:`DEFAULT_TOL` raises :class:`NonHermitian`.
+    ``op`` is one d x d matrix or an (m, d, d) stack; every check below
+    applies to each matrix.  Returns ``(evals, vecs)`` with the
+    eigenvalues clamped at zero (round-off from truncated operators
+    routinely produces eigenvalues like -1e-15) and the eigenvectors as
+    columns.  When every matrix is exactly diagonal, the (real) diagonals
+    are the spectrum, in diagonal order, with ``vecs=None``.  Eigenvalues
+    below ``-DEFAULT_TOL * max(1, spectral radius)`` are treated as
+    genuinely negative and raise :class:`NegativeSpectrum`; a Hermiticity
+    defect above :data:`DEFAULT_TOL` raises :class:`NonHermitian`, and a
+    non-finite entry ``ValueError``.
     """
-    mat = as_operator(op)
-    diagonal = np.diagonal(mat)
-    is_diagonal = np.count_nonzero(mat) == np.count_nonzero(diagonal)
+    mat = np.asarray(op, dtype=complex)
+    if mat.ndim not in (2, 3) or mat.shape[-1] != mat.shape[-2] or mat.shape[-1] == 0:
+        raise DimensionMismatch(f"operator must be square, got shape {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise ValueError("operator has non-finite entries")
+    diagonal = mat.diagonal(axis1=-2, axis2=-1)
+    # more nonzeros than diagonal entries rules out a diagonal matrix without counting them
+    nonzero = np.count_nonzero(mat)
+    is_diagonal = nonzero <= diagonal.size and nonzero == np.count_nonzero(diagonal)
     if is_diagonal:
         # mat - dag(mat) is then diag(2i Im d): the same defect, read off the diagonal
-        defect = float(np.max(np.abs(2.0 * diagonal.imag)))
+        defect = 2.0 * float(np.abs(diagonal.imag).max())
     else:
-        defect = float(np.max(np.abs(mat - dag(mat))))
+        defect = float(np.abs(mat - mat.conj().swapaxes(-1, -2)).max())
     if defect > DEFAULT_TOL:
         raise NonHermitian(f"Hermiticity defect {defect:.3e} exceeds tol {DEFAULT_TOL:.3e}")
-    if is_diagonal:
-        evals, vecs = diagonal.real, None
-        lowest = float(np.min(evals))
-    else:
-        evals, vecs = np.linalg.eigh(mat)
-        lowest = float(evals[0])
-    radius = float(np.max(np.abs(evals)))
-    if lowest < -DEFAULT_TOL * max(1.0, radius):
-        raise NegativeSpectrum(f"eigenvalue {lowest:.3e} below -tol for tol {DEFAULT_TOL:.3e}")
+    evals, vecs = (diagonal.real, None) if is_diagonal else np.linalg.eigh(mat)
+    # the floor is at most -DEFAULT_TOL, so only an eigenvalue below that needs the radius
+    if evals.min() < -DEFAULT_TOL:
+        lowest = evals.min(axis=-1)
+        negative = np.ravel(lowest < -DEFAULT_TOL * np.maximum(1.0, np.abs(evals).max(axis=-1)))
+        if negative.any():
+            first = float(np.ravel(lowest)[negative][0])
+            raise NegativeSpectrum(f"eigenvalue {first:.3e} below -tol for tol {DEFAULT_TOL:.3e}")
     return np.maximum(evals, 0.0), vecs
 
 

@@ -93,18 +93,37 @@ class SeparableSpec:
             raise BadParameter(f"n_terms must be 1..6, got {self.n_terms}")
 
 
+def _row_norms(vecs: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row of a complex (rows x dim) array, bit for bit.
+
+    Like ``np.linalg.norm``, it takes one BLAS dot of each row's strided
+    real view with itself and one of its imaginary view; the order of a
+    dot's sum depends on the stride, so other reductions differ in the
+    last bit.
+    """
+    re, im = vecs.real[:, None, :], vecs.imag[:, None, :]
+    squares = np.matmul(re, re.swapaxes(1, 2)) + np.matmul(im, im.swapaxes(1, 2))
+    return np.sqrt(squares[:, 0, 0])
+
+
 def sample_separable(spec: SeparableSpec) -> MixedEnsemble:
-    """Flat-simplex mixture of Haar-random product states; deterministic per seed."""
+    """Flat-simplex mixture of Haar-random product states; deterministic per seed.
+
+    After the weights, one call draws every ket in :func:`haar_ket`'s
+    stream order (per component, per site: the real parts, then the
+    imaginary parts), and each site's kets are normalized together, with
+    the same values as one :func:`haar_ket` call per ket.
+    """
     rng = np.random.default_rng(spec.seed)
     weights = rng.dirichlet(np.ones(spec.n_terms))
-    pures = tuple(
-        PureSOP(
-            spec.dims,
-            (ProductTerm(1.0 + 0.0j, tuple(haar_ket(d, rng) for d in spec.dims)),),
-        )
-        for _ in range(spec.n_terms)
-    )
-    return MixedEnsemble(spec.dims, tuple(float(w) for w in weights), pures)
+    draws = rng.standard_normal((spec.n_terms, 2 * sum(spec.dims)))
+    stacks = []
+    start = 0
+    for dim in spec.dims:
+        vecs = draws[:, start : start + dim] + 1j * draws[:, start + dim : start + 2 * dim]
+        stacks.append(vecs / _row_norms(vecs)[:, None])
+        start += 2 * dim
+    return MixedEnsemble.from_products(spec.dims, (float(w) for w in weights), stacks)
 
 
 def check_separable_bounds(

@@ -17,6 +17,10 @@ qubits, random kets) is in the dict, with labels -1.  Other modules use
 ``<u_j|op|u_j'>``, and ``PureSOP.site_gram(site)``, which is computed
 once and kept on the state.  ``PureSOP.terms`` and
 ``PureSOP.site_stack`` materialize basis kets only when asked for.
+When every pure component is one product term, ``product_stacks`` (on
+a pure state and on a mixture) holds the weights ``w_c |a_c|^2`` and
+one (components x dim) ket stack per site, built once and kept;
+``MixedEnsemble.from_products`` starts from such stacks.
 
 Fock-truncated continuous-variable families carry an explicit cutoff;
 the discarded tail weight is checked against a tolerance and the kept
@@ -29,7 +33,7 @@ import itertools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -65,6 +69,47 @@ def _check_dims(dims) -> tuple[tuple[int, ...], np.ndarray]:
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
+
+
+def _check_kets(stacks) -> None:
+    """Every row of every (terms x dim) stack must be a finite unit-norm ket."""
+    stacks = list(stacks)
+    # every ket's norm at once, from the moduli: an inf entry gives inf, not a warning
+    moduli = np.abs(np.concatenate(stacks, axis=1))
+    starts = [0, *itertools.accumulate(stack.shape[1] for stack in stacks)][:-1]
+    norms = np.sqrt(np.add.reduceat(moduli * moduli, starts, axis=1))
+    if not np.all(np.abs(norms - 1.0) <= 1e-10):
+        raise BadParameter("local kets must be finite and unit-normalized")
+
+
+class ProductStacks:
+    """A mixture of one-term product states as one ket stack per site.
+
+    Component c is ``|stacks[0][c]> x ... x |stacks[n-1][c]>`` with weight
+    ``probs[c]``, its mixture weight times its squared amplitude modulus;
+    white noise is not part of it.  The stacks are (components x dim)
+    and read-only.
+    """
+
+    def __init__(self, probs: np.ndarray, stacks):
+        self.probs = _read_only(probs)
+        self.stacks = tuple(_read_only(stack) for stack in stacks)
+        self._squared: dict[int, tuple] = {}
+
+    def squared_overlaps(self, site: int, basis: np.ndarray | None) -> np.ndarray:
+        """(components x dim) array of ``|<b_i|u_c>|^2`` at one site, for the columns b_i of
+        ``basis`` (None: the computational basis).
+
+        The result for the last basis asked for at each site is kept, so
+        the sides that need one site's rotation ``stack @ basis.conj()``
+        share it.
+        """
+        kept = self._squared.get(site)
+        if kept is None or kept[0] is not basis:
+            stack = self.stacks[site]
+            rotated = stack if basis is None else stack @ basis.conj()
+            kept = self._squared[site] = (basis, _read_only(rotated.real**2 + rotated.imag**2))
+        return kept[1]
 
 
 class PureSOP:
@@ -140,18 +185,18 @@ class PureSOP:
     def _setup(self, dims, amps, labels, kets) -> None:
         """Both constructors end here: kets must be finite and unit-norm, amplitudes finite."""
         if kets:
-            # every ket's norm at once, from the moduli: an inf entry gives inf, not a warning
-            moduli = np.abs(np.concatenate(list(kets.values()), axis=1))
-            starts = [0, *itertools.accumulate(dims[site] for site in kets)][:-1]
-            norms = np.sqrt(np.add.reduceat(moduli * moduli, starts, axis=1))
-            if not np.all(np.abs(norms - 1.0) <= 1e-10):
-                raise BadParameter("local kets must be finite and unit-normalized")
+            _check_kets(kets.values())
         if not np.isfinite(amps).all():
             raise BadParameter("amplitudes must be finite")
+        kets = {site: _read_only(stack) for site, stack in kets.items()}
+        self._store(dims, _read_only(amps), _read_only(labels), kets)
+
+    def _store(self, dims, amps, labels, kets) -> None:
+        """Keep checked, read-only arrays."""
         self.dims = dims
-        self.labels = _read_only(labels)
-        self._amps = _read_only(amps)
-        self._kets = {site: _read_only(stack) for site, stack in kets.items()}
+        self.labels = labels
+        self._amps = amps
+        self._kets = kets
         self._grams: dict[int, np.ndarray] = {}
         self._overlaps = None
 
@@ -175,8 +220,19 @@ class PureSOP:
         """All terms' local kets at one site, stacked to shape (terms, dim)."""
         stack = self._kets.get(site)
         if stack is None:
-            return np.eye(self.dims[site], dtype=complex)[self.labels[:, site]]
+            labels = self.labels[:, site]
+            stack = np.zeros((len(labels), self.dims[site]), dtype=complex)
+            stack[np.arange(len(labels)), labels] = 1.0
         return stack
+
+    @cached_property
+    def product_stacks(self) -> ProductStacks | None:
+        """The state as one component of :class:`ProductStacks` if it is one product term."""
+        if len(self._amps) != 1:
+            return None
+        amp = self._amps[0]
+        probs = np.array([amp.real**2 + amp.imag**2])
+        return ProductStacks(probs, (self.site_stack(k) for k in range(self.num_sites)))
 
     def pair_matrix(self, site: int, op: np.ndarray) -> np.ndarray:
         """New array of the entries <u_j | op | u_j'> over the terms' kets at one site.
@@ -282,6 +338,52 @@ class MixedEnsemble:
     @property
     def num_sites(self) -> int:
         return len(self.dims)
+
+    @classmethod
+    def from_products(cls, dims, weights, stacks) -> "MixedEnsemble":
+        """Mixture of one-term product states with unit amplitudes, one ket stack per site.
+
+        Component c is ``|stacks[0][c]> x ... x |stacks[n-1][c]>`` with
+        weight ``weights[c]``; ``stacks[k]`` is a (components x dims[k])
+        array of unit-norm kets.  Every ket is checked once, and the stacks
+        are kept as the ensemble's :attr:`product_stacks`.
+        """
+        dims = _check_dims(dims)[0]
+        weights = tuple(weights)
+        stacks = [np.array(stack, dtype=complex) for stack in stacks]
+        if len(stacks) != len(dims):
+            raise BadParameter(f"{len(stacks)} ket stacks for {len(dims)} subsystems")
+        for site, (stack, dim) in enumerate(zip(stacks, dims)):
+            if stack.shape != (len(weights), dim):
+                raise BadParameter(f"kets at site {site} have shape {stack.shape}")
+            _read_only(stack)
+        _check_kets(stacks)
+        labels = _read_only(np.full((1, len(dims)), -1, dtype=np.int64))
+        amps = _read_only(np.ones(1, dtype=complex))
+        pures = []
+        for c in range(len(weights)):
+            pure = PureSOP.__new__(PureSOP)
+            pure._store(dims, amps, labels, {k: stack[c : c + 1] for k, stack in enumerate(stacks)})
+            pures.append(pure)
+        ensemble = cls(dims, weights, tuple(pures))
+        # filled in here, so the cached property never concatenates the components again
+        ensemble.__dict__["product_stacks"] = ProductStacks(np.array(ensemble.weights), stacks)
+        return ensemble
+
+    @cached_property
+    def product_stacks(self) -> ProductStacks | None:
+        """The mixture as :class:`ProductStacks` if every component is one product term."""
+        if any(len(pure.amplitudes()) != 1 for pure in self.pures):
+            return None
+        amps = np.array([pure.amplitudes()[0] for pure in self.pures], dtype=complex)
+        probs = np.array(self.weights) * (amps.real**2 + amps.imag**2)
+        stacks = (
+            np.concatenate([pure.site_stack(k) for pure in self.pures])
+            if self.pures
+            else np.zeros((0, dim), dtype=complex)
+            for k, dim in enumerate(self.dims)
+        )
+        return ProductStacks(probs, stacks)
 
 
 State = PureSOP | MixedEnsemble

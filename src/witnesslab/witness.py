@@ -14,10 +14,11 @@ entanglement; non-violation is inconclusive.
 Expectation values factorize over the sum-of-products state
 representation: one terms x terms pair matrix per site, from
 :meth:`~witnesslab.states.PureSOP.pair_matrix` and
-:meth:`~witnesslab.states.PureSOP.site_gram`.  That is the one route of
-lhs and rhs1; nothing full-space is built for them.  Memory has one
-bound, :data:`~witnesslab.linalg.ARRAY_BYTES_CAP` (64 MiB) per array:
-every route checks its largest array against it before building it.
+:meth:`~witnesslab.states.PureSOP.site_gram`.  That is the route of lhs
+and rhs1 unless the state is a mixture of product states (below);
+nothing full-space is built for them.  Memory has one bound,
+:data:`~witnesslab.linalg.ARRAY_BYTES_CAP` (64 MiB) per array: every
+route checks its largest array against it before building it.
 
 ``rhs2`` needs the n/2 power of S = (1/n) sum_k A_k^dag A_k, a genuinely
 multipartite operator.  One decision reads its route off the structure:
@@ -30,10 +31,22 @@ overlaps).  The routes agree within round-off where they overlap.  The
 tests check every side against a full-space reference built from the
 definitions alone (``tests/full_space.py``).
 
+The eigenbasis route serves all three sides, from one structure read:
+the state's :attr:`~witnesslab.states.PureSOP.product_stacks`, the
+weights p_c = w_c |a_c|^2 and one (components x d_k) ket stack U_k per
+site.  lhs is sum_c p_c prod_k <u_ck|A_k|u_ck>, one contraction per
+site.  Each site's kets are rotated into the eigenbasis V_k of
+A_k^dag A_k once, R_k = U_k V_k^*, and rhs1 and rhs2 share that
+rotation: rhs1's site moment is p . (|R_k|^2 @ lambda_k^(n/2)), and rhs2
+weighs the outer product of the |R_k|^2 rows, over all components at
+once, by the n/2 power of the summed local spectra.
+
 Work is done once per evaluation, not once per side: each distinct local
 operator's A^dag A, spectrum and moment (A^dag A)^(n/2) are kept on
-the :class:`OperatorAssignment`, and the per-site overlaps on the state,
-so lhs, rhs1, rhs2 and :func:`site_second_moments` share them.
+the :class:`OperatorAssignment` (the d x d spectra of one dim from one
+:func:`~witnesslab.linalg.psd_eigh` call over their stack), and the
+per-site overlaps and rotations on the state, so lhs, rhs1, rhs2 and
+:func:`site_second_moments` share them.
 
 When every row of A has at most one nonzero (every named operator
 choice: lowering, raising, flipped, annihilation), the columns of A have
@@ -55,6 +68,7 @@ import numpy as np
 
 from .errors import BadParameter, DimensionMismatch, NumericalOverflow
 from .linalg import (
+    ARRAY_BYTES_CAP,
     annihilation_op,
     as_operator,
     check_bytes,
@@ -101,6 +115,7 @@ class _LocalOperator:
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """Clamped spectrum of A^dag A, unless :attr:`OperatorAssignment._spectra` filled it in."""
         if self.square.ndim == 1:
             return self.square, None
         return psd_eigh(self.square)
@@ -150,6 +165,23 @@ class OperatorAssignment:
                 if id(op) not in shared:
                     shared[id(op)] = _LocalOperator(op, len(self.ops))
         return tuple(shared[id(op)] for op in self.ops)
+
+    @cached_property
+    def _spectra(self) -> tuple[tuple[np.ndarray, np.ndarray | None], ...]:
+        """Per site, the clamped spectrum of A^dag A, kept on each local operator.
+
+        The d x d squares of equal d go through one :func:`psd_eigh` of
+        their stack; a 1-D square is its own spectrum.
+        """
+        groups: dict[int, list[_LocalOperator]] = {}
+        for local in {id(local): local for local in self._local}.values():
+            if local.square.ndim == 2:
+                groups.setdefault(len(local.square), []).append(local)
+        for group in groups.values():
+            evals, vecs = psd_eigh(np.stack([local.square for local in group]))
+            for i, local in enumerate(group):
+                local.spectrum = (evals[i], None if vecs is None else vecs[i])
+        return tuple(local.spectrum for local in self._local)
 
     @classmethod
     def qubit_lowering(cls, n: int) -> "OperatorAssignment":
@@ -227,19 +259,20 @@ def _check_assignment(state: State, assignment: OperatorAssignment) -> None:
     raise DimensionMismatch(f"operator dim {ops[site]} != state dim {dims[site]} at site {site}")
 
 
+def _noise(state: State) -> float:
+    return 0.0 if isinstance(state, PureSOP) else state.white_noise_weight
+
+
 def _components(state: State) -> tuple[tuple[tuple[float, PureSOP], ...], float]:
     """(weight, pure) pairs and the white-noise weight.
 
     Every route calls this before it builds a terms x terms array, so
     their size is checked here.
     """
-    if isinstance(state, PureSOP):
-        comps, noise = ((1.0, state),), 0.0
-    else:
-        comps, noise = tuple(zip(state.weights, state.pures)), state.white_noise_weight
+    comps = ((1.0, state),) if isinstance(state, PureSOP) else tuple(zip(state.weights, state.pures))
     for _, pure in comps:
         check_bytes(len(pure.amplitudes()) ** 2, 16, "pure component: terms x terms pair matrix of")
-    return comps, noise
+    return comps, _noise(state)
 
 
 def _pure_product_expectation(pure: PureSOP, ops) -> complex:
@@ -282,13 +315,37 @@ def _site_expectations(state: State, site_ops) -> np.ndarray:
     return values
 
 
+def _product_site_expectations(state: State, spectra, power: float) -> np.ndarray:
+    """<(A_k^dag A_k)^power> for every site of a mixture of product states.
+
+    Read off each site's clamped spectrum and the squared overlaps of the
+    site's kets with its eigenvectors (the rotation rhs2 shares).
+    """
+    products, noise = state.product_stacks, _noise(state)
+    values = np.empty(len(spectra))
+    for k, (evals, vecs) in enumerate(spectra):
+        powered = evals**power
+        values[k] = products.probs @ (products.squared_overlaps(k, vecs) @ powered)
+        if noise:
+            values[k] += noise * powered.sum() / state.dims[k]
+    return values
+
+
 def product_expectation(state: State, assignment: OperatorAssignment) -> complex:
     """< A_1 A_2 ... A_n > on the given state."""
     _check_assignment(state, assignment)
-    comps, noise = _components(state)
-    value = sum(
-        weight * _pure_product_expectation(pure, assignment.ops) for weight, pure in comps
-    )
+    products = state.product_stacks
+    if products is None:
+        comps, noise = _components(state)
+        value = sum(
+            weight * _pure_product_expectation(pure, assignment.ops) for weight, pure in comps
+        )
+    else:
+        # sum_c p_c prod_k <u_ck|A_k|u_ck>, one contraction per site
+        noise, values = _noise(state), products.probs
+        for stack, op in zip(products.stacks, assignment.ops):
+            values = values * (stack.conj() * (stack @ op.T)).sum(1)
+        value = values.sum()
     if noise:
         traces = 1.0 + 0.0j
         for op, d in zip(assignment.ops, state.dims):
@@ -300,6 +357,8 @@ def product_expectation(state: State, assignment: OperatorAssignment) -> complex
 def site_second_moments(state: State, assignment: OperatorAssignment) -> np.ndarray:
     """< A_k^dag A_k > for every site, as real numbers."""
     _check_assignment(state, assignment)
+    if state.product_stacks is not None:
+        return _product_site_expectations(state, assignment._spectra, 1.0)
     return _site_expectations(state, [local.square for local in assignment._local]).real
 
 
@@ -307,24 +366,29 @@ def rhs_condition1(state: State, assignment: OperatorAssignment) -> float:
     """Geometric mean bound: prod_k <(A_k^dag A_k)^(n/2)>^(1/n)."""
     _check_assignment(state, assignment)
     n = len(state.dims)
-    values = _site_expectations(state, [local.moment for local in assignment._local])
+    if state.product_stacks is None:
+        values = _site_expectations(state, [local.moment for local in assignment._local]).real
+    else:
+        values = _product_site_expectations(state, assignment._spectra, n / 2.0)
     result = 1.0
     for value in values:
-        result *= max(float(value.real), 0.0) ** (1.0 / n)
+        result *= max(float(value), 0.0) ** (1.0 / n)
     return float(result)
 
 
-def _rhs2_route(comps, local) -> str:
+def _rhs2_route(state: State, assignment: OperatorAssignment) -> str:
     """The rhs2 route the state's structure takes: "factorized", "eigenbasis" or "dense".
 
     Labels are read before any local spectrum, so a ket-form state asks
-    for none here.
+    for none here.  The eigenbasis route is the one lhs and rhs1 take
+    too when :attr:`~witnesslab.states.PureSOP.product_stacks` is set.
     """
-    if all(np.all(pure.labels >= 0) for _, pure in comps) and all(
-        op.spectrum[1] is None for op in local
+    pures = (state,) if isinstance(state, PureSOP) else state.pures
+    if all(pure.labels.min() >= 0 for pure in pures) and all(
+        vecs is None for _, vecs in assignment._spectra
     ):
         return "factorized"
-    if all(len(pure.amplitudes()) == 1 for _, pure in comps):
+    if state.product_stacks is not None:
         return "eigenbasis"
     return "dense"
 
@@ -342,27 +406,33 @@ def rhs_condition2(
     the benchmark's correctness gate compares with.  It sums S in place
     from n :func:`~witnesslab.linalg.kron_embed` calls, and each pure
     component contributes ``sum_i f(l_i) |<v_i|psi>|^2`` over S's clamped
-    spectrum with ``f(l) = l^(n/2)``; no power of S is formed.  White
-    noise adds the mean of f over S's spectrum on the dense route, and
-    over the outer sum of the local clamped spectra on the other two.
-    :class:`DimensionCap` is raised before an array over the byte budget
+    spectrum with ``f(l) = l^(n/2)``; no power of S is formed.  The
+    eigenbasis route, which lhs and rhs1 take too, weighs the outer
+    product over the sites of each component's ``|R_k|^2`` row (the
+    rotation rhs1 shares) by ``f`` of the summed local spectra, for all
+    components at once.  White noise adds the mean of f over S's
+    spectrum on the dense route, and over the outer sum of the local
+    clamped spectra on the other two.  :class:`DimensionCap` is raised
+    before an array over the byte budget
     :data:`~witnesslab.linalg.ARRAY_BYTES_CAP` is built: terms x terms
     complex pair matrices (terms <= 2048), the dense route's D x D complex
     S (D <= 2048), or the D floats of the eigenbasis or white-noise grid
-    (D <= 2^23).
+    (D <= 2^23); the eigenbasis route takes its components in chunks of
+    at most that many bytes of components x D floats.
     """
     _check_assignment(state, assignment)
     if method not in ("auto", "dense"):
         raise ValueError(f"unknown method {method!r}")
     n = len(state.dims)
     half = n / 2.0
-    local = assignment._local
     comps, noise = _components(state)
-    route = _rhs2_route(comps, local) if method == "auto" else "dense"
+    route = _rhs2_route(state, assignment) if method == "auto" else "dense"
     value = 0.0
     if route == "dense":
         check_bytes(total_dimension(state.dims) ** 2, 16, "the dense rhs_condition2 route: S of")
-        squares = [np.diag(op.square) if op.square.ndim == 1 else op.square for op in local]
+        squares = [
+            np.diag(op.square) if op.square.ndim == 1 else op.square for op in assignment._local
+        ]
         summed = kron_embed(squares[0], 0, state.dims)
         for k in range(1, n):
             summed += kron_embed(squares[k], k, state.dims)
@@ -378,7 +448,7 @@ def rhs_condition2(
     if route == "eigenbasis":
         # one float per full-space basis state; checked before any local spectrum
         check_bytes(total_dimension(state.dims), 8, "the eigenbasis rhs_condition2 route: grid of")
-    spectra = [op.spectrum for op in local]
+    spectra = assignment._spectra
     if noise:
         check_bytes(total_dimension(state.dims), 8, "white noise in rhs_condition2: grid of")
         # ascending local spectra fix the mean's summation order
@@ -394,14 +464,17 @@ def rhs_condition2(
             weighed = pure.overlaps() * powered[None, :]
             value += weight * float((amps.conj() @ weighed @ amps).real)
     else:
+        products = state.product_stacks
         powered = (reduce(np.add.outer, [evals for evals, _ in spectra]).ravel() / n) ** half
-        for weight, pure in comps:
-            probs = np.abs(pure.amplitudes()) ** 2
+        # sum_c p_c (x_k |R_kc|^2) . powered, for components in chunks of rows x D floats
+        # within the budget (D <= 2^23 leaves room for one row)
+        rows = ARRAY_BYTES_CAP // (8 * len(powered))
+        for start in range(0, len(products.probs), rows):
+            block = products.probs[start : start + rows, None]
             for k, (_, vecs) in enumerate(spectra):
-                ket = pure.site_stack(k)[0]
-                ket = ket if vecs is None else dag(vecs) @ ket
-                probs = np.outer(probs, ket.real**2 + ket.imag**2).ravel()
-            value += weight * float(powered @ probs)
+                squared = products.squared_overlaps(k, vecs)[start : start + rows]
+                block = (block[:, :, None] * squared[:, None, :]).reshape(len(block), -1)
+            value += float((block @ powered).sum())
     return value
 
 

@@ -68,3 +68,12 @@ def sides(state, assignment) -> tuple[float, float, float]:
     mean = sum(_embed(square, k, dims) for k, square in enumerate(squares)) / n
     rhs2 = _expectation(rho, _power(mean, n / 2)).real
     return float(lhs), float(rhs1), float(rhs2)
+
+
+def second_moments(state, assignment) -> list[float]:
+    """tr(rho E_k(A_k^dag A_k)) for every site k."""
+    rho = _density_matrix(state)
+    return [
+        _expectation(rho, _embed(op.conj().T @ op, k, state.dims)).real
+        for k, op in enumerate(assignment.ops)
+    ]

@@ -5,7 +5,9 @@ under ``tracemalloc``: the refused size raises :class:`DimensionCap` before
 any large array is allocated, and the admitted one stays within a small
 multiple of the budget.  Sizes the budget newly admits (full dimensions
 past 2^14 on the eigenbasis route and for white noise) are checked
-against exact sums that share no code with the engine.
+against exact sums that share no code with the engine, and a mixture
+of many product states is taken in chunks of components that fit the
+budget.
 """
 
 import math
@@ -17,7 +19,7 @@ import pytest
 from witnesslab import oracle
 from witnesslab.errors import DimensionCap
 from witnesslab.linalg import ARRAY_BYTES_CAP, annihilation_op
-from witnesslab.states import ProductTerm, PureSOP, StateFamily, build_state
+from witnesslab.states import MixedEnsemble, ProductTerm, PureSOP, StateFamily, build_state
 from witnesslab.witness import canonical_assignment, evaluate, rhs_condition2
 
 
@@ -109,4 +111,29 @@ def test_white_noise_rhs2_at_20_qubits_is_a_binomial_sum():
     noise = math.fsum(math.comb(n, s) * (s / n) ** (n / 2) for s in range(n + 1)) / 2**n
     want = p * math.sin(theta) ** 2 + (1.0 - p) * noise
     got = rhs_condition2(state, canonical_assignment("lowering", state.dims))
+    assert abs(got - want) <= 1e-12 * want, (got, want)
+
+
+def test_eigenbasis_rhs2_of_many_components_stays_within_the_budget():
+    """64 one-term components at D = 2^18 would make a 128 MiB components x D array; the
+    route takes them in chunks of 32 rows (64 MiB), and rhs2 is the mean of the
+    components' Poisson-binomial sums (lowering: S = s/n with s sites at |1>)."""
+    n, count = 18, 64
+    rng = np.random.default_rng(64)
+    kets = rng.standard_normal((n, count, 2)) + 1j * rng.standard_normal((n, count, 2))
+    kets /= np.linalg.norm(kets, axis=2, keepdims=True)
+    state = MixedEnsemble.from_products((2,) * n, (1.0 / count,) * count, list(kets))
+    assignment = canonical_assignment("lowering", state.dims)
+    tracemalloc.start()
+    try:
+        got = rhs_condition2(state, assignment)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * ARRAY_BYTES_CAP, peak
+    sums = [
+        math.fsum(dist[s] * (s / n) ** (n / 2) for s in range(n + 1))
+        for dist in (_poisson_binomial(np.abs(kets[:, c, 1]) ** 2) for c in range(count))
+    ]
+    want = math.fsum(sums) / count
     assert abs(got - want) <= 1e-12 * want, (got, want)

@@ -154,7 +154,7 @@ def test_label_form_matches_explicit_kets_and_dense(case):
     # full-space embeds, n of them, and it then gives exactly the dense value
     n = labelled.num_sites
     for state, route in ((labelled, labelled_route), (explicit, explicit_route)):
-        assert witness._rhs2_route(witness._components(state)[0], assignment._local) == route
+        assert witness._rhs2_route(state, assignment) == route
         with mock.patch.object(witness, "kron_embed", wraps=kron_embed) as embeds:
             value = rhs_condition2(state, assignment)
         assert embeds.call_count == (n if route == "dense" else 0)

@@ -220,6 +220,33 @@ def test_psd_eigh_clamps_and_rejects_like_psd_power():
         psd_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_psd_eigh_of_a_stack_is_each_matrix_spectrum():
+    """A stack gives each matrix's own spectrum bit for bit; the diagonal shortcut
+    applies only when every matrix is diagonal, and each check to every matrix."""
+    rng = np.random.default_rng(9)
+    mats = [random_psd(3, rng) for _ in range(4)]
+    evals, vecs = psd_eigh(np.stack(mats))
+    for i, mat in enumerate(mats):
+        one_evals, one_vecs = psd_eigh(mat)
+        assert np.array_equal(evals[i], one_evals) and np.array_equal(vecs[i], one_vecs)
+    diagonals = np.stack([np.diag([1.0, 0.0, 2.0]), np.diag([3.0, -1e-13, 0.5])])
+    evals, vecs = psd_eigh(diagonals)
+    assert vecs is None and np.array_equal(evals, [[1.0, 0.0, 2.0], [3.0, 0.0, 0.5]])
+    assert psd_eigh(np.stack([diagonals[0], mats[0]]))[1] is not None
+    with pytest.raises(NegativeSpectrum, match="-5.000e-01"):
+        psd_eigh(np.stack([mats[0], np.diag([1.0, -0.5, 0.0])]))
+    with pytest.raises(NonHermitian):
+        psd_eigh(np.stack([mats[0], np.triu(mats[1])]))
+    for entry in (np.inf, np.nan):
+        for index in ((1, 0, 0), (1, 0, 2)):
+            bad = np.stack(mats[:2])
+            bad[index] = entry
+            with pytest.raises(ValueError, match="non-finite"):
+                psd_eigh(bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        psd_eigh(np.diag([1.0, np.inf]))
+
+
 @pytest.mark.parametrize("imag, raises", [(4e-11, False), (6e-11, True)])
 def test_diagonal_hermiticity_defect_is_twice_the_imaginary_part(imag, raises):
     """On a diagonal matrix, mat - mat^dag = 2i Im(diag): tol 1e-10 sits between 8e-11 and 1.2e-10."""
