@@ -20,7 +20,8 @@ import numpy as np
 from .errors import DimensionCap, DimensionMismatch, NegativeSpectrum, NonHermitian
 
 #: Largest single array, in bytes, that a family builder or a route allocates
-#: (64 MiB): 2^23 label entries, 2048 x 2048 complex, or 2^23 floats.
+#: (64 MiB): 2^23 label entries, 2048 x 2048 complex, 2^23 floats (a diagonal
+#: S of D = 2^23), or 2^22 complex (a 2-term full-space vector of D = 2^21).
 ARRAY_BYTES_CAP = 2**26
 
 #: Tolerance for Hermiticity checks and eigenvalue clamping.
@@ -40,6 +41,20 @@ def as_ket(vec) -> np.ndarray:
     if not np.all(np.isfinite(ket)):
         raise ValueError("ket has non-finite amplitudes")
     return ket
+
+
+def _as_diagonal(diag) -> np.ndarray:
+    """Coerce to a finite nonempty 1-D vector, the diagonal of a diagonal operator.
+
+    Real input becomes float and stays real; complex input becomes complex.
+    """
+    vec = np.asarray(diag)
+    vec = vec.astype(complex if np.iscomplexobj(vec) else float, copy=False)
+    if vec.ndim != 1 or vec.size == 0:
+        raise DimensionMismatch(f"diagonal must be a nonempty 1-D vector, got shape {vec.shape}")
+    if not np.isfinite(vec).all():
+        raise ValueError("operator has non-finite entries")
+    return vec
 
 
 def as_operator(op) -> np.ndarray:
@@ -114,12 +129,19 @@ def kron_embed(op, site: int, dims) -> np.ndarray:
     (site 0 leftmost), always as a new array.  The operator is written
     into the block diagonal of a zeroed ``(left, d, right, left, d,
     right)`` array through a strided view, so no product with an
-    identity is formed; the entries equal ``np.kron``'s exactly.  Raises
-    :class:`DimensionCap`, before allocating, if the D x D complex result
-    exceeds :data:`ARRAY_BYTES_CAP` (D = 2048 is the largest admitted).
+    identity is formed; the entries equal ``np.kron``'s exactly.
+
+    A 1-D ``op`` stands for the diagonal operator it lists: the result is
+    then the D entries of the embedded diagonal, ``op`` broadcast over
+    ``(left, d, right)``, real for real ``op``, and equal to the diagonal
+    of the embedded ``np.diag(op)``.  Raises :class:`DimensionCap`, before
+    allocating, if the result exceeds :data:`ARRAY_BYTES_CAP`: D = 2048
+    is the largest admitted D x D complex matrix, D = 2^23 the largest
+    real diagonal.
     """
     dims = tuple(int(d) for d in dims)
-    mat = as_operator(op)
+    op = np.asarray(op)
+    mat = _as_diagonal(op) if op.ndim == 1 else as_operator(op)
     if not 0 <= site < len(dims):
         raise DimensionMismatch(f"site {site} outside {len(dims)} subsystems")
     if mat.shape[0] != dims[site]:
@@ -127,9 +149,14 @@ def kron_embed(op, site: int, dims) -> np.ndarray:
             f"operator dim {mat.shape[0]} != subsystem dim {dims[site]} at site {site}"
         )
     total = total_dimension(dims)
-    check_bytes(total * total, 16, "kron_embed: full-space matrix of")
     left = total_dimension(dims[:site])
     right = total_dimension(dims[site + 1 :])
+    if mat.ndim == 1:
+        check_bytes(total, mat.itemsize, "kron_embed: full-space diagonal of")
+        out = np.empty((left, dims[site], right), dtype=mat.dtype)
+        out[...] = mat[:, None]
+        return out.reshape(total)
+    check_bytes(total * total, 16, "kron_embed: full-space matrix of")
     out = np.zeros((left, dims[site], right) * 2, dtype=complex)
     # out[i, a, j, i, b, j] = op[a, b]: the view is indexed (i, j, a, b)
     np.einsum("iajibj->ijab", out)[...] = mat
@@ -140,28 +167,33 @@ def psd_eigh(op) -> tuple[np.ndarray, np.ndarray | None]:
     """Clamped spectrum of a Hermitian positive-semidefinite matrix, or of a stack of them.
 
     ``op`` is one d x d matrix or an (m, d, d) stack; every check below
-    applies to each matrix.  Returns ``(evals, vecs)`` with the
-    eigenvalues clamped at zero (round-off from truncated operators
-    routinely produces eigenvalues like -1e-15) and the eigenvectors as
-    columns.  When every matrix is exactly diagonal, the (real) diagonals
-    are the spectrum, in diagonal order, with ``vecs=None``.  Eigenvalues
+    applies to each matrix, and a 1-D ``op`` stands for the diagonal
+    matrix it lists.  Returns ``(evals, vecs)`` with the eigenvalues
+    clamped at zero (round-off from truncated operators routinely
+    produces eigenvalues like -1e-15) and the eigenvectors as columns.
+    When every matrix is exactly diagonal, the (real) diagonals are the
+    spectrum, in diagonal order, with ``vecs=None``.  Eigenvalues
     below ``-DEFAULT_TOL * max(1, spectral radius)`` are treated as
     genuinely negative and raise :class:`NegativeSpectrum`; a Hermiticity
     defect above :data:`DEFAULT_TOL` raises :class:`NonHermitian`, and a
     non-finite entry ``ValueError``.
     """
-    mat = np.asarray(op, dtype=complex)
-    if mat.ndim not in (2, 3) or mat.shape[-1] != mat.shape[-2] or mat.shape[-1] == 0:
-        raise DimensionMismatch(f"operator must be square, got shape {mat.shape}")
-    if not np.isfinite(mat).all():
-        raise ValueError("operator has non-finite entries")
-    diagonal = mat.diagonal(axis1=-2, axis2=-1)
-    # more nonzeros than diagonal entries rules out a diagonal matrix without counting them
-    nonzero = np.count_nonzero(mat)
-    is_diagonal = nonzero <= diagonal.size and nonzero == np.count_nonzero(diagonal)
+    if np.ndim(op) == 1:
+        diagonal = _as_diagonal(op)
+        is_diagonal = True
+    else:
+        mat = np.asarray(op, dtype=complex)
+        if mat.ndim not in (2, 3) or mat.shape[-1] != mat.shape[-2] or mat.shape[-1] == 0:
+            raise DimensionMismatch(f"operator must be square, got shape {mat.shape}")
+        if not np.isfinite(mat).all():
+            raise ValueError("operator has non-finite entries")
+        diagonal = mat.diagonal(axis1=-2, axis2=-1)
+        # more nonzeros than diagonal entries rules out a diagonal matrix without counting them
+        nonzero = np.count_nonzero(mat)
+        is_diagonal = nonzero <= diagonal.size and nonzero == np.count_nonzero(diagonal)
     if is_diagonal:
         # mat - dag(mat) is then diag(2i Im d): the same defect, read off the diagonal
-        defect = 2.0 * float(np.abs(diagonal.imag).max())
+        defect = 2.0 * float(np.abs(diagonal.imag).max()) if np.iscomplexobj(diagonal) else 0.0
     else:
         defect = float(np.abs(mat - mat.conj().swapaxes(-1, -2)).max())
     if defect > DEFAULT_TOL:

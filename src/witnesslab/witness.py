@@ -27,9 +27,12 @@ exactly diagonal (each product term is then an eigenvector of S, so
 term overlaps suffice), eigenbasis when every pure component is one
 product term (S is diagonal in the local eigenbases), and dense for
 every other state (the spectrum of the full-space S weighs the squared
-overlaps).  The routes agree within round-off where they overlap.  The
-tests check every side against a full-space reference built from the
-definitions alone (``tests/full_space.py``).
+overlaps).  When every A_k^dag A_k is kept as its diagonal (below), the
+dense route keeps S as its D diagonal entries too, which are then its
+spectrum; otherwise S is a D x D matrix.  The routes agree within
+round-off where they overlap.  The tests check every side against a
+full-space reference built from the definitions alone
+(``tests/full_space.py``).
 
 The eigenbasis route serves all three sides, from one structure read:
 the state's :attr:`~witnesslab.states.PureSOP.product_stacks`, the
@@ -406,7 +409,10 @@ def rhs_condition2(
     the benchmark's correctness gate compares with.  It sums S in place
     from n :func:`~witnesslab.linalg.kron_embed` calls, and each pure
     component contributes ``sum_i f(l_i) |<v_i|psi>|^2`` over S's clamped
-    spectrum with ``f(l) = l^(n/2)``; no power of S is formed.  The
+    spectrum with ``f(l) = l^(n/2)``; no power of S is formed.  When every
+    A_k^dag A_k is 1-D (every named operator choice), the embeds and S are
+    the D real diagonal entries, S's spectrum with no eigensolver, and a
+    component adds ``f(S) . |psi|^2``; otherwise S is D x D.  The
     eigenbasis route, which lhs and rhs1 take too, weighs the outer
     product over the sites of each component's ``|R_k|^2`` row (the
     rotation rhs1 shares) by ``f`` of the summed local spectra, for all
@@ -416,9 +422,11 @@ def rhs_condition2(
     before an array over the byte budget
     :data:`~witnesslab.linalg.ARRAY_BYTES_CAP` is built: terms x terms
     complex pair matrices (terms <= 2048), the dense route's D x D complex
-    S (D <= 2048), or the D floats of the eigenbasis or white-noise grid
-    (D <= 2^23); the eigenbasis route takes its components in chunks of
-    at most that many bytes of components x D floats.
+    S (D <= 2048) or its diagonal S and terms x D complex full-space
+    vectors (checked together before the first embed: D <= 2^21 for
+    two-term components), or the D floats of the eigenbasis or white-noise
+    grid (D <= 2^23); the eigenbasis route takes its components in chunks
+    of at most that many bytes of components x D floats.
     """
     _check_assignment(state, assignment)
     if method not in ("auto", "dense"):
@@ -429,10 +437,17 @@ def rhs_condition2(
     route = _rhs2_route(state, assignment) if method == "auto" else "dense"
     value = 0.0
     if route == "dense":
-        check_bytes(total_dimension(state.dims) ** 2, 16, "the dense rhs_condition2 route: S of")
-        squares = [
-            np.diag(op.square) if op.square.ndim == 1 else op.square for op in assignment._local
-        ]
+        dim = total_dimension(state.dims)
+        squares = [local.square for local in assignment._local]
+        if all(square.ndim == 1 for square in squares):
+            # S is diagonal too: its D real entries, from 1-D embeds, are its spectrum
+            check_bytes(dim, 8, "the dense rhs_condition2 route: diagonal S of")
+        else:
+            check_bytes(dim**2, 16, "the dense rhs_condition2 route: S of")
+            squares = [np.diag(square) if square.ndim == 1 else square for square in squares]
+        for _, pure in comps:
+            # dense_vector's own check, made before any D-sized array is built
+            check_bytes(len(pure.amplitudes()) * dim, 16, "dense_vector: terms x D array of")
         summed = kron_embed(squares[0], 0, state.dims)
         for k in range(1, n):
             summed += kron_embed(squares[k], k, state.dims)

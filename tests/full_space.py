@@ -21,7 +21,7 @@ from functools import reduce
 import numpy as np
 
 
-def _vector(pure) -> np.ndarray:
+def state_vector(pure) -> np.ndarray:
     """sum_j a_j |u_j1> x ... x |u_jn> from the explicit product terms."""
     return sum(term.amplitude * reduce(np.kron, term.factors) for term in pure.terms)
 
@@ -33,7 +33,7 @@ def _density_matrix(state) -> np.ndarray:
     weights = getattr(state, "weights", (1.0,))
     rho = np.eye(dim, dtype=complex) * getattr(state, "white_noise_weight", 0.0) / dim
     for weight, pure in zip(weights, pures):
-        vec = _vector(pure)
+        vec = state_vector(pure)
         rho += weight * np.outer(vec, vec.conj())
     return rho
 

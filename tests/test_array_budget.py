@@ -4,10 +4,10 @@ Each case is run at its last admitted size and at its first refused one,
 under ``tracemalloc``: the refused size raises :class:`DimensionCap` before
 any large array is allocated, and the admitted one stays within a small
 multiple of the budget.  Sizes the budget newly admits (full dimensions
-past 2^14 on the eigenbasis route and for white noise) are checked
-against exact sums that share no code with the engine, and a mixture
-of many product states is taken in chunks of components that fit the
-budget.
+past 2^14 on the eigenbasis route and for white noise, past 2^11 on the
+dense route under diagonal squares) are checked against exact sums that
+share no code with the engine, and a mixture of many product states is
+taken in chunks of components that fit the budget.
 """
 
 import math
@@ -31,7 +31,7 @@ def _product(n: int) -> PureSOP:
 
 
 def _tilted(n: int):
-    """LSeparable with one tilted qubit: the dense route, D = 2^n."""
+    """LSeparable with one tilted qubit: the dense route, D = 2^n, with a diagonal S."""
     params = {"n": n, "l": 1, "theta": 0.5, "thetas": [0.3]}
     state = build_state(StateFamily("LSeparable", params))
     return evaluate(state, canonical_assignment("lowering", state.dims))
@@ -58,7 +58,7 @@ def _squeezed(terms: int):
 @pytest.mark.parametrize(
     "run, admitted",
     [
-        (_tilted, 11),  # D x D complex S: D = 2048
+        (_tilted, 21),  # 2 terms x D complex dense_vector: D = 2^21
         (_eigenbasis, 23),  # D floats: D = 2^23
         (_white_noise, 23),
         (_squeezed, 2048),  # terms x terms complex: 2048 terms
@@ -137,3 +137,19 @@ def test_eigenbasis_rhs2_of_many_components_stays_within_the_budget():
     ]
     want = math.fsum(sums) / count
     assert abs(got - want) <= 1e-12 * want, (got, want)
+
+
+def test_the_dense_route_refuses_a_d_x_d_s_past_2048_before_allocating():
+    """Random operators have d x d squares, so the dense route's S stays a D x D complex
+    matrix: at D = 4096 (256 MiB) it raises DimensionCap under 1 MiB."""
+    params = {"n": 12, "l": 1, "theta": 0.5, "thetas": [0.3]}
+    state = build_state(StateFamily("LSeparable", params))
+    assignment = oracle.random_assignment(state.dims, np.random.default_rng(12))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionCap, match="route: S of"):
+            evaluate(state, assignment)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak

@@ -200,6 +200,61 @@ def test_kron_embed_checks_the_cap_before_allocating():
         assert len(str(info.value)) < 200
 
 
+def test_kron_embed_of_a_diagonal_is_the_diagonal_of_the_embedded_matrix():
+    """A 1-D operator is the diagonal it lists: bit for bit np.diag of the embedded
+    np.diag(d), over dims 0..4 (dim-1 sites included), real d staying real."""
+    rng = np.random.default_rng(13)
+    for _ in range(60):
+        dims = tuple(int(d) for d in rng.integers(1, 5, int(rng.integers(1, 5))))
+        for site, d in enumerate(dims):
+            real = rng.standard_normal(d)
+            for diag in (real, real + 1j * rng.standard_normal(d)):
+                got = kron_embed(diag, site, dims)
+                want = np.diag(kron_embed(np.diag(diag), site, dims))
+                assert got.dtype == diag.dtype and got.shape == (int(np.prod(dims)),)
+                assert np.array_equal(got, want), (dims, site)
+    diag = np.array([1.0, 2.0])
+    got = kron_embed(diag, 0, (2,))
+    got += 1.0  # a new array, also on a single site
+    assert np.array_equal(diag, [1.0, 2.0])
+    with pytest.raises(DimensionMismatch):
+        kron_embed(np.ones(3), 0, (2, 2))
+    with pytest.raises(ValueError, match="non-finite"):
+        kron_embed(np.array([1.0, np.nan]), 0, (2, 2))
+
+
+def test_kron_embed_of_a_diagonal_checks_the_budget_before_allocating():
+    """2^23 floats (64 MiB) is the largest real diagonal; 2^24 raises with little allocated."""
+    with pytest.raises(DimensionCap, match="diagonal"):
+        kron_embed(np.ones(2), 3, (2,) * 24)
+    with pytest.raises(DimensionCap):
+        kron_embed(np.ones(2, dtype=complex), 3, (2,) * 23)
+    assert kron_embed(np.ones(2), 0, (2,) * 23).nbytes == 2**26
+
+
+def test_psd_eigh_of_a_diagonal_equals_psd_eigh_of_its_matrix():
+    """Same spectrum, clamping and checks as np.diag(d): NegativeSpectrum, NonHermitian
+    and ValueError alike."""
+    rng = np.random.default_rng(17)
+    diagonals = (np.abs(rng.standard_normal(6)), np.array([3.0, -1e-13]), np.array([2, 1e-12j]))
+    for diag in diagonals:
+        got, got_vecs = psd_eigh(diag)
+        want, want_vecs = psd_eigh(np.diag(diag))
+        assert got_vecs is None and want_vecs is None
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    for diag, error in (
+        (np.array([1.0, -0.5]), NegativeSpectrum),
+        (np.array([1.0 + 6e-11j, 2.0]), NonHermitian),
+        (np.array([1.0, np.inf]), ValueError),
+        (np.array([np.nan, 1.0]), ValueError),
+    ):
+        for op in (diag, np.diag(diag)):
+            with pytest.raises(error):
+                psd_eigh(op)
+    with pytest.raises(DimensionMismatch):
+        psd_eigh(np.ones(0))
+
+
 def test_psd_eigh_matches_psd_power():
     rng = np.random.default_rng(5)
     mat = random_psd(5, rng, radius=2.0)

@@ -13,6 +13,7 @@ from witnesslab.errors import (
     DimensionMismatch,
     NumericalOverflow,
 )
+from witnesslab.formulas import EXACT_TOL, FormulaId, closed_form, numeric_form
 from witnesslab.linalg import dag, kron_embed, qubit_lowering_op
 from witnesslab.oracle import (
     SeparableSpec,
@@ -37,7 +38,7 @@ from witnesslab.witness import (
     site_second_moments,
 )
 
-from full_space import sides
+from full_space import sides, state_vector
 
 
 def ghz(n, theta):
@@ -400,18 +401,23 @@ def test_every_route_refuses_a_state_over_the_side_cap(monkeypatch):
 
 
 def test_evaluate_refuses_an_over_cap_state_before_lhs_and_rhs1():
-    """rhs2 runs first, so its DimensionCap comes before any lhs or rhs1 work."""
-    state = build_state(
-        StateFamily("MixedSingleOut", {"n": 15, "theta": 0.3, "thetas": [0.2] * 15})
-    )
-    assert np.prod(state.dims) > 2**14
-    with (
-        mock.patch.object(witness, "product_expectation") as lhs,
-        mock.patch.object(witness, "rhs_condition1") as rhs1,
-        pytest.raises(DimensionCap),
+    """rhs2 runs first, so its DimensionCap comes before any lhs or rhs1 work: at n=15
+    under random operators (a D x D complex S), and at n=22 under lowering (a diagonal
+    S, with 2 terms x 2^22 complex full-space vectors)."""
+    for n, assignment, match in (
+        (15, random_assignment((2,) * 15, np.random.default_rng(15)), "route: S of"),
+        (22, OperatorAssignment.qubit_lowering(22), "^dense_vector: "),
     ):
-        evaluate(state, OperatorAssignment.qubit_lowering(15))
-    assert lhs.call_count == 0 and rhs1.call_count == 0
+        state = build_state(
+            StateFamily("MixedSingleOut", {"n": n, "theta": 0.3, "thetas": [0.2] * n})
+        )
+        with (
+            mock.patch.object(witness, "product_expectation") as lhs,
+            mock.patch.object(witness, "rhs_condition1") as rhs1,
+            pytest.raises(DimensionCap, match=match),
+        ):
+            evaluate(state, assignment)
+        assert lhs.call_count == 0 and rhs1.call_count == 0
 
 
 def test_rhs_condition2_dimension_cap():
@@ -512,6 +518,35 @@ def test_dense_rhs2_matches_the_full_space_reference():
         got = rhs_condition2(state, assignment, method="dense")
         assert abs(got - want) <= 1e-12 * abs(want), (state.dims, got, want)
     assert diagonal >= 10 and non_diagonal >= 10
+
+
+@pytest.mark.parametrize("n", [12, 16, 20])
+def test_tilted_mixed_single_out_past_d_2048_matches_mixed_c2(n):
+    """Diagonal squares keep the dense route's S as its D real entries, so tilted
+    MixedSingleOut runs past D = 2048; both sides match MIXED_C2 (times n)."""
+    rng = np.random.default_rng(n)
+    params = {"n": n, "theta": 0.4, "thetas": [float(t) for t in rng.uniform(0.1, 1.4, n)]}
+    state = build_state(StateFamily("MixedSingleOut", params))
+    assert witness._rhs2_route(state, OperatorAssignment.qubit_lowering(n)) == "dense"
+    closed = closed_form(FormulaId.MIXED_C2, params)
+    numeric = numeric_form(FormulaId.MIXED_C2, params)
+    assert max(abs(c - m) for c, m in zip(closed, numeric)) <= EXACT_TOL, (closed, numeric)
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_tilted_l_separable_past_d_2048_matches_a_popcount_sum(n):
+    """Under lowering A_k^dag A_k = |1><1|, so S is popcount(i)/n on basis state i and
+    rhs2 = sum_i (popcount(i)/n)^(n/2) |psi_i|^2, psi summed from the explicit terms."""
+    state = build_state(
+        StateFamily("LSeparable", {"n": n, "l": 2, "theta": 0.7, "thetas": [0.3, 1.1]})
+    )
+    lowering = OperatorAssignment.qubit_lowering(n)
+    assert witness._rhs2_route(state, lowering) == "dense"
+    psi = state_vector(state)
+    popcount = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).sum(axis=1)
+    want = math.fsum((popcount / n) ** (n / 2) * np.abs(psi) ** 2)
+    got = evaluate(state, lowering).rhs2
+    assert abs(got - want) <= 1e-12 * want, (got, want)
 
 
 def test_overflowing_moment_is_a_typed_error():
