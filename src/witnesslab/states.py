@@ -6,21 +6,19 @@ of such pure states, optionally with a maximally-mixed component.  This
 sum-of-products form is what lets expectation values factorize per site
 instead of going through the full tensor-product space.
 
-A pure state has one storage layout, read only in this module: a
-(terms x sites) integer ``labels`` array next to the amplitudes, and a
-dict from each ket-form site to its (terms x dim) stack of unit-norm
-kets.  A site whose kets are all computational-basis kets (every
-basis-ket site of the built-in families) is its label column, so its
-overlaps and matrix elements are index lookups; any other site (tilted
-qubits, random kets) is in the dict, with labels -1.  Other modules use
-``PureSOP.pair_matrix(site, op)``, the terms x terms matrix of
-``<u_j|op|u_j'>``, and ``PureSOP.site_gram(site)``, which is computed
-once and kept on the state.  ``PureSOP.terms`` and
-``PureSOP.site_stack`` materialize basis kets only when asked for.
-When every pure component is one product term, ``product_stacks`` (on
-a pure state and on a mixture) holds the weights ``w_c |a_c|^2`` and
-one (components x dim) ket stack per site, built once and kept;
-``MixedEnsemble.from_products`` starts from such stacks.
+A pure state stores a (terms x sites) integer ``labels`` array next to
+the amplitudes, and a dict from each ket-form site to its (terms x dim)
+stack of unit-norm kets.  A site whose kets are all computational-basis
+kets (every basis-ket site of the built-in families) is its label
+column, so its overlaps and matrix elements are index lookups; any
+other site (tilted qubits, random kets) is in the dict, with labels -1.
+
+Every state is read through one :class:`TermAxis`, built once and kept:
+all its components' terms on one axis, with their offsets and weights
+(a pure state is the one-component case).  The axis groups the
+components by term count t (:class:`TermGroup`); each per-site quantity
+of a group is one (G x t x t) block, a label gather on a label site and
+a batched stack product on a ket site.
 
 Fock-truncated continuous-variable families carry an explicit cutoff;
 the discarded tail weight is checked against a tolerance and the kept
@@ -33,13 +31,13 @@ import itertools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BadParameter, TruncationTooCoarse
-from .linalg import basis_ket, check_bytes, total_dimension
+from .linalg import ARRAY_BYTES_CAP, basis_ket, check_bytes, total_dimension
 
 #: Largest acceptable discarded probability for truncated CV states.
 DEFAULT_TAIL_TOL = 1e-10
@@ -57,13 +55,17 @@ class ProductTerm:
     factors: tuple[np.ndarray, ...]
 
 
-def _check_dims(dims) -> tuple[tuple[int, ...], np.ndarray]:
-    """The dims as a tuple of ints and as an integer array."""
-    sizes = np.array(dims, dtype=np.int64)
-    dims = tuple(sizes.ravel().tolist())
-    if sizes.ndim != 1 or len(dims) < 2 or min(dims) < 1:
-        raise BadParameter(f"need at least 2 subsystems of dim >= 1, got {dims}")
-    return dims, sizes
+def _check_dims(dims) -> tuple[int, ...]:
+    """The dims as ints: at least 2 subsystems, each an integral number >= 1 (2.0 reads
+    as 2; a bool, a fraction or a non-number is a :class:`BadParameter`)."""
+    try:
+        dims = tuple(dims)
+        sizes = tuple(map(int, dims))  # a fraction or a string then differs from its int
+    except (TypeError, ValueError, OverflowError):
+        sizes = ()
+    if len(sizes) < 2 or sizes != dims or min(sizes) < 1 or {bool, np.bool_} & set(map(type, dims)):
+        raise BadParameter(f"need at least 2 subsystems of integral dim >= 1, got {dims!r}")
+    return sizes
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -82,33 +84,135 @@ def _check_kets(stacks) -> None:
         raise BadParameter("local kets must be finite and unit-normalized")
 
 
-class ProductStacks:
-    """A mixture of one-term product states as one ket stack per site.
+def _stack_pairs(stack: np.ndarray, op: np.ndarray | None) -> np.ndarray:
+    """(G x t x t) entries <u_j|op|u_j'> of a (G x t x dim) stack of kets; a 1-D ``op`` is
+    ``diag(op)`` and None the identity.  One term needs no batched matrix product."""
+    if stack.shape[1] == 1:
+        rows = stack[:, 0]
+        right = rows if op is None else rows * op if op.ndim == 1 else rows @ op.T
+        return (rows.conj() * right).sum(axis=1)[:, None, None]
+    right = stack.transpose(0, 2, 1)
+    if op is not None:
+        right = op[:, None] * right if op.ndim == 1 else op @ right
+    return stack.conj() @ right
 
-    Component c is ``|stacks[0][c]> x ... x |stacks[n-1][c]>`` with weight
-    ``probs[c]``, its mixture weight times its squared amplitude modulus;
-    white noise is not part of it.  The stacks are (components x dim)
-    and read-only.
+
+class TermAxis:
+    """Every pure component of a state on one axis of product terms.
+
+    ``labels`` is (terms x sites), -1 on ket sites; ``kets`` maps each ket
+    site to its (terms x dim) stack; component c is the rows
+    ``offsets[c]:offsets[c + 1]`` of ``amps``, with weight ``weights[c]``.
+    ``groups`` groups the components by term count, checking their blocks
+    against the byte budget.
     """
 
-    def __init__(self, probs: np.ndarray, stacks):
-        self.probs = _read_only(probs)
-        self.stacks = tuple(_read_only(stack) for stack in stacks)
+    def __init__(self, dims, labels, kets, amps, offsets, weights):
+        self.dims, self.labels, self.kets, self.amps = dims, labels, kets, amps
+        self.offsets, self.weights = offsets, weights
+        counts = offsets[1:] - offsets[:-1]
+        sizes = list(dict.fromkeys(counts.tolist()))
+        if len(sizes) == 1:
+            groups = [(np.arange(len(counts)), sizes[0])]
+        else:
+            groups = [((counts == t).nonzero()[0], t) for t in sizes]
+        for comps, t in groups:  # each group's complex (G x t x t) blocks
+            check_bytes(len(comps) * t * t, 16, "term group: components x terms x terms block of")
+        self.groups = tuple(TermGroup(self, comps, t) for comps, t in groups)
+
+
+class TermGroup:
+    """The G components of one term count t; each per-site quantity is a (G x t x t) block.
+
+    ``comps`` and ``weights`` index and weigh the components; ``amps`` (G x t),
+    ``labels`` (sites x G x t) and ``kets`` (site -> G x t x dim) are cut from the axis.
+    """
+
+    def __init__(self, axis: TermAxis, comps: np.ndarray, t: int):
+        self.dims, self.comps = axis.dims, comps
+        count, first, last = len(comps), comps[0], comps[-1]
+        if count == len(axis.weights):
+            rows, self.weights = slice(None), axis.weights
+        elif last - first + 1 == count:  # consecutive components: views of the axis
+            rows = slice(axis.offsets[first], axis.offsets[last + 1])
+            self.weights = axis.weights[first : last + 1]
+        else:
+            rows = axis.offsets[comps, None] + np.arange(t)
+            self.weights = axis.weights[comps]
+        self.amps = axis.amps[rows].reshape(count, t)
+        labels = axis.labels[rows].reshape(count, t, -1)
+        self.labels = np.ascontiguousarray(labels.transpose(2, 0, 1))
+        self.kets = {site: stack[rows].reshape(count, t, -1) for site, stack in axis.kets.items()}
+        if t == 1:  # w_c |a_c|^2
+            self.probs = self.weights * (self.amps[:, 0].real ** 2 + self.amps[:, 0].imag ** 2)
+        else:
+            self._bras, self._columns = self.amps.conj()[:, None, :], self.amps[:, :, None]
+        self._grams: list[np.ndarray] | None = None
         self._squared: dict[int, tuple] = {}
 
-    def squared_overlaps(self, site: int, basis: np.ndarray | None) -> np.ndarray:
-        """(components x dim) array of ``|<b_i|u_c>|^2`` at one site, for the columns b_i of
-        ``basis`` (None: the computational basis).
+    def stack(self, site: int) -> np.ndarray:
+        """(G x t x dim) kets at one site, written out on a label site."""
+        stack = self.kets.get(site)
+        if stack is None:
+            labels = self.labels[site]
+            stack = np.zeros((*labels.shape, self.dims[site]), dtype=complex)
+            np.put_along_axis(stack, labels[:, :, None], 1.0, axis=2)
+        return stack
 
-        The result for the last basis asked for at each site is kept, so
-        the sides that need one site's rotation ``stack @ basis.conj()``
-        share it.
-        """
+    def gram(self, site: int) -> np.ndarray:
+        """Overlaps <u_j|u_j'> of the kets at one site, kept: on a label site the boolean
+        equality of the labels, for as many sites at once as fit the byte budget."""
+        if self._grams is None:
+            count, terms = self.amps.shape
+            step = max(1, ARRAY_BYTES_CAP // (count * terms**2))
+            self._grams = []
+            for start in range(0, len(self.labels), step):
+                labels = self.labels[start : start + step]
+                self._grams.extend(_read_only(labels[:, :, :, None] == labels[:, :, None, :]))
+            for k, stack in self.kets.items():
+                self._grams[k] = _read_only(_stack_pairs(stack, None))
+        return self._grams[site]
+
+    @cached_property
+    def overlaps(self) -> np.ndarray:
+        """Term overlaps <t_j|t_j'>: the product of every site's gram (kept)."""
+        return _read_only(reduce(np.multiply, (self.gram(k) for k in range(len(self.dims)))))
+
+    def pair_block(self, site: int, op: np.ndarray) -> np.ndarray:
+        """New (G x t x t) array of <u_j|op|u_j'> at one site; a 1-D ``op`` is ``diag(op)``."""
+        if site in self.kets:
+            return _stack_pairs(self.kets[site], op)
+        labels = self.labels[site]
+        if op.ndim == 1:
+            return np.where(self.gram(site), op[labels][:, None, :], 0j)
+        return op[labels[:, :, None], labels[:, None, :]]
+
+    def quadratic(self, blocks: np.ndarray) -> np.ndarray:
+        """w_c a_c^dag B_c a_c for every component c, from (... x G x t x t) blocks B."""
+        if blocks.shape[-1] == 1:
+            return blocks[..., 0, 0] * self.probs
+        return (self._bras @ blocks @ self._columns)[..., 0, 0] * self.weights
+
+    def spectral_block(self, site: int, spectrum, powered: np.ndarray) -> np.ndarray:
+        """New (G x t x t) block of f(M) at one site, for M with clamped spectrum ``(evals,
+        vecs)`` and ``powered`` = f(evals): ``diag(powered)`` without eigenvectors, else
+        from the :meth:`squared` moduli (one term) or the pairs of ``V f V^dag``."""
+        vecs = spectrum[1]
+        if vecs is None:
+            return self.pair_block(site, powered)
+        if self.amps.shape[1] == 1:
+            return (self.squared(site, vecs) @ powered)[:, None, None]
+        return self.pair_block(site, (vecs * powered) @ vecs.conj().T)
+
+    def squared(self, site: int, basis: np.ndarray | None) -> np.ndarray:
+        """(G x dim) |<b_i|u>|^2 of one-term components' kets at one site, for the columns
+        b_i of ``basis`` (None: the computational one), kept for rhs1 and rhs2 to share."""
         kept = self._squared.get(site)
         if kept is None or kept[0] is not basis:
-            stack = self.stacks[site]
-            rotated = stack if basis is None else stack @ basis.conj()
-            kept = self._squared[site] = (basis, _read_only(rotated.real**2 + rotated.imag**2))
+            rows = self.stack(site)[:, 0]
+            if basis is not None:
+                rows = rows @ basis.conj()
+            kept = self._squared[site] = (basis, _read_only(rows.real**2 + rows.imag**2))
         return kept[1]
 
 
@@ -124,7 +228,7 @@ class PureSOP:
     """
 
     def __init__(self, dims, terms):
-        dims = _check_dims(dims)[0]
+        dims = _check_dims(dims)
         terms = tuple(terms)
         if not terms:
             raise BadParameter("a state needs at least one product term")
@@ -153,7 +257,7 @@ class PureSOP:
         unit-norm kets) is stored in ket form instead; its label column
         must be -1.
         """
-        dims, sizes = _check_dims(dims)
+        dims = _check_dims(dims)
         amps = np.array(amplitudes, dtype=complex)
         labels = np.array(labels)
         kets = {site: np.array(stack, dtype=complex) for site, stack in (kets or {}).items()}
@@ -164,7 +268,7 @@ class PureSOP:
                 f"labels must be integers of shape {(amps.size, len(dims))}, got {labels.shape}"
             )
         # read as unsigned, a negative label is larger than any dimension
-        bad = labels.astype(np.uint64).max(axis=0) >= sizes
+        bad = labels.astype(np.uint64).max(axis=0) >= np.array(dims)
         for site in kets:  # a ket site's labels must be -1 instead
             if site in range(len(dims)):
                 bad[site] = np.any(labels[:, site] != -1)
@@ -197,8 +301,6 @@ class PureSOP:
         self.labels = labels
         self._amps = amps
         self._kets = kets
-        self._grams: dict[int, np.ndarray] = {}
-        self._overlaps = None
 
     @property
     def num_sites(self) -> int:
@@ -226,52 +328,15 @@ class PureSOP:
         return stack
 
     @cached_property
-    def product_stacks(self) -> ProductStacks | None:
-        """The state as one component of :class:`ProductStacks` if it is one product term."""
-        if len(self._amps) != 1:
-            return None
-        amp = self._amps[0]
-        probs = np.array([amp.real**2 + amp.imag**2])
-        return ProductStacks(probs, (self.site_stack(k) for k in range(self.num_sites)))
-
-    def pair_matrix(self, site: int, op: np.ndarray) -> np.ndarray:
-        """New array of the entries <u_j | op | u_j'> over the terms' kets at one site.
-
-        A 1-D ``op`` stands for the diagonal operator ``diag(op)``.
-        """
-        stack, labels = self._kets.get(site), self.labels[:, site]
-        if op.ndim == 1:
-            if stack is None:
-                return np.where(self.site_gram(site), op[labels], 0j)
-            return stack.conj() @ (op[:, None] * stack.T)
-        if stack is None:
-            return op[labels[:, None], labels]
-        return stack.conj() @ (op @ stack.T)
-
-    def site_gram(self, site: int) -> np.ndarray:
-        """Overlaps <u_j|u_j'> of the terms' kets at one site (kept on the state).
-
-        On a label-form site this is the boolean equality of the labels.
-        """
-        gram = self._grams.get(site)
-        if gram is None:
-            stack, labels = self._kets.get(site), self.labels[:, site]
-            gram = labels[:, None] == labels if stack is None else stack.conj() @ stack.T
-            self._grams[site] = gram = _read_only(gram)
-        return gram
-
-    def overlaps(self) -> np.ndarray:
-        """Term overlaps <t_j|t_j'>: the product of every site's gram (kept on the state)."""
-        if self._overlaps is None:
-            total = self.site_gram(0)
-            for site in range(1, self.num_sites):
-                total = total * self.site_gram(site)
-            self._overlaps = _read_only(total)
-        return self._overlaps
+    def term_axis(self) -> TermAxis:
+        """The state as the one component, of weight 1, of a :class:`TermAxis`."""
+        offsets = np.array([0, len(self._amps)])
+        return TermAxis(self.dims, self.labels, self._kets, self._amps, offsets, np.ones(1))
 
     def norm(self) -> float:
         amps = self._amps
-        return float(np.sqrt((amps.conj() @ self.overlaps() @ amps).real))
+        overlaps = self.term_axis.groups[0].overlaps[0]
+        return float(np.sqrt((amps.conj() @ overlaps @ amps).real))
 
     def normalized(self) -> "PureSOP":
         scale = self.norm()
@@ -319,7 +384,7 @@ class MixedEnsemble:
     white_noise_weight: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", _check_dims(self.dims))
         weights = tuple(_as_real(w, "weights", "MixedEnsemble") for w in self.weights)
         noise = _as_real(self.white_noise_weight, "white_noise_weight", "MixedEnsemble")
         object.__setattr__(self, "weights", weights)
@@ -343,12 +408,11 @@ class MixedEnsemble:
     def from_products(cls, dims, weights, stacks) -> "MixedEnsemble":
         """Mixture of one-term product states with unit amplitudes, one ket stack per site.
 
-        Component c is ``|stacks[0][c]> x ... x |stacks[n-1][c]>`` with
-        weight ``weights[c]``; ``stacks[k]`` is a (components x dims[k])
-        array of unit-norm kets.  Every ket is checked once, and the stacks
-        are kept as the ensemble's :attr:`product_stacks`.
+        Component c is ``|stacks[0][c]> x ... x |stacks[n-1][c]>`` with weight
+        ``weights[c]``; ``stacks[k]`` is a (components x dims[k]) array of unit-norm
+        kets, checked once and kept as the ket stacks of the :attr:`term_axis`.
         """
-        dims = _check_dims(dims)[0]
+        dims = _check_dims(dims)
         weights = tuple(weights)
         stacks = [np.array(stack, dtype=complex) for stack in stacks]
         if len(stacks) != len(dims):
@@ -358,32 +422,39 @@ class MixedEnsemble:
                 raise BadParameter(f"kets at site {site} have shape {stack.shape}")
             _read_only(stack)
         _check_kets(stacks)
-        labels = _read_only(np.full((1, len(dims)), -1, dtype=np.int64))
-        amps = _read_only(np.ones(1, dtype=complex))
-        pures = []
+        labels = _read_only(np.full((len(weights), len(dims)), -1, dtype=np.int64))
+        amps = _read_only(np.ones(len(weights), dtype=complex))
+        pures, one = [], (amps[:1], labels[:1])  # each component's amplitude and labels
         for c in range(len(weights)):
             pure = PureSOP.__new__(PureSOP)
-            pure._store(dims, amps, labels, {k: stack[c : c + 1] for k, stack in enumerate(stacks)})
+            pure._store(dims, *one, {k: stack[c : c + 1] for k, stack in enumerate(stacks)})
             pures.append(pure)
         ensemble = cls(dims, weights, tuple(pures))
-        # filled in here, so the cached property never concatenates the components again
-        ensemble.__dict__["product_stacks"] = ProductStacks(np.array(ensemble.weights), stacks)
+        offsets, kets = np.arange(len(weights) + 1), dict(enumerate(stacks))
+        # filled in here, so the cached property never concatenates the components
+        axis = TermAxis(dims, labels, kets, amps, offsets, np.array(ensemble.weights))
+        ensemble.__dict__["term_axis"] = axis
         return ensemble
 
     @cached_property
-    def product_stacks(self) -> ProductStacks | None:
-        """The mixture as :class:`ProductStacks` if every component is one product term."""
-        if any(len(pure.amplitudes()) != 1 for pure in self.pures):
-            return None
-        amps = np.array([pure.amplitudes()[0] for pure in self.pures], dtype=complex)
-        probs = np.array(self.weights) * (amps.real**2 + amps.imag**2)
-        stacks = (
-            np.concatenate([pure.site_stack(k) for pure in self.pures])
-            if self.pures
-            else np.zeros((0, dim), dtype=complex)
-            for k, dim in enumerate(self.dims)
-        )
-        return ProductStacks(probs, stacks)
+    def term_axis(self) -> TermAxis:
+        """The components concatenated on one :class:`TermAxis`, built once."""
+        pures, empty = self.pures, [np.zeros((0, len(self.dims)), np.int64)]
+        offsets = np.array([0, *itertools.accumulate(len(pure.amplitudes()) for pure in pures)])
+        labels = np.concatenate([pure.labels for pure in pures] or empty)
+        amps = np.concatenate([pure.amplitudes() for pure in pures] or [np.zeros(0, complex)])
+        kets = {}
+        for site in sorted({site for pure in pures for site in pure._kets}):
+            rows = np.flatnonzero(labels[:, site] >= 0)  # basis kets written out
+            kets[site] = np.zeros((len(labels), self.dims[site]), dtype=complex)
+            kets[site][rows, labels[rows, site]] = 1.0
+            labels[:, site] = -1
+        for pure, start in zip(pures, offsets.tolist()):
+            for site, stack in pure._kets.items():
+                kets[site][start : start + len(stack)] = stack
+        kets = {site: _read_only(stack) for site, stack in kets.items()}
+        weights = np.array(self.weights, dtype=float)
+        return TermAxis(self.dims, _read_only(labels), kets, _read_only(amps), offsets, weights)
 
 
 State = PureSOP | MixedEnsemble

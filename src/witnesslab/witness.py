@@ -11,54 +11,27 @@ Every fully separable state satisfies lhs <= rhs1 and lhs <= rhs2, so a
 value of lhs exceeding either bound (beyond tolerance) certifies
 entanglement; non-violation is inconclusive.
 
-Expectation values factorize over the sum-of-products state
-representation: one terms x terms pair matrix per site, from
-:meth:`~witnesslab.states.PureSOP.pair_matrix` and
-:meth:`~witnesslab.states.PureSOP.site_gram`.  That is the route of lhs
-and rhs1 unless the state is a mixture of product states (below);
-nothing full-space is built for them.  Memory has one bound,
-:data:`~witnesslab.linalg.ARRAY_BYTES_CAP` (64 MiB) per array: every
-route checks its largest array against it before building it.
+Every side reads the state's :class:`~witnesslab.states.TermAxis`: per
+group of equal term count and per site, one (G x t x t) block of
+<u_j|M|u_j'>.  lhs is sum_c w_c a_c^dag (prod_k P_k) a_c; rhs1 and the
+second moments weigh site k's block by the other sites' grams.  A
+non-diagonal A^dag A enters through its clamped spectrum (lambda, V):
+one-term components read |R_k|^2 . lambda^p, R_k = U_k V_k^*, from the
+rotation the eigenbasis rhs2 reads too.  rhs2 needs the n/2 power of
+S = (1/n) sum_k A_k^dag A_k; its route is read off the structure:
+factorized when every site is a label site and every A_k^dag A_k is
+diagonal (each term is an eigenvector of S), eigenbasis when every
+component is one product term (S is diagonal in the local eigenbases),
+and dense otherwise.  The tests check every side against a full-space
+reference built from the definitions (``tests/full_space.py``).
 
-``rhs2`` needs the n/2 power of S = (1/n) sum_k A_k^dag A_k, a genuinely
-multipartite operator.  One decision reads its route off the structure:
-factorized when every site is in label form and every A_k^dag A_k is
-exactly diagonal (each product term is then an eigenvector of S, so
-term overlaps suffice), eigenbasis when every pure component is one
-product term (S is diagonal in the local eigenbases), and dense for
-every other state (the spectrum of the full-space S weighs the squared
-overlaps).  When every A_k^dag A_k is kept as its diagonal (below), the
-dense route keeps S as its D diagonal entries too, which are then its
-spectrum; otherwise S is a D x D matrix.  The routes agree within
-round-off where they overlap.  The tests check every side against a
-full-space reference built from the definitions alone
-(``tests/full_space.py``).
-
-The eigenbasis route serves all three sides, from one structure read:
-the state's :attr:`~witnesslab.states.PureSOP.product_stacks`, the
-weights p_c = w_c |a_c|^2 and one (components x d_k) ket stack U_k per
-site.  lhs is sum_c p_c prod_k <u_ck|A_k|u_ck>, one contraction per
-site.  Each site's kets are rotated into the eigenbasis V_k of
-A_k^dag A_k once, R_k = U_k V_k^*, and rhs1 and rhs2 share that
-rotation: rhs1's site moment is p . (|R_k|^2 @ lambda_k^(n/2)), and rhs2
-weighs the outer product of the |R_k|^2 rows, over all components at
-once, by the n/2 power of the summed local spectra.
-
-Work is done once per evaluation, not once per side: each distinct local
-operator's A^dag A, spectrum and moment (A^dag A)^(n/2) are kept on
-the :class:`OperatorAssignment` (the d x d spectra of one dim from one
-:func:`~witnesslab.linalg.psd_eigh` call over their stack), and the
-per-site overlaps and rotations on the state, so lhs, rhs1, rhs2 and
-:func:`site_second_moments` share them.
-
-When every row of A has at most one nonzero (every named operator
-choice: lowering, raising, flipped, annihilation), the columns of A have
-disjoint supports and A^dag A is diagonal, with entries sum_i |A_ij|^2.
-It is then kept as that real 1-D diagonal, which is its own clamped
-spectrum, and its moment as the 1-D diagonal power: no matrix product,
-eigensolver or d x d matrix.  Wherever the engine meets an operator, a
-1-D array stands for the diagonal operator it lists.  A^dag A that
-overflows double precision raises :class:`NumericalOverflow`.
+Each distinct local operator's A^dag A and spectrum are computed once and
+kept on the :class:`OperatorAssignment`; when every row of A has at most
+one nonzero (every named operator choice), A^dag A is kept as its real
+1-D diagonal sum_i |A_ij|^2, its own spectrum.  A 1-D array stands for
+the diagonal operator it lists.  Every array is checked against
+:data:`~witnesslab.linalg.ARRAY_BYTES_CAP` before it is built, and an
+A^dag A that overflows double precision raises :class:`NumericalOverflow`.
 """
 
 from __future__ import annotations
@@ -80,7 +53,6 @@ from .linalg import (
     psd_eigh,
     qubit_lowering_op,
     qubit_raising_op,
-    spectral_power,
     total_dimension,
 )
 from .states import PureSOP, State, dense_vector
@@ -88,16 +60,19 @@ from .states import PureSOP, State, dense_vector
 #: Scale for the default detection tolerance, see :func:`evaluate`.
 DEFAULT_EPSILON_SCALE = 1e-9
 
+#: rhs1 and the site moments take the quadratic forms of as many sites at once as fit
+#: this many bytes of blocks; a larger block goes alone, in memory kept cache-sized.
+_CHUNK_BYTES = 2**18
+
 
 class _LocalOperator:
     """One local operator A and what the conditions derive from it, each computed once.
 
-    ``square`` (A^dag A) and ``moment`` ((A^dag A)^(n/2)) are 1-D, the
-    diagonal of a diagonal operator, when every row of A has at most one
-    nonzero; otherwise they are d x d matrices.
+    ``square`` (A^dag A) is 1-D, the diagonal of a diagonal operator, when
+    every row of A has at most one nonzero; otherwise it is a d x d matrix.
     """
 
-    def __init__(self, op: np.ndarray, n: int):
+    def __init__(self, op: np.ndarray):
         # more nonzeros than rows rules out one per row, without the per-row count
         if np.count_nonzero(op) <= len(op) and np.all(np.count_nonzero(op, axis=1) <= 1):
             # the columns have disjoint supports, so A^dag A is diagonal:
@@ -114,7 +89,6 @@ class _LocalOperator:
                 " precision"
             )
         self.square = square
-        self.n = n
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray | None]:
@@ -122,14 +96,6 @@ class _LocalOperator:
         if self.square.ndim == 1:
             return self.square, None
         return psd_eigh(self.square)
-
-    @cached_property
-    def moment(self) -> np.ndarray:
-        """(A^dag A)^(n/2)."""
-        if self.square.ndim == 1:
-            # complex like the kets and amplitudes it meets, so no product with it casts
-            return (self.square ** (self.n / 2.0)).astype(complex)
-        return spectral_power(self.spectrum, self.n / 2.0)
 
 
 @dataclass(frozen=True)
@@ -166,7 +132,7 @@ class OperatorAssignment:
         with np.errstate(over="ignore", invalid="ignore"):
             for op in self.ops:
                 if id(op) not in shared:
-                    shared[id(op)] = _LocalOperator(op, len(self.ops))
+                    shared[id(op)] = _LocalOperator(op)
         return tuple(shared[id(op)] for op in self.ops)
 
     @cached_property
@@ -185,6 +151,14 @@ class OperatorAssignment:
             for i, local in enumerate(group):
                 local.spectrum = (evals[i], None if vecs is None else vecs[i])
         return tuple(local.spectrum for local in self._local)
+
+    @cached_property
+    def _diagonals(self) -> np.ndarray:
+        """(sites x largest dim) clamped spectra of the diagonal A^dag A, zero-padded."""
+        padded = np.zeros((len(self.ops), max(self.dims)))
+        for site, (evals, _) in enumerate(self._spectra):
+            padded[site, : len(evals)] = evals
+        return padded
 
     @classmethod
     def qubit_lowering(cls, n: int) -> "OperatorAssignment":
@@ -266,89 +240,65 @@ def _noise(state: State) -> float:
     return 0.0 if isinstance(state, PureSOP) else state.white_noise_weight
 
 
-def _components(state: State) -> tuple[tuple[tuple[float, PureSOP], ...], float]:
-    """(weight, pure) pairs and the white-noise weight.
-
-    Every route calls this before it builds a terms x terms array, so
-    their size is checked here.
-    """
-    comps = ((1.0, state),) if isinstance(state, PureSOP) else tuple(zip(state.weights, state.pures))
-    for _, pure in comps:
-        check_bytes(len(pure.amplitudes()) ** 2, 16, "pure component: terms x terms pair matrix of")
-    return comps, _noise(state)
+def _mix(values) -> np.ndarray:
+    """The sum over the components of the term groups' weighted values, each group's of
+    shape (G,) or (G x sites), added one at a time in group and component order."""
+    if not values:
+        return 0.0
+    terms = values[0] if len(values) == 1 else np.concatenate(values)
+    return terms[0] if len(terms) == 1 else np.add.accumulate(terms, axis=0)[-1]
 
 
-def _pure_product_expectation(pure: PureSOP, ops) -> complex:
-    amps = pure.amplitudes()
-    total = pure.pair_matrix(0, ops[0])
-    for site in range(1, len(ops)):
-        total *= pure.pair_matrix(site, ops[site])
-    return complex(amps.conj() @ total @ amps)
-
-
-def _pure_site_expectations(pure: PureSOP, site_ops) -> np.ndarray:
-    """<M_k> for one operator per site, sharing the overlap bookkeeping."""
-    amps = pure.amplitudes()
-    n = pure.num_sites
-    count = len(amps)
-    # boolean as long as every gram multiplied in is (label-form sites)
-    prefix = [np.ones((count, count), dtype=bool)]
-    for k in range(n - 1):
-        prefix.append(prefix[-1] * pure.site_gram(k))
-    suffix = prefix[0]
-    values = np.empty(n, dtype=complex)
-    for k in range(n - 1, -1, -1):
-        env = prefix[k] * suffix
-        values[k] = amps.conj() @ (env * pure.pair_matrix(k, site_ops[k])) @ amps
-        suffix = suffix * pure.site_gram(k)
-    return values
-
-
-def _site_expectations(state: State, site_ops) -> np.ndarray:
-    comps, noise = _components(state)
-    values = np.zeros(len(state.dims), dtype=complex)
-    for weight, pure in comps:
-        values += weight * _pure_site_expectations(pure, site_ops)
+def _site_moments(state: State, assignment: OperatorAssignment, power: float) -> np.ndarray:
+    """<(A_k^dag A_k)^power> for every site, as real numbers: site k's block weighed by
+    every other site's gram (one for a one-term component, whose kets are unit-norm)."""
+    _check_assignment(state, assignment)
+    spectra = assignment._spectra
+    powered = [evals**power for evals, _ in spectra]
+    n = len(spectra)
+    values = []
+    for group in state.term_axis.groups:
+        count, terms = group.amps.shape
+        step = max(1, _CHUNK_BYTES // (16 * count * terms**2))
+        # a label site's gram is 0 or 1: weighed by the other grams, a diagonal operator's
+        # block is the overlaps times its entries; other sites take a prefix/suffix pass
+        gathered = [terms > 1 and k not in group.kets and spectra[k][1] is None for k in range(n)]
+        paired = terms > 1 and not all(gathered)
+        prefix = [np.ones((count, terms, terms), dtype=bool)]
+        for k in range(n - 1 if paired else 0):
+            prefix.append(prefix[-1] * group.gram(k))
+        suffix, chunk, moments = prefix[0], [], []
+        for k in range(n - 1, -1, -1):
+            if gathered[k]:
+                chunk.append(group.overlaps * powered[k][group.labels[k]][:, None, :])
+            else:
+                chunk.append(group.spectral_block(k, spectra[k], powered[k]))
+                if paired:
+                    chunk[-1] *= prefix[k] * suffix  # a new block, so weighed in place
+            if paired:
+                suffix = suffix * group.gram(k)
+            if len(chunk) == step or k == 0:  # a chunk of one block is a view, not a copy
+                moments.append(group.quadratic(np.stack(chunk) if chunk[1:] else chunk[0][None]))
+                chunk = []
+        values.append((np.concatenate(moments) if moments[1:] else moments[0])[::-1].T)
+    result = _mix(values)
+    noise = _noise(state)
     if noise:
-        # the trace of a 1-D (diagonal) operator is its sum
-        traces = [np.sum(op) if op.ndim == 1 else np.trace(op) for op in site_ops]
-        values += noise * np.array(
-            [trace / d for trace, d in zip(traces, state.dims)], dtype=complex
-        )
-    return values
-
-
-def _product_site_expectations(state: State, spectra, power: float) -> np.ndarray:
-    """<(A_k^dag A_k)^power> for every site of a mixture of product states.
-
-    Read off each site's clamped spectrum and the squared overlaps of the
-    site's kets with its eigenvectors (the rotation rhs2 shares).
-    """
-    products, noise = state.product_stacks, _noise(state)
-    values = np.empty(len(spectra))
-    for k, (evals, vecs) in enumerate(spectra):
-        powered = evals**power
-        values[k] = products.probs @ (products.squared_overlaps(k, vecs) @ powered)
-        if noise:
-            values[k] += noise * powered.sum() / state.dims[k]
-    return values
+        result = result + noise * np.array([f.sum() / d for f, d in zip(powered, state.dims)])
+    return np.real(result)
 
 
 def product_expectation(state: State, assignment: OperatorAssignment) -> complex:
     """< A_1 A_2 ... A_n > on the given state."""
     _check_assignment(state, assignment)
-    products = state.product_stacks
-    if products is None:
-        comps, noise = _components(state)
-        value = sum(
-            weight * _pure_product_expectation(pure, assignment.ops) for weight, pure in comps
-        )
-    else:
-        # sum_c p_c prod_k <u_ck|A_k|u_ck>, one contraction per site
-        noise, values = _noise(state), products.probs
-        for stack, op in zip(products.stacks, assignment.ops):
-            values = values * (stack.conj() * (stack @ op.T)).sum(1)
-        value = values.sum()
+    values = []
+    for group in state.term_axis.groups:
+        total = group.pair_block(0, assignment.ops[0])
+        for site in range(1, len(assignment.ops)):
+            total *= group.pair_block(site, assignment.ops[site])
+        values.append(group.quadratic(total))
+    value = _mix(values)
+    noise = _noise(state)
     if noise:
         traces = 1.0 + 0.0j
         for op, d in zip(assignment.ops, state.dims):
@@ -359,22 +309,14 @@ def product_expectation(state: State, assignment: OperatorAssignment) -> complex
 
 def site_second_moments(state: State, assignment: OperatorAssignment) -> np.ndarray:
     """< A_k^dag A_k > for every site, as real numbers."""
-    _check_assignment(state, assignment)
-    if state.product_stacks is not None:
-        return _product_site_expectations(state, assignment._spectra, 1.0)
-    return _site_expectations(state, [local.square for local in assignment._local]).real
+    return _site_moments(state, assignment, 1.0)
 
 
 def rhs_condition1(state: State, assignment: OperatorAssignment) -> float:
     """Geometric mean bound: prod_k <(A_k^dag A_k)^(n/2)>^(1/n)."""
-    _check_assignment(state, assignment)
     n = len(state.dims)
-    if state.product_stacks is None:
-        values = _site_expectations(state, [local.moment for local in assignment._local]).real
-    else:
-        values = _product_site_expectations(state, assignment._spectra, n / 2.0)
     result = 1.0
-    for value in values:
+    for value in _site_moments(state, assignment, n / 2.0):
         result *= max(float(value), 0.0) ** (1.0 / n)
     return float(result)
 
@@ -382,16 +324,15 @@ def rhs_condition1(state: State, assignment: OperatorAssignment) -> float:
 def _rhs2_route(state: State, assignment: OperatorAssignment) -> str:
     """The rhs2 route the state's structure takes: "factorized", "eigenbasis" or "dense".
 
-    Labels are read before any local spectrum, so a ket-form state asks
-    for none here.  The eigenbasis route is the one lhs and rhs1 take
-    too when :attr:`~witnesslab.states.PureSOP.product_stacks` is set.
+    Read off the components, so no term axis is built for it; a ket-form
+    state asks for no local spectrum here.
     """
     pures = (state,) if isinstance(state, PureSOP) else state.pures
     if all(pure.labels.min() >= 0 for pure in pures) and all(
         vecs is None for _, vecs in assignment._spectra
     ):
         return "factorized"
-    if state.product_stacks is not None:
+    if all(len(pure.amplitudes()) == 1 for pure in pures):
         return "eigenbasis"
     return "dense"
 
@@ -404,36 +345,21 @@ def rhs_condition2(
     """Operator-average bound: <((1/n) sum_k A_k^dag A_k)^(n/2)>.
 
     ``method="auto"`` takes the route :func:`_rhs2_route` reads off the
-    structure (see the module docstring).  ``method="dense"`` forces the
-    dense route on any state: a self-contained full-space reference, which
-    the benchmark's correctness gate compares with.  It sums S in place
-    from n :func:`~witnesslab.linalg.kron_embed` calls, and each pure
-    component contributes ``sum_i f(l_i) |<v_i|psi>|^2`` over S's clamped
-    spectrum with ``f(l) = l^(n/2)``; no power of S is formed.  When every
-    A_k^dag A_k is 1-D (every named operator choice), the embeds and S are
-    the D real diagonal entries, S's spectrum with no eigensolver, and a
-    component adds ``f(S) . |psi|^2``; otherwise S is D x D.  The
-    eigenbasis route, which lhs and rhs1 take too, weighs the outer
-    product over the sites of each component's ``|R_k|^2`` row (the
-    rotation rhs1 shares) by ``f`` of the summed local spectra, for all
-    components at once.  White noise adds the mean of f over S's
-    spectrum on the dense route, and over the outer sum of the local
-    clamped spectra on the other two.  :class:`DimensionCap` is raised
-    before an array over the byte budget
-    :data:`~witnesslab.linalg.ARRAY_BYTES_CAP` is built: terms x terms
-    complex pair matrices (terms <= 2048), the dense route's D x D complex
-    S (D <= 2048) or its diagonal S and terms x D complex full-space
-    vectors (checked together before the first embed: D <= 2^21 for
-    two-term components), or the D floats of the eigenbasis or white-noise
-    grid (D <= 2^23); the eigenbasis route takes its components in chunks
-    of at most that many bytes of components x D floats.
+    structure; ``method="dense"`` forces the dense route, a self-contained
+    full-space reference: S from n :func:`~witnesslab.linalg.kron_embed`
+    calls (its D diagonal entries when every A_k^dag A_k is 1-D), and each
+    component adds ``f(S) . |psi|^2`` in S's eigenbasis, ``f(l) = l^(n/2)``.
+    White noise adds the mean of f over S's spectrum.  :class:`DimensionCap`
+    is raised before an array over the budget is built: a D x D S past
+    D = 2048, terms x D full-space vectors, or a grid of D floats past 2^23;
+    the eigenbasis route takes its components in chunks within the budget.
     """
     _check_assignment(state, assignment)
     if method not in ("auto", "dense"):
         raise ValueError(f"unknown method {method!r}")
     n = len(state.dims)
     half = n / 2.0
-    comps, noise = _components(state)
+    noise = _noise(state)
     route = _rhs2_route(state, assignment) if method == "auto" else "dense"
     value = 0.0
     if route == "dense":
@@ -445,6 +371,8 @@ def rhs_condition2(
         else:
             check_bytes(dim**2, 16, "the dense rhs_condition2 route: S of")
             squares = [np.diag(square) if square.ndim == 1 else square for square in squares]
+        pures = (state,) if isinstance(state, PureSOP) else state.pures
+        comps = tuple(zip((1.0,) if isinstance(state, PureSOP) else state.weights, pures))
         for _, pure in comps:
             # dense_vector's own check, made before any D-sized array is built
             check_bytes(len(pure.amplitudes()) * dim, 16, "dense_vector: terms x D array of")
@@ -469,26 +397,26 @@ def rhs_condition2(
         # ascending local spectra fix the mean's summation order
         grid = reduce(np.add.outer, [np.sort(evals) for evals, _ in spectra]).ravel()
         value = noise * float(np.mean((grid / n) ** half))
+    groups = state.term_axis.groups
     if route == "factorized":
-        for weight, pure in comps:
-            amps = pure.amplitudes()
-            sums = np.zeros(len(amps))
-            for k, (evals, _) in enumerate(spectra):
-                sums += evals[pure.site_labels(k)]
+        values, sites = [], np.arange(n)[:, None, None]
+        for group in groups:
+            # every term is an eigenvector of S: f of its local eigenvalues, summed in site order
+            sums = np.add.accumulate(assignment._diagonals[sites, group.labels], axis=0)[-1]
             powered = (sums / n) ** half
-            weighed = pure.overlaps() * powered[None, :]
-            value += weight * float((amps.conj() @ weighed @ amps).real)
-    else:
-        products = state.product_stacks
-        powered = (reduce(np.add.outer, [evals for evals, _ in spectra]).ravel() / n) ** half
-        # sum_c p_c (x_k |R_kc|^2) . powered, for components in chunks of rows x D floats
-        # within the budget (D <= 2^23 leaves room for one row)
-        rows = ARRAY_BYTES_CAP // (8 * len(powered))
-        for start in range(0, len(products.probs), rows):
-            block = products.probs[start : start + rows, None]
-            for k, (_, vecs) in enumerate(spectra):
-                squared = products.squared_overlaps(k, vecs)[start : start + rows]
-                block = (block[:, :, None] * squared[:, None, :]).reshape(len(block), -1)
+            values.append(group.quadratic(group.overlaps * powered[:, None, :]).real)
+        return value + float(_mix(values))
+    powered = (reduce(np.add.outer, [evals for evals, _ in spectra]).ravel() / n) ** half
+    # sum_c p_c (x_k |R_kc|^2) . powered, for components in chunks of rows x D floats
+    # within the budget (D <= 2^23 leaves room for one row)
+    rows = ARRAY_BYTES_CAP // (8 * len(powered))
+    for group in groups:  # the one group, of one-term components
+        squared = [group.squared(k, vecs) for k, (_, vecs) in enumerate(spectra)]
+        for start in range(0, len(group.probs), rows):
+            block = group.probs[start : start + rows, None]
+            for site_squared in squared:
+                chunk = site_squared[start : start + rows]
+                block = (block[:, :, None] * chunk[:, None, :]).reshape(len(block), -1)
             value += float((block @ powered).sum())
     return value
 

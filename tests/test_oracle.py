@@ -208,6 +208,6 @@ def test_sample_separable_repeats_the_per_ket_stream_bit_for_bit():
         assert len(got.pures) == len(want.pures) == spec.n_terms
         for site in range(n):
             stack = np.concatenate([pure.site_stack(site) for pure in want.pures])
-            assert np.array_equal(got.product_stacks.stacks[site], stack), (spec, site)
+            assert np.array_equal(got.term_axis.kets[site], stack), (spec, site)
             for pure_got, pure_want in zip(got.pures, want.pures):
                 assert np.array_equal(pure_got.site_stack(site), pure_want.site_stack(site))

@@ -2,7 +2,7 @@
 
 When every row of A has at most one nonzero, the columns have disjoint
 supports and A^dag A is diagonal.  The engine then keeps it, and its
-moment, as 1-D arrays and never calls an eigensolver on them.  These
+powers, as 1-D arrays and never calls an eigensolver on them.  These
 tests pin the diagonal to the d x d product it replaces, and check all
 three sides against the full-space reference for random row-sparse
 operators on every kind of state.
@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from witnesslab import witness
-from witnesslab.linalg import annihilation_op, dag, spectral_power
+from witnesslab.linalg import annihilation_op, dag
 from witnesslab.states import MixedEnsemble, ProductTerm, PureSOP, StateFamily, build_state
 from witnesslab.witness import (
     OperatorAssignment,
@@ -45,20 +45,18 @@ def _dense_square(op):
 
 @pytest.mark.parametrize("name,dim", NAMED)
 def test_named_choices_keep_the_exact_diagonal(name, dim):
-    """The diagonal equals the d x d product's diagonal bit for bit, and so does the
-    moment, for each named choice and for the creation operator (its transpose)."""
+    """The diagonal equals the d x d product's diagonal bit for bit, and is its own
+    spectrum, for each named choice and for the creation operator (its transpose)."""
     n = 3
     ops = list(canonical_assignment(name, (dim,) * n).ops)
     if name == "annihilation":
         ops.append(annihilation_op(dim).T.copy())
     for op in ops:
-        local = witness._LocalOperator(op, n)
+        local = witness._LocalOperator(op)
         square = _dense_square(op)
         assert local.square.ndim == 1 and local.square.dtype == float
         assert np.array_equal(local.square, np.diagonal(square))
-        assert local.spectrum[1] is None
-        moment = spectral_power((np.diagonal(square).real, None), n / 2.0)
-        assert np.array_equal(local.moment, np.diagonal(moment))
+        assert local.spectrum[0] is local.square and local.spectrum[1] is None
 
 
 @pytest.mark.parametrize(

@@ -125,15 +125,21 @@ def test_unit_norm(family, params):
 
 
 def _assert_pair_matrices(state, rng):
-    """On every site of every pure component, pair_matrix and site_gram equal stack products."""
-    for pure in getattr(state, "pures", (state,)):
-        for site, dim in enumerate(pure.dims):
+    """On every site of every term group, the pair and gram blocks equal each component's
+    stack products, for a dense operator and a diagonal one given as its 1-D diagonal."""
+    for group in state.term_axis.groups:
+        for site, dim in enumerate(state.dims):
             op = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            stack = pure.site_stack(site)
-            want = stack.conj() @ op @ stack.T
-            np.testing.assert_allclose(pure.pair_matrix(site, op), want, rtol=0, atol=1e-14)
-            gram = stack.conj() @ stack.T
-            np.testing.assert_allclose(pure.site_gram(site), gram, rtol=0, atol=1e-14)
+            diagonal = rng.standard_normal(dim)
+            stacks = group.stack(site)
+            for c, stack in enumerate(stacks):
+                want = stack.conj() @ op @ stack.T
+                np.testing.assert_allclose(group.pair_block(site, op)[c], want, rtol=0, atol=1e-14)
+                want = stack.conj() @ np.diag(diagonal) @ stack.T
+                got = group.pair_block(site, diagonal)[c]
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+                gram = stack.conj() @ stack.T
+                np.testing.assert_allclose(group.gram(site)[c], gram, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("family,params", ALL_FAMILIES)
@@ -317,6 +323,35 @@ def test_pure_sop_rejects_malformed_terms():
     for terms in (ragged, ragged[1:]):  # ragged at site 1, then one wrong-shaped ket
         with pytest.raises(BadParameter, match=r"local ket shape \(3,\) != \(2,\)"):
             PureSOP((2, 2), terms)
+
+
+_BAD_DIMS = [
+    (2.5, 2), (2, 2.000001), (True, 2), (2, np.bool_(True)), (0, 2), (2, -1), (2,), (),
+    ("2", 2), (2, None), (2, math.nan), (2, math.inf), (2, 1j), [[2, 2]], 2,
+]
+
+
+@pytest.mark.parametrize("dims", _BAD_DIMS, ids=repr)
+def test_subsystem_dims_are_checked_not_coerced(dims):
+    """Every constructor refuses a non-integral, bool or non-numeric dim, a dim below 1
+    and fewer than 2 sites, instead of casting them."""
+    makers = (
+        lambda: PureSOP.from_labels(dims, (1.0,), [[0, 0]]),
+        lambda: PureSOP(dims, (ProductTerm(1.0 + 0j, (np.ones(1), np.ones(1))),)),
+        lambda: MixedEnsemble(dims, (), (), 1.0),
+        lambda: MixedEnsemble.from_products(dims, (1.0,), [np.ones((1, 1))] * 2),
+    )
+    for make in makers:
+        with pytest.raises(BadParameter, match="subsystems of integral dim"):
+            make()
+
+
+def test_integral_float_dims_are_read_as_ints():
+    dims = np.array([2.0, 2.0])
+    state = PureSOP.from_labels(dims, (1.0,), [[0, 1]])
+    assert state.dims == (2, 2) and all(type(d) is int for d in state.dims)
+    mixed = MixedEnsemble((2.0, np.int64(2)), (1.0,), (state,))
+    assert mixed.dims == (2, 2) and all(type(d) is int for d in mixed.dims)
 
 
 def test_mixed_ensemble_rejects_bad_weights():

@@ -1,0 +1,194 @@
+"""Every state on one term axis, evaluated block by block per group of equal term count.
+
+A state's components are concatenated on one axis of product terms and
+grouped by term count; lhs, rhs1, rhs2 and the second moments are read
+off one (components x terms x terms) block per group and site.  These
+tests draw mixtures whose components have different term counts, so
+several groups meet in one state, and check every side against the
+full-space reference built from the definitions.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from witnesslab.errors import BadParameter
+from witnesslab.formulas import EXACT_TOL, FormulaId, closed_form
+from witnesslab.states import MixedEnsemble, PureSOP, StateFamily, build_state
+from witnesslab.witness import (
+    OperatorAssignment,
+    canonical_assignment,
+    product_expectation,
+    rhs_condition1,
+    rhs_condition2,
+    site_second_moments,
+)
+
+import full_space
+
+
+def _unit(vec):
+    return vec / np.linalg.norm(vec)
+
+
+def _component(draw, dims, rng) -> PureSOP:
+    """1-4 terms with non-unit amplitudes; each site a label column or random kets."""
+    count = draw(st.integers(1, 4))
+    amps = 2.0 ** rng.uniform(-1, 1, count) * np.exp(1j * rng.uniform(0, 2 * np.pi, count))
+    labels = np.array([rng.integers(0, d, count) for d in dims]).T
+    kets = {}
+    for site, d in enumerate(dims):
+        if draw(st.booleans()):
+            kets[site] = [_unit(rng.standard_normal(d) + 1j * rng.standard_normal(d))
+                          for _ in range(count)]
+            labels[:, site] = -1
+    return PureSOP.from_labels(dims, amps, labels, kets)
+
+
+def _operator(draw, dim, rng) -> np.ndarray:
+    """A dense complex Gaussian operator, or a row-sparse one (A^dag A kept 1-D)."""
+    if draw(st.booleans()):
+        return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    op = np.zeros((dim, dim), dtype=complex)
+    for row, col in enumerate(draw(st.lists(st.integers(-1, dim - 1), min_size=dim, max_size=dim))):
+        if col >= 0:
+            op[row, col] = rng.standard_normal() + 1j * rng.standard_normal()
+    return op
+
+
+@st.composite
+def term_axis_cases(draw):
+    """(state, assignment): a PureSOP, or a mixture of 0-4 components of 1-4 terms each
+    (some of weight zero) with an optional white-noise weight, over dims 1..3."""
+    n = draw(st.integers(2, 4))
+    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(0, 4))
+    noise = 1.0 if count == 0 else draw(st.sampled_from((0.0, 0.0, 0.3)))
+    pures = tuple(_component(draw, dims, rng) for _ in range(count))
+    if count == 1 and noise == 0.0 and draw(st.booleans()):
+        state = pures[0]
+    else:
+        weights = rng.dirichlet(np.ones(count)) if count else np.zeros(0)
+        if count > 1 and draw(st.booleans()):
+            weights[0] = 0.0
+            weights /= weights.sum()
+        weights = tuple(float(w) * (1.0 - noise) for w in weights)
+        state = MixedEnsemble(dims, weights, pures, white_noise_weight=noise)
+    assignment = OperatorAssignment(tuple(_operator(draw, d, rng) for d in dims))
+    return state, assignment
+
+
+def _close(got, want, tol=1e-10):
+    return abs(got - want) <= tol * max(1.0, abs(want))
+
+
+def _assert_sides_match_the_reference(state, assignment):
+    lhs = abs(product_expectation(state, assignment))
+    rhs1 = rhs_condition1(state, assignment)
+    rhs2 = rhs_condition2(state, assignment)
+    ref_lhs, ref_rhs1, ref_rhs2 = full_space.sides(state, assignment)
+    assert _close(lhs, ref_lhs), (lhs, ref_lhs)
+    assert _close(rhs1, ref_rhs1), (rhs1, ref_rhs1)
+    assert _close(rhs2, ref_rhs2), (rhs2, ref_rhs2)
+    moments = site_second_moments(state, assignment)
+    for got, want in zip(moments, full_space.second_moments(state, assignment)):
+        assert _close(got, want), (got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(term_axis_cases())
+def test_term_axis_sides_match_the_full_space_reference(case):
+    """lhs, rhs1, rhs2 (auto route) and every <A_k^dag A_k> agree with the definitions to
+    1e-10 on mixtures that put several term-count groups in one state."""
+    _assert_sides_match_the_reference(*case)
+
+
+@pytest.mark.parametrize("ops", ["lowering", "random"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_noisy_ghz_ground_evaluates_its_two_groups(n, ops):
+    """NoisyGHZ with ground-state noise mixes a 2-term and a 1-term component."""
+    params = {"n": n, "theta": 0.4, "p": 0.6, "noise": "ground"}
+    state = build_state(StateFamily("NoisyGHZ", params))
+    groups = state.term_axis.groups
+    assert [group.amps.shape for group in groups] == [(1, 2), (1, 1)]
+    assert [group.comps.tolist() for group in groups] == [[0], [1]]
+    if ops == "lowering":
+        assignment = canonical_assignment("lowering", state.dims)
+    else:
+        rng = np.random.default_rng(n)
+        mats = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+        assignment = OperatorAssignment(tuple(mats))
+    _assert_sides_match_the_reference(state, assignment)
+
+
+def test_a_mixture_concatenates_its_components_once():
+    """Labels, kets, amplitudes, offsets and weights of the components on one axis: a site
+    in ket form in any component is a ket site of the axis, with basis kets written out."""
+    tilted = _unit(np.array([1.0, 2.0 + 1.0j]))
+    ghz = PureSOP.from_labels((2, 2), (0.6, 0.8), [[0, 0], [1, 1]])
+    product = PureSOP.from_labels((2, 2), (1.0,), [[-1, 1]], {0: [tilted]})
+    state = MixedEnsemble((2, 2), (0.25, 0.75), (ghz, product))
+    axis = state.term_axis
+    assert axis.offsets.tolist() == [0, 2, 3]
+    assert axis.weights.tolist() == [0.25, 0.75]
+    assert axis.amps.tolist() == [0.6, 0.8, 1.0]
+    assert axis.labels.tolist() == [[-1, 0], [-1, 1], [-1, 1]]
+    np.testing.assert_array_equal(axis.kets[0], [[1, 0], [0, 1], tilted])
+    assert list(axis.kets) == [0]
+    assert state.term_axis is axis
+    with pytest.raises(ValueError):
+        axis.labels[0, 0] = 0
+
+
+def test_rotations_are_shared_by_rhs1_and_rhs2():
+    """One state and one assignment: each site's kets are rotated into the eigenbasis once."""
+    rng = np.random.default_rng(8)
+    dims = (2, 3, 2)
+    stacks = [np.array([_unit(rng.standard_normal(d) + 1j * rng.standard_normal(d))
+                        for _ in range(3)]) for d in dims]
+    state = MixedEnsemble.from_products(dims, (0.2, 0.3, 0.5), stacks)
+    assignment = OperatorAssignment(
+        tuple(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in dims)
+    )
+    (group,) = state.term_axis.groups
+    rhs_condition2(state, assignment)
+    rotated = [group.squared(site, vecs) for site, (_, vecs) in enumerate(assignment._spectra)]
+    rhs_condition1(state, assignment)
+    site_second_moments(state, assignment)
+    assert all(group._squared[site][1] is rotated[site] for site in range(3))
+
+
+def test_from_products_checks_every_ket_and_shape():
+    good = [np.eye(2, dtype=complex), np.eye(2, dtype=complex)]
+    state = MixedEnsemble.from_products((2, 2), (0.5, 0.5), good)
+    assert [pure.site_stack(1).tolist() for pure in state.pures] == [[[1, 0]], [[0, 1]]]
+    assert [stack.tolist() for stack in state.term_axis.kets.values()] == [
+        [[1, 0], [0, 1]], [[1, 0], [0, 1]]
+    ]
+    with pytest.raises(BadParameter, match="unit-normalized"):
+        MixedEnsemble.from_products((2, 2), (0.5, 0.5), [good[0], 2 * good[1]])
+    with pytest.raises(BadParameter, match="shape"):
+        MixedEnsemble.from_products((2, 2), (0.5, 0.5), [good[0], good[1][:1]])
+    with pytest.raises(BadParameter, match="stacks"):
+        MixedEnsemble.from_products((2, 2), (0.5, 0.5), good[:1])
+    with pytest.raises(BadParameter, match="sum to"):
+        MixedEnsemble.from_products((2, 2), (0.5, 0.4), good)
+
+
+@pytest.mark.parametrize("n", [50, 200])
+def test_mixed_single_out_at_large_n_matches_the_closed_form(n):
+    """lhs and rhs1 of MixedSingleOut under lowering, times n, match MIXED_C1 at sizes
+    where evaluate refuses the dense rhs2, with tilts that differ per site."""
+    params = {"n": n, "theta": 0.3, "thetas": [0.2 + 0.001 * i for i in range(n)]}
+    state = build_state(StateFamily("MixedSingleOut", params))
+    assignment = canonical_assignment("lowering", state.dims)
+    lhs = n * abs(product_expectation(state, assignment))
+    rhs1 = n * rhs_condition1(state, assignment)
+    want_lhs, want_rhs1 = closed_form(FormulaId.MIXED_C1, params)
+    assert abs(lhs - want_lhs) <= EXACT_TOL, (lhs, want_lhs)
+    assert abs(rhs1 - want_rhs1) <= EXACT_TOL, (rhs1, want_rhs1)
+    assert math.isfinite(lhs) and lhs > 0.0
