@@ -20,8 +20,8 @@ import numpy as np
 from .errors import DimensionCap, DimensionMismatch, NegativeSpectrum, NonHermitian
 
 #: Largest single array, in bytes, that a family builder or a route allocates
-#: (64 MiB): 2^23 label entries, 2048 x 2048 complex, 2^23 floats (a diagonal
-#: S of D = 2^23), or 2^22 complex (a 2-term full-space vector of D = 2^21).
+#: (64 MiB): 2^23 label entries, 2048 x 2048 complex, 2^23 floats (rhs2's grid
+#: of S's entries at D = 2^23), or 2^22 complex (a 2-term full-space vector of D = 2^21).
 ARRAY_BYTES_CAP = 2**26
 
 #: Tolerance for Hermiticity checks and eigenvalue clamping.
@@ -139,7 +139,7 @@ def kron_embed(op, site: int, dims) -> np.ndarray:
     is the largest admitted D x D complex matrix, D = 2^23 the largest
     real diagonal.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(map(int, dims))
     op = np.asarray(op)
     mat = _as_diagonal(op) if op.ndim == 1 else as_operator(op)
     if not 0 <= site < len(dims):
@@ -148,9 +148,7 @@ def kron_embed(op, site: int, dims) -> np.ndarray:
         raise DimensionMismatch(
             f"operator dim {mat.shape[0]} != subsystem dim {dims[site]} at site {site}"
         )
-    total = total_dimension(dims)
-    left = total_dimension(dims[:site])
-    right = total_dimension(dims[site + 1 :])
+    total, left, right = math.prod(dims), math.prod(dims[:site]), math.prod(dims[site + 1 :])
     if mat.ndim == 1:
         check_bytes(total, mat.itemsize, "kron_embed: full-space diagonal of")
         out = np.empty((left, dims[site], right), dtype=mat.dtype)
@@ -167,8 +165,7 @@ def psd_eigh(op) -> tuple[np.ndarray, np.ndarray | None]:
     """Clamped spectrum of a Hermitian positive-semidefinite matrix, or of a stack of them.
 
     ``op`` is one d x d matrix or an (m, d, d) stack; every check below
-    applies to each matrix, and a 1-D ``op`` stands for the diagonal
-    matrix it lists.  Returns ``(evals, vecs)`` with the eigenvalues
+    applies to each matrix.  Returns ``(evals, vecs)`` with the eigenvalues
     clamped at zero (round-off from truncated operators routinely
     produces eigenvalues like -1e-15) and the eigenvectors as columns.
     When every matrix is exactly diagonal, the (real) diagonals are the
@@ -178,22 +175,18 @@ def psd_eigh(op) -> tuple[np.ndarray, np.ndarray | None]:
     defect above :data:`DEFAULT_TOL` raises :class:`NonHermitian`, and a
     non-finite entry ``ValueError``.
     """
-    if np.ndim(op) == 1:
-        diagonal = _as_diagonal(op)
-        is_diagonal = True
-    else:
-        mat = np.asarray(op, dtype=complex)
-        if mat.ndim not in (2, 3) or mat.shape[-1] != mat.shape[-2] or mat.shape[-1] == 0:
-            raise DimensionMismatch(f"operator must be square, got shape {mat.shape}")
-        if not np.isfinite(mat).all():
-            raise ValueError("operator has non-finite entries")
-        diagonal = mat.diagonal(axis1=-2, axis2=-1)
-        # more nonzeros than diagonal entries rules out a diagonal matrix without counting them
-        nonzero = np.count_nonzero(mat)
-        is_diagonal = nonzero <= diagonal.size and nonzero == np.count_nonzero(diagonal)
+    mat = np.asarray(op, dtype=complex)
+    if mat.ndim not in (2, 3) or mat.shape[-1] != mat.shape[-2] or mat.shape[-1] == 0:
+        raise DimensionMismatch(f"operator must be square, got shape {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise ValueError("operator has non-finite entries")
+    diagonal = mat.diagonal(axis1=-2, axis2=-1)
+    # more nonzeros than diagonal entries rules out a diagonal matrix without counting them
+    nonzero = np.count_nonzero(mat)
+    is_diagonal = nonzero <= diagonal.size and nonzero == np.count_nonzero(diagonal)
     if is_diagonal:
         # mat - dag(mat) is then diag(2i Im d): the same defect, read off the diagonal
-        defect = 2.0 * float(np.abs(diagonal.imag).max()) if np.iscomplexobj(diagonal) else 0.0
+        defect = 2.0 * float(np.abs(diagonal.imag).max())
     else:
         defect = float(np.abs(mat - mat.conj().swapaxes(-1, -2)).max())
     if defect > DEFAULT_TOL:

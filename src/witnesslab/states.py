@@ -735,16 +735,22 @@ def build_state(family: StateFamily, tail_tol: float = DEFAULT_TAIL_TOL) -> Stat
     return spec.build(dict(family.params), _check_tail_tol(tail_tol))
 
 
-def dense_vector(state: PureSOP) -> np.ndarray:
-    """Expand a pure SOP state into a full state vector (dense route).
+def dense_vector(state: PureSOP, bases=None) -> np.ndarray:
+    """Expand a pure SOP state into a full state vector.
 
     Every term's vector is built at once, as a terms x D array: the
     amplitudes times site 0's kets, then each further site's, summed in
-    term order.
+    term order.  ``bases`` (one d x d unitary V_k or None per site) reads
+    site k's kets in V_k's columns, V_k^dag u, so the result is
+    (x_k V_k^dag) psi; without it, or where V_k is None, the kets are
+    taken as they are.
     """
     amps = state.amplitudes()
     check_bytes(len(amps) * total_dimension(state.dims), 16, "dense_vector: terms x D array of")
     comps = amps[:, None]
     for k in range(state.num_sites):
-        comps = (comps[:, :, None] * state.site_stack(k)[:, None, :]).reshape(len(amps), -1)
+        stack = state.site_stack(k)
+        if bases is not None and bases[k] is not None:
+            stack = stack @ bases[k].conj()
+        comps = (comps[:, :, None] * stack[:, None, :]).reshape(len(amps), -1)
     return comps.sum(axis=0)

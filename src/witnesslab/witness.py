@@ -17,19 +17,20 @@ group of equal term count and per site, one (G x t x t) block of
 second moments weigh site k's block by the other sites' grams.  A
 non-diagonal A^dag A enters through its clamped spectrum (lambda, V):
 one-term components read |R_k|^2 . lambda^p, R_k = U_k V_k^*, from the
-rotation the eigenbasis rhs2 reads too.  rhs2 needs the n/2 power of
-S = (1/n) sum_k A_k^dag A_k; its route is read off the structure:
-factorized when every site is a label site and every A_k^dag A_k is
-diagonal (each term is an eigenvector of S), eigenbasis when every
-component is one product term (S is diagonal in the local eigenbases),
-and dense otherwise.  The tests check every side against a full-space
-reference built from the definitions (``tests/full_space.py``).
+rotation rhs2 reads too.  rhs2 needs the n/2 power of
+S = (1/n) sum_k A_k^dag A_k, whose embedded terms commute, so S is
+diagonal in the product of the local eigenbases.  Its route is read off
+the structure: factorized when every site is a label site and every
+A_k^dag A_k is diagonal (each term is an eigenvector of S), and
+eigenbasis otherwise, over S's D diagonal entries.  The tests check
+every side against a full-space reference built from the definitions
+(``tests/full_space.py``).
 
-Each distinct local operator's A^dag A and spectrum are computed once and
-kept on the :class:`OperatorAssignment`; when every row of A has at most
-one nonzero (every named operator choice), A^dag A is kept as its real
-1-D diagonal sum_i |A_ij|^2, its own spectrum.  A 1-D array stands for
-the diagonal operator it lists.  Every array is checked against
+Each distinct local operator's spectrum is computed once and kept on
+the :class:`OperatorAssignment`; when every row of A has at most one
+nonzero (every named operator choice), A^dag A is its real 1-D diagonal
+sum_i |A_ij|^2, its own spectrum.  A 1-D array stands for the diagonal
+operator it lists.  Every array is checked against
 :data:`~witnesslab.linalg.ARRAY_BYTES_CAP` before it is built, and an
 A^dag A that overflows double precision raises :class:`NumericalOverflow`.
 """
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -65,37 +66,25 @@ DEFAULT_EPSILON_SCALE = 1e-9
 _CHUNK_BYTES = 2**18
 
 
-class _LocalOperator:
-    """One local operator A and what the conditions derive from it, each computed once.
-
-    ``square`` (A^dag A) is 1-D, the diagonal of a diagonal operator, when
-    every row of A has at most one nonzero; otherwise it is a d x d matrix.
-    """
-
-    def __init__(self, op: np.ndarray):
-        # more nonzeros than rows rules out one per row, without the per-row count
-        if np.count_nonzero(op) <= len(op) and np.all(np.count_nonzero(op, axis=1) <= 1):
-            # the columns have disjoint supports, so A^dag A is diagonal:
-            # sum_i |A_ij|^2, real and non-negative by construction
-            square = (op.real**2 + op.imag**2).sum(axis=0)
-        else:
-            square = dag(op) @ op
-            # Hermitian by construction; exact where A^dag A is diagonal
-            square = 0.5 * (square + dag(square))
-        if not np.isfinite(square).all():
-            scale = float(np.max(np.abs(op)))
-            raise NumericalOverflow(
-                f"A^dag A of an operator with largest modulus {scale:.3g} overflows double"
-                " precision"
-            )
-        self.square = square
-
-    @cached_property
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """Clamped spectrum of A^dag A, unless :attr:`OperatorAssignment._spectra` filled it in."""
-        if self.square.ndim == 1:
-            return self.square, None
-        return psd_eigh(self.square)
+def _square(op: np.ndarray) -> np.ndarray:
+    """A^dag A: 1-D, its diagonal, when every row of A has at most one nonzero; otherwise
+    the d x d Hermitian product.  :class:`NumericalOverflow` if it is not finite."""
+    # more nonzeros than rows rules out one per row, without the per-row count
+    if np.count_nonzero(op) <= len(op) and np.all(np.count_nonzero(op, axis=1) <= 1):
+        # the columns have disjoint supports, so A^dag A is diagonal:
+        # sum_i |A_ij|^2, real and non-negative by construction
+        square = (op.real**2 + op.imag**2).sum(axis=0)
+    else:
+        square = dag(op) @ op
+        # Hermitian by construction; exact where A^dag A is diagonal
+        square = 0.5 * (square + dag(square))
+    if not np.isfinite(square).all():
+        scale = float(np.max(np.abs(op)))
+        raise NumericalOverflow(
+            f"A^dag A of an operator with largest modulus {scale:.3g} overflows double"
+            " precision"
+        )
+    return square
 
 
 @dataclass(frozen=True)
@@ -104,8 +93,8 @@ class OperatorAssignment:
 
     The operators are kept as read-only copies, so the matrices derived
     from them and kept on the assignment cannot go stale.  Sites given
-    the same array object share one copy and one :class:`_LocalOperator`,
-    so its derived matrices are computed once for all of them.
+    the same array object share one copy, so what is derived from it is
+    computed once for all of them.
     """
 
     ops: tuple[np.ndarray, ...]
@@ -125,32 +114,26 @@ class OperatorAssignment:
         return tuple(op.shape[0] for op in self.ops)
 
     @cached_property
-    def _local(self) -> tuple[_LocalOperator, ...]:
-        """Per site, the local operator with its derived matrices (kept on the assignment)."""
-        shared: dict[int, _LocalOperator] = {}
+    def _spectra(self) -> tuple[tuple[np.ndarray, np.ndarray | None], ...]:
+        """Per site, the clamped spectrum ``(evals, vecs)`` of A^dag A, once per operator.
+
+        A 1-D square is its own spectrum, with ``vecs=None``; the d x d
+        squares of equal d go through one :func:`psd_eigh` of their stack.
+        """
+        spectra: dict[int, tuple] = {}
+        groups: dict[int, list[int]] = {}
         # an A^dag A that overflows raises NumericalOverflow instead of a warning
         with np.errstate(over="ignore", invalid="ignore"):
             for op in self.ops:
-                if id(op) not in shared:
-                    shared[id(op)] = _LocalOperator(op)
-        return tuple(shared[id(op)] for op in self.ops)
-
-    @cached_property
-    def _spectra(self) -> tuple[tuple[np.ndarray, np.ndarray | None], ...]:
-        """Per site, the clamped spectrum of A^dag A, kept on each local operator.
-
-        The d x d squares of equal d go through one :func:`psd_eigh` of
-        their stack; a 1-D square is its own spectrum.
-        """
-        groups: dict[int, list[_LocalOperator]] = {}
-        for local in {id(local): local for local in self._local}.values():
-            if local.square.ndim == 2:
-                groups.setdefault(len(local.square), []).append(local)
-        for group in groups.values():
-            evals, vecs = psd_eigh(np.stack([local.square for local in group]))
-            for i, local in enumerate(group):
-                local.spectrum = (evals[i], None if vecs is None else vecs[i])
-        return tuple(local.spectrum for local in self._local)
+                if id(op) not in spectra:
+                    square = spectra[id(op)] = (_square(op), None)
+                    if square[0].ndim == 2:
+                        groups.setdefault(len(op), []).append(id(op))
+        for keys in groups.values():
+            evals, vecs = psd_eigh(np.stack([spectra[key][0] for key in keys]))
+            for i, key in enumerate(keys):
+                spectra[key] = (evals[i], None if vecs is None else vecs[i])
+        return tuple(spectra[id(op)] for op in self.ops)
 
     @cached_property
     def _diagonals(self) -> np.ndarray:
@@ -322,7 +305,7 @@ def rhs_condition1(state: State, assignment: OperatorAssignment) -> float:
 
 
 def _rhs2_route(state: State, assignment: OperatorAssignment) -> str:
-    """The rhs2 route the state's structure takes: "factorized", "eigenbasis" or "dense".
+    """The rhs2 route the state's structure takes: "factorized" or "eigenbasis".
 
     Read off the components, so no term axis is built for it; a ket-form
     state asks for no local spectrum here.
@@ -332,9 +315,23 @@ def _rhs2_route(state: State, assignment: OperatorAssignment) -> str:
         vecs is None for _, vecs in assignment._spectra
     ):
         return "factorized"
-    if all(len(pure.amplitudes()) == 1 for pure in pures):
-        return "eigenbasis"
-    return "dense"
+    return "eigenbasis"
+
+
+def _powered_grid(state: State, assignment: OperatorAssignment) -> np.ndarray:
+    """f(S) = S^(n/2) on S's D diagonal entries in the local eigenbases: the clamped
+    local spectra embedded with :func:`~witnesslab.linalg.kron_embed` and summed in
+    site order, scaled once by 1/n."""
+    dims, n = state.dims, len(state.dims)
+    spectra = assignment._spectra
+    grid = kron_embed(spectra[0][0], 0, dims)
+    for k in range(1, n):
+        grid += kron_embed(spectra[k][0], k, dims)
+    # times 1/n, not /n: the two differ in the last bit for some n (3, 5, 7, 9 among
+    # them), and the route's outputs were fixed with this one
+    grid *= 1.0 / n
+    grid **= n / 2.0
+    return grid
 
 
 def rhs_condition2(
@@ -345,80 +342,63 @@ def rhs_condition2(
     """Operator-average bound: <((1/n) sum_k A_k^dag A_k)^(n/2)>.
 
     ``method="auto"`` takes the route :func:`_rhs2_route` reads off the
-    structure; ``method="dense"`` forces the dense route, a self-contained
-    full-space reference: S from n :func:`~witnesslab.linalg.kron_embed`
-    calls (its D diagonal entries when every A_k^dag A_k is 1-D), and each
-    component adds ``f(S) . |psi|^2`` in S's eigenbasis, ``f(l) = l^(n/2)``.
-    White noise adds the mean of f over S's spectrum.  :class:`DimensionCap`
-    is raised before an array over the budget is built: a D x D S past
-    D = 2048, terms x D full-space vectors, or a grid of D floats past 2^23;
-    the eigenbasis route takes its components in chunks within the budget.
+    structure; ``method="dense"`` forces the eigenbasis route, which
+    serves every state.  The embedded A_k^dag A_k commute, so S is
+    diagonal in the product of the local eigenbases V_k, with D entries
+    from n :func:`~witnesslab.linalg.kron_embed` calls.  One-term
+    components add ``f(S) . (x_k |R_k|^2)``, in chunks of components
+    within the budget; any other component adds ``f(S) . |psi~|^2``,
+    where ``psi~`` is its full-space vector with each site's kets in V_k
+    (:func:`~witnesslab.states.dense_vector`), ``f(l) = l^(n/2)``.  On
+    either route white noise adds the mean of f over the same D entries.
+    :class:`DimensionCap` is raised before an array over the budget is
+    built: a grid of D floats past 2^23, or terms x D full-space vectors.
     """
     _check_assignment(state, assignment)
     if method not in ("auto", "dense"):
         raise ValueError(f"unknown method {method!r}")
-    n = len(state.dims)
-    half = n / 2.0
+    route = _rhs2_route(state, assignment) if method == "auto" else "eigenbasis"
+    n, dim = len(state.dims), total_dimension(state.dims)
     noise = _noise(state)
-    route = _rhs2_route(state, assignment) if method == "auto" else "dense"
-    value = 0.0
-    if route == "dense":
-        dim = total_dimension(state.dims)
-        squares = [local.square for local in assignment._local]
-        if all(square.ndim == 1 for square in squares):
-            # S is diagonal too: its D real entries, from 1-D embeds, are its spectrum
-            check_bytes(dim, 8, "the dense rhs_condition2 route: diagonal S of")
-        else:
-            check_bytes(dim**2, 16, "the dense rhs_condition2 route: S of")
-            squares = [np.diag(square) if square.ndim == 1 else square for square in squares]
-        pures = (state,) if isinstance(state, PureSOP) else state.pures
-        comps = tuple(zip((1.0,) if isinstance(state, PureSOP) else state.weights, pures))
-        for _, pure in comps:
-            # dense_vector's own check, made before any D-sized array is built
-            check_bytes(len(pure.amplitudes()) * dim, 16, "dense_vector: terms x D array of")
-        summed = kron_embed(squares[0], 0, state.dims)
-        for k in range(1, n):
-            summed += kron_embed(squares[k], k, state.dims)
-        summed *= 1.0 / n  # bit-identical to /= n, which numpy computes by scaling with 1/n
-        evals, vecs = psd_eigh(summed)
-        powered = evals**half
-        for weight, pure in comps:
-            vec = dense_vector(pure)
-            if vecs is not None:
-                vec = dag(vecs) @ vec
-            value += weight * float(powered @ (vec.real**2 + vec.imag**2))
-        return value + noise * float(np.mean(powered)) if noise else value
-    if route == "eigenbasis":
-        # one float per full-space basis state; checked before any local spectrum
-        check_bytes(total_dimension(state.dims), 8, "the eigenbasis rhs_condition2 route: grid of")
-    spectra = assignment._spectra
-    if noise:
-        check_bytes(total_dimension(state.dims), 8, "white noise in rhs_condition2: grid of")
-        # ascending local spectra fix the mean's summation order
-        grid = reduce(np.add.outer, [np.sort(evals) for evals, _ in spectra]).ravel()
-        value = noise * float(np.mean((grid / n) ** half))
     groups = state.term_axis.groups
+    value = 0.0
+    if route == "eigenbasis" or noise:
+        # one float per full-space basis state, and dense_vector's own check: both made
+        # before any D-sized array (and, for a state with ket sites, any local spectrum)
+        check_bytes(dim, 8, f"the {route} rhs_condition2 route: grid of")
+        terms = max((g.amps.shape[1] for g in groups), default=1) if route == "eigenbasis" else 1
+        if terms > 1:
+            check_bytes(terms * dim, 16, "dense_vector: terms x D array of")
+        powered = _powered_grid(state, assignment)
+        if noise:
+            value = noise * float(np.mean(powered))
     if route == "factorized":
-        values, sites = [], np.arange(n)[:, None, None]
+        values, sites, half = [], np.arange(n)[:, None, None], n / 2.0
         for group in groups:
             # every term is an eigenvector of S: f of its local eigenvalues, summed in site order
             sums = np.add.accumulate(assignment._diagonals[sites, group.labels], axis=0)[-1]
-            powered = (sums / n) ** half
-            values.append(group.quadratic(group.overlaps * powered[:, None, :]).real)
+            levels = (sums / n) ** half
+            values.append(group.quadratic(group.overlaps * levels[:, None, :]).real)
         return value + float(_mix(values))
-    powered = (reduce(np.add.outer, [evals for evals, _ in spectra]).ravel() / n) ** half
-    # sum_c p_c (x_k |R_kc|^2) . powered, for components in chunks of rows x D floats
-    # within the budget (D <= 2^23 leaves room for one row)
-    rows = ARRAY_BYTES_CAP // (8 * len(powered))
-    for group in groups:  # the one group, of one-term components
-        squared = [group.squared(k, vecs) for k, (_, vecs) in enumerate(spectra)]
+    bases = [vecs for _, vecs in assignment._spectra]
+    pures = (state,) if isinstance(state, PureSOP) else state.pures
+    # one-term components: sum_c p_c (x_k |R_kc|^2) . powered, in chunks of rows x D
+    # floats within the budget (D <= 2^23 leaves room for one row)
+    rows = ARRAY_BYTES_CAP // (8 * dim)
+    for group in groups:
+        if group.amps.shape[1] > 1:
+            for comp, weight in zip(group.comps, group.weights):
+                vec = dense_vector(pures[comp], bases)
+                value += weight * float(powered @ (vec.real**2 + vec.imag**2))
+            continue
+        squared = [group.squared(k, vecs) for k, vecs in enumerate(bases)]
         for start in range(0, len(group.probs), rows):
             block = group.probs[start : start + rows, None]
             for site_squared in squared:
                 chunk = site_squared[start : start + rows]
                 block = (block[:, :, None] * chunk[:, None, :]).reshape(len(block), -1)
             value += float((block @ powered).sum())
-    return value
+    return float(value)
 
 
 def _check_epsilon(epsilon: float | None) -> float | None:
@@ -454,8 +434,8 @@ def evaluate(
     a side that is not finite in double precision :class:`NumericalOverflow`.
     """
     epsilon = _check_epsilon(epsilon)
-    # rhs2 first: its eigenbasis and dense routes can raise DimensionCap for
-    # the full dimension, and lhs and rhs1 cost seconds on such large states.
+    # rhs2 first: its eigenbasis route can raise DimensionCap for the full
+    # dimension, and lhs and rhs1 cost seconds on such large states.
     # A moment m^(n/2) overflows for large n and then meets zeros as NaN:
     # numpy's warnings on the way are kept back and each side is checked.
     try:

@@ -14,6 +14,10 @@ product terms (``PureSOP.terms``) and mixture weights, the operators as
 plain arrays, and no witnesslab helper is called, so the engine's routes
 are checked against code that shares none of their steps.  Every array
 is full-space, so keep the dimension small (a few hundred).
+
+:func:`rhs2` reads rhs2 from the state vectors instead of rho: S's
+eigenbasis from np.linalg.eigh, then sum_c w_c |V^dag psi_c|^2 . f(evals)
+plus the white-noise weight times the mean of f, which reaches D = 1024.
 """
 
 from functools import reduce
@@ -77,3 +81,18 @@ def second_moments(state, assignment) -> list[float]:
         _expectation(rho, _embed(op.conj().T @ op, k, state.dims)).real
         for k, op in enumerate(assignment.ops)
     ]
+
+
+def rhs2(state, assignment) -> float:
+    """tr(rho f(S)) with f(s) = s^(n/2), from S's eigenbasis and the state vectors."""
+    dims = tuple(state.dims)
+    n = len(dims)
+    squares = [op.conj().T @ op for op in assignment.ops]
+    mean = sum(_embed(square, k, dims) for k, square in enumerate(squares)) / n
+    evals, vecs = np.linalg.eigh((mean + mean.conj().T) / 2)
+    powered = np.maximum(evals, 0.0) ** (n / 2)
+    value = getattr(state, "white_noise_weight", 0.0) * powered.mean()
+    for weight, pure in zip(getattr(state, "weights", (1.0,)), getattr(state, "pures", (state,))):
+        coeffs = vecs.conj().T @ state_vector(pure)
+        value += weight * (powered @ (coeffs.real**2 + coeffs.imag**2))
+    return float(value)

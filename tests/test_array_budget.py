@@ -4,10 +4,10 @@ Each case is run at its last admitted size and at its first refused one,
 under ``tracemalloc``: the refused size raises :class:`DimensionCap` before
 any large array is allocated, and the admitted one stays within a small
 multiple of the budget.  Sizes the budget newly admits (full dimensions
-past 2^14 on the eigenbasis route and for white noise, past 2^11 on the
-dense route under diagonal squares) are checked against exact sums that
-share no code with the engine, and a mixture of many product states is
-taken in chunks of components that fit the budget.
+past 2^14 on the eigenbasis route and for white noise, past 2^11 for
+multi-term states) are checked against exact sums or the full-space
+reference, which share no code with the engine, and a mixture of many
+product states is taken in chunks of components that fit the budget.
 """
 
 import math
@@ -22,6 +22,8 @@ from witnesslab.linalg import ARRAY_BYTES_CAP, annihilation_op
 from witnesslab.states import MixedEnsemble, ProductTerm, PureSOP, StateFamily, build_state
 from witnesslab.witness import canonical_assignment, evaluate, rhs_condition2
 
+import full_space
+
 
 def _product(n: int) -> PureSOP:
     """One product term of n Haar-random qubit kets (the eigenbasis route)."""
@@ -31,7 +33,7 @@ def _product(n: int) -> PureSOP:
 
 
 def _tilted(n: int):
-    """LSeparable with one tilted qubit: the dense route, D = 2^n, with a diagonal S."""
+    """LSeparable with one tilted qubit: the eigenbasis route over 2-term vectors, D = 2^n."""
     params = {"n": n, "l": 1, "theta": 0.5, "thetas": [0.3]}
     state = build_state(StateFamily("LSeparable", params))
     return evaluate(state, canonical_assignment("lowering", state.dims))
@@ -139,17 +141,31 @@ def test_eigenbasis_rhs2_of_many_components_stays_within_the_budget():
     assert abs(got - want) <= 1e-12 * want, (got, want)
 
 
-def test_the_dense_route_refuses_a_d_x_d_s_past_2048_before_allocating():
-    """Random operators have d x d squares, so the dense route's S stays a D x D complex
-    matrix: at D = 4096 (256 MiB) it raises DimensionCap under 1 MiB."""
-    params = {"n": 12, "l": 1, "theta": 0.5, "thetas": [0.3]}
+def _tilted_under_random_operators(n: int):
+    """LSeparable with one tilted qubit under random operators (non-diagonal A^dag A)."""
+    params = {"n": n, "l": 1, "theta": 0.5, "thetas": [0.3]}
     state = build_state(StateFamily("LSeparable", params))
-    assignment = oracle.random_assignment(state.dims, np.random.default_rng(12))
+    return state, oracle.random_assignment(state.dims, np.random.default_rng(n))
+
+
+def test_random_operators_on_a_multi_term_state_past_d_2048_stay_within_the_budget():
+    """S is diagonal in the local eigenbases whatever the operators, so at D = 4096 the
+    route keeps D floats and 2-term vectors, with no D x D matrix: it peaks within 4x
+    the budget."""
+    state, assignment = _tilted_under_random_operators(12)
     tracemalloc.start()
     try:
-        with pytest.raises(DimensionCap, match="route: S of"):
-            evaluate(state, assignment)
+        report = evaluate(state, assignment)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2**20, peak
+    assert peak < 4 * ARRAY_BYTES_CAP, peak
+    assert all(math.isfinite(v) for v in (report.lhs, report.rhs1, report.rhs2))
+
+
+def test_random_operators_on_a_multi_term_state_match_the_full_space_reference():
+    """The same family at D = 1024 equals the full-space reference to 1e-10 relative."""
+    state, assignment = _tilted_under_random_operators(10)
+    got = rhs_condition2(state, assignment)
+    want = full_space.rhs2(state, assignment)
+    assert abs(got - want) <= 1e-10 * want, (got, want)

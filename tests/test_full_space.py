@@ -1,12 +1,15 @@
 """The full-space reference against the printed closed forms, with no engine route involved."""
 
+import numpy as np
 import pytest
 
 from witnesslab import formulas
 from witnesslab.formulas import EXACT_TOL, FormulaId, closed_form
-from witnesslab.states import FAMILIES, StateFamily, build_state
+from witnesslab.oracle import random_assignment, random_pure_state
+from witnesslab.states import FAMILIES, MixedEnsemble, StateFamily, build_state
 from witnesslab.witness import OperatorAssignment
 
+import full_space
 from full_space import sides
 
 #: Tag -> (family, condition); the MIXED tags print both sides multiplied by n.
@@ -32,3 +35,20 @@ def test_reference_matches_the_pinned_closed_forms(tag):
     want_lhs, want_rhs = closed_form(tag, pinned)
     assert abs(scale * lhs - want_lhs) <= EXACT_TOL
     assert abs(scale * (rhs1 if condition == 1 else rhs2) - want_rhs) <= EXACT_TOL
+
+
+def test_the_vector_rhs2_equals_the_density_matrix_rhs2():
+    """Both reference forms of rhs2 agree to 1e-12 relative on pure, mixed and
+    white-noise states, under random operators and under annihilation operators."""
+    rng = np.random.default_rng(31)
+    for _ in range(12):
+        dims = tuple(int(d) for d in rng.integers(1, 4, int(rng.integers(2, 5))))
+        pure = random_pure_state(dims, int(rng.integers(1, 4)), rng)
+        weights = rng.dirichlet(np.ones(3))
+        pures = tuple(random_pure_state(dims, int(rng.integers(1, 4)), rng) for _ in range(2))
+        mixed = MixedEnsemble(dims, tuple(weights[:2]), pures, float(weights[2]))
+        for state in (pure, mixed):
+            for assignment in (random_assignment(dims, rng), OperatorAssignment.annihilation(dims)):
+                want = sides(state, assignment)[2]
+                got = full_space.rhs2(state, assignment)
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (dims, got, want)

@@ -22,6 +22,7 @@ from witnesslab.witness import (
     site_second_moments,
 )
 
+import full_space
 from full_space import sides
 
 #: Operator kinds drawn per site; only "gaussian" has a non-diagonal A^dag A.
@@ -63,7 +64,7 @@ def _pure_twins(draw, dims, rng):
             for k, d in enumerate(dims)
         )
         terms.append(ProductTerm(complex(amp), factors))
-    return labelled, PureSOP(dims, tuple(terms)), bool(ket_sites), count
+    return labelled, PureSOP(dims, tuple(terms)), bool(ket_sites)
 
 
 @st.composite
@@ -76,7 +77,7 @@ def label_cases(draw):
     the named choices.  rhs2 takes the factorized route when every site
     of every component is a label site and every A^dag A is diagonal
     (never on the twin, which has only ket sites), else the eigenbasis
-    route when every component has one term, else the dense route.
+    route.
     """
     n = draw(st.integers(2, 4))
     named = draw(st.one_of(st.none(), st.sampled_from(tuple(OPERATOR_CHOICES))))
@@ -99,7 +100,6 @@ def label_cases(draw):
             for i in (0, 1)
         )
     has_kets = any(t[2] for t in twins)
-    fallback = "eigenbasis" if all(t[3] == 1 for t in twins) else "dense"
 
     if named is not None:
         assignment = canonical_assignment(named, dims)
@@ -110,8 +110,8 @@ def label_cases(draw):
             tuple(_operator(kind, d, rng) for kind, d in zip(kinds, dims))
         )
         non_diagonal = any(kind == "gaussian" and d > 1 for kind, d in zip(kinds, dims))
-    labelled_route = fallback if non_diagonal or has_kets else "factorized"
-    return labelled, explicit, assignment, labelled_route, fallback
+    labelled_route = "eigenbasis" if non_diagonal or has_kets else "factorized"
+    return labelled, explicit, assignment, labelled_route, "eigenbasis"
 
 
 def _close(a, b, tol):
@@ -140,25 +140,26 @@ def test_label_form_matches_explicit_kets_and_dense(case):
         atol=1e-12,
     )
 
-    # both forms against the full-space reference and the dense rhs2 route
-    # (every case fits the cap)
+    # both forms against both full-space references (every case fits the cap)
     ref_lhs, ref_rhs1, ref_rhs2 = sides(labelled, assignment)
-    dense_rhs2 = rhs_condition2(labelled, assignment, method="dense")
+    vector_rhs2 = full_space.rhs2(labelled, assignment)
     for state in (labelled, explicit):
         assert _close(abs(product_expectation(state, assignment)), ref_lhs, 1e-8)
         assert _close(rhs_condition1(state, assignment), ref_rhs1, 1e-8)
         assert _close(rhs_condition2(state, assignment), ref_rhs2, 1e-8)
-        assert _close(rhs_condition2(state, assignment), dense_rhs2, 1e-8)
+        assert _close(rhs_condition2(state, assignment), vector_rhs2, 1e-8)
 
-    # the rhs2 route follows from structure; only the dense route makes
-    # full-space embeds, n of them, and it then gives exactly the dense value
+    # the rhs2 route follows from structure; the eigenbasis route embeds the n
+    # local spectra, as the factorized one does for white noise alone, and
+    # method="dense" forces the eigenbasis route, to the same bits
     n = labelled.num_sites
+    noisy = getattr(labelled, "white_noise_weight", 0.0) > 0.0
     for state, route in ((labelled, labelled_route), (explicit, explicit_route)):
         assert witness._rhs2_route(state, assignment) == route
         with mock.patch.object(witness, "kron_embed", wraps=kron_embed) as embeds:
             value = rhs_condition2(state, assignment)
-        assert embeds.call_count == (n if route == "dense" else 0)
-        if route == "dense":
+        assert embeds.call_count == (n if route == "eigenbasis" or noisy else 0)
+        if route == "eigenbasis":
             assert value == rhs_condition2(state, assignment, method="dense")
     with pytest.raises(ValueError):
         rhs_condition2(labelled, assignment, method="fast")

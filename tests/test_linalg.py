@@ -233,26 +233,26 @@ def test_kron_embed_of_a_diagonal_checks_the_budget_before_allocating():
 
 
 def test_psd_eigh_of_a_diagonal_equals_psd_eigh_of_its_matrix():
-    """Same spectrum, clamping and checks as np.diag(d): NegativeSpectrum, NonHermitian
-    and ValueError alike."""
+    """An exactly diagonal matrix is its own spectrum, with the same clamping and
+    checks: NegativeSpectrum, NonHermitian and ValueError alike; a 1-D array is not
+    a matrix."""
     rng = np.random.default_rng(17)
     diagonals = (np.abs(rng.standard_normal(6)), np.array([3.0, -1e-13]), np.array([2, 1e-12j]))
     for diag in diagonals:
-        got, got_vecs = psd_eigh(diag)
-        want, want_vecs = psd_eigh(np.diag(diag))
-        assert got_vecs is None and want_vecs is None
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+        got, got_vecs = psd_eigh(np.diag(diag))
+        assert got_vecs is None
+        assert got.dtype == float and np.array_equal(got, np.maximum(diag.real, 0.0))
     for diag, error in (
         (np.array([1.0, -0.5]), NegativeSpectrum),
         (np.array([1.0 + 6e-11j, 2.0]), NonHermitian),
         (np.array([1.0, np.inf]), ValueError),
         (np.array([np.nan, 1.0]), ValueError),
     ):
-        for op in (diag, np.diag(diag)):
-            with pytest.raises(error):
-                psd_eigh(op)
-    with pytest.raises(DimensionMismatch):
-        psd_eigh(np.ones(0))
+        with pytest.raises(error):
+            psd_eigh(np.diag(diag))
+    for op in (np.ones(0), np.ones(3)):
+        with pytest.raises(DimensionMismatch):
+            psd_eigh(op)
 
 
 def test_psd_eigh_matches_psd_power():

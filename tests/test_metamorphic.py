@@ -7,7 +7,7 @@ of the state and the operators together also leaves the report unchanged.
 The cases are tilted LSeparable and MixedSingleOut states, white-noise
 GHZ mixtures and random ket-form states with random operators.  Tilted
 and random kets are not eigenvectors of their site's ``A^dag A``, so rhs2
-takes the dense route on them, before and after rotation (where
+takes the eigenbasis route on them, before and after rotation (where
 ``A^dag A`` is no longer diagonal).
 """
 

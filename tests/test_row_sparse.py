@@ -52,11 +52,11 @@ def test_named_choices_keep_the_exact_diagonal(name, dim):
     if name == "annihilation":
         ops.append(annihilation_op(dim).T.copy())
     for op in ops:
-        local = witness._LocalOperator(op)
-        square = _dense_square(op)
-        assert local.square.ndim == 1 and local.square.dtype == float
-        assert np.array_equal(local.square, np.diagonal(square))
-        assert local.spectrum[0] is local.square and local.spectrum[1] is None
+        diagonal = witness._square(op)
+        assert diagonal.ndim == 1 and diagonal.dtype == float
+        assert np.array_equal(diagonal, np.diagonal(_dense_square(op)))
+        evals, vecs = OperatorAssignment((op,) * n)._spectra[0]
+        assert np.array_equal(evals, diagonal) and vecs is None
 
 
 @pytest.mark.parametrize(
@@ -71,7 +71,7 @@ def test_fock_families_call_no_eigensolver(family, params):
         evaluate(state, assignment)
         site_second_moments(state, assignment)
     assert eigh.call_count == 0
-    assert all(local.square.ndim == 1 for local in assignment._local)
+    assert all(vecs is None for _, vecs in assignment._spectra)
 
 
 def _unit(vec):
@@ -144,7 +144,7 @@ def test_row_sparse_operators_match_the_full_space_reference(case):
     """All three sides, and every <A_k^dag A_k>, agree with the reference built from
     the definitions, on label-form, ket-form, mixed and white-noise states."""
     state, assignment = case
-    assert all(local.square.ndim == 1 for local in assignment._local)
+    assert all(witness._square(op).ndim == 1 for op in assignment.ops)
     ref_lhs, ref_rhs1, ref_rhs2 = sides(state, assignment)
     assert _close(abs(product_expectation(state, assignment)), ref_lhs)
     assert _close(rhs_condition1(state, assignment), ref_rhs1)

@@ -182,7 +182,7 @@ def test_from_products_checks_every_ket_and_shape():
 @pytest.mark.parametrize("n", [50, 200])
 def test_mixed_single_out_at_large_n_matches_the_closed_form(n):
     """lhs and rhs1 of MixedSingleOut under lowering, times n, match MIXED_C1 at sizes
-    where evaluate refuses the dense rhs2, with tilts that differ per site."""
+    where evaluate refuses the eigenbasis rhs2, with tilts that differ per site."""
     params = {"n": n, "theta": 0.3, "thetas": [0.2 + 0.001 * i for i in range(n)]}
     state = build_state(StateFamily("MixedSingleOut", params))
     assignment = canonical_assignment("lowering", state.dims)

@@ -38,6 +38,7 @@ from witnesslab.witness import (
     site_second_moments,
 )
 
+import full_space
 from full_space import sides, state_vector
 
 
@@ -300,24 +301,29 @@ def _rhs2_embeds(state, assignment):
 
 
 def test_rhs2_route_follows_state_structure():
-    """Label form with diagonal A^dag A embeds nothing, nor does a mixture of
-    one-term products; a tilted site in a two-term state takes the dense route."""
+    """Label form with diagonal A^dag A takes the factorized route and embeds nothing,
+    or n 1-D spectra for the white-noise grid; every other state takes the eigenbasis
+    route with n embeds, and method="dense" forces that route, to the same bits."""
     lowering = OperatorAssignment.qubit_lowering(4)
     noisy = StateFamily("NoisyGHZ", {"n": 4, "theta": 0.6, "p": 0.55, "noise": "white"})
-    for state in (ghz(4, 0.4), build_state(noisy)):
-        assert _rhs2_embeds(state, lowering)[1] == 0
+    for state, embeds in ((ghz(4, 0.4), 0), (build_state(noisy), 4)):
+        assert witness._rhs2_route(state, lowering) == "factorized"
+        assert _rhs2_embeds(state, lowering)[1] == embeds
     rng = np.random.default_rng(3)
     products = sample_separable(SeparableSpec((2, 2, 2, 2), 3, seed=5))
     ground = PureSOP.from_labels((2,) * 4, (1.0,), np.zeros((1, 4), dtype=np.int64))
     for state in (products, ground):
         assignment = random_assignment(state.dims, rng)
+        assert witness._rhs2_route(state, assignment) == "eigenbasis"
         value, embeds = _rhs2_embeds(state, assignment)
-        assert embeds == 0
-        dense = rhs_condition2(state, assignment, method="dense")
-        assert abs(value - dense) <= 1e-12 * max(1.0, abs(dense))
+        assert embeds == 4
+        want = full_space.rhs2(state, assignment)
+        assert abs(value - want) <= 1e-12 * max(1.0, abs(want))
+        assert value == rhs_condition2(state, assignment, method="dense")
     tilted = build_state(
         StateFamily("LSeparable", {"n": 4, "l": 1, "theta": 0.4, "thetas": [0.3]})
     )
+    assert witness._rhs2_route(tilted, lowering) == "eigenbasis"
     value, embeds = _rhs2_embeds(tilted, lowering)
     assert embeds == 4
     assert value == rhs_condition2(tilted, lowering, method="dense")
@@ -328,8 +334,8 @@ def test_rhs2_route_follows_state_structure():
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_eigenbasis_rhs2_matches_dense_on_the_oracle_stream(seed):
-    """The first 300 trials of run_separable_trials' own stream, up to D = 4^5:
-    auto rhs2 equals the dense route to 1e-10 relative and embeds nothing."""
+    """The first 300 trials of run_separable_trials' own stream, up to D = 4^5: auto
+    rhs2 makes n embeds and equals the full-space reference to 1e-10 relative."""
     trials = []
 
     def record(state, assignment):
@@ -341,13 +347,14 @@ def test_eigenbasis_rhs2_matches_dense_on_the_oracle_stream(seed):
     assert len(trials) == 300 and max(np.prod(s.dims) for s, _ in trials) > 256
     for state, assignment in trials:
         value, embeds = _rhs2_embeds(state, assignment)
-        assert embeds == 0
-        dense = rhs_condition2(state, assignment, method="dense")
-        assert abs(value - dense) <= 1e-10 * max(1.0, abs(dense)), (state.dims, value, dense)
+        assert embeds == len(state.dims)
+        want = full_space.rhs2(state, assignment)
+        assert abs(value - want) <= 1e-10 * max(1.0, abs(want)), (state.dims, value, want)
 
 
 def test_eigenbasis_rhs2_with_white_noise_and_dim_one_sites():
-    """A white-noise mixture of product states, dim-1 sites included, matches the dense route."""
+    """A white-noise mixture of product states, dim-1 sites included, matches the
+    full-space reference."""
     rng = np.random.default_rng(11)
     for dims in ((1, 3, 2, 1), (2, 3, 4), (3, 1)):
         products = sample_separable(SeparableSpec(dims, 4, seed=int(rng.integers(1000))))
@@ -355,9 +362,32 @@ def test_eigenbasis_rhs2_with_white_noise_and_dim_one_sites():
         noisy = MixedEnsemble(dims, weights, products.pures, white_noise_weight=0.3)
         for assignment in (random_assignment(dims, rng), OperatorAssignment.annihilation(dims)):
             value, embeds = _rhs2_embeds(noisy, assignment)
-            assert embeds == 0
-            dense = rhs_condition2(noisy, assignment, method="dense")
-            assert abs(value - dense) <= 1e-12 * max(1.0, abs(dense)), (dims, value, dense)
+            assert embeds == len(dims)
+            want = full_space.rhs2(noisy, assignment)
+            assert abs(value - want) <= 1e-12 * max(1.0, abs(want)), (dims, value, want)
+
+
+def test_eigenbasis_rhs2_of_multi_term_states_under_random_operators():
+    """300 random pure and mixed states of 2-4 terms per component, some with white
+    noise, under random operators: the eigenbasis route equals the full-space
+    reference to 1e-10 relative."""
+    rng = np.random.default_rng(300)
+    for _ in range(300):
+        dims = tuple(int(d) for d in rng.integers(1, 4, int(rng.integers(2, 5))))
+        pures = tuple(random_pure_state(dims, int(rng.integers(2, 5)), rng) for _ in range(3))
+        count = int(rng.integers(1, 4))
+        if count == 1 and rng.random() < 0.5:
+            state = pures[0]
+        else:
+            weights = rng.dirichlet(np.ones(count + 1))
+            noise = float(weights[-1]) if rng.random() < 0.5 else 0.0
+            weights = weights[:-1] / weights[:-1].sum() * (1.0 - noise)
+            state = MixedEnsemble(dims, tuple(weights), pures[:count], noise)
+        assignment = random_assignment(dims, rng)
+        assert witness._rhs2_route(state, assignment) == "eigenbasis"
+        value = rhs_condition2(state, assignment)
+        want = full_space.rhs2(state, assignment)
+        assert abs(value - want) <= 1e-10 * max(1.0, abs(want)), (dims, value, want)
 
 
 def test_eigenbasis_rhs2_checks_the_cap_before_any_spectrum():
@@ -401,11 +431,11 @@ def test_every_route_refuses_a_state_over_the_side_cap(monkeypatch):
 
 
 def test_evaluate_refuses_an_over_cap_state_before_lhs_and_rhs1():
-    """rhs2 runs first, so its DimensionCap comes before any lhs or rhs1 work: at n=15
-    under random operators (a D x D complex S), and at n=22 under lowering (a diagonal
-    S, with 2 terms x 2^22 complex full-space vectors)."""
+    """rhs2 runs first, so its DimensionCap comes before any lhs or rhs1 work: at n=24
+    under random operators (a grid of 2^24 floats), and at n=22 under lowering (2 terms
+    x 2^22 complex full-space vectors)."""
     for n, assignment, match in (
-        (15, random_assignment((2,) * 15, np.random.default_rng(15)), "route: S of"),
+        (24, random_assignment((2,) * 24, np.random.default_rng(24)), "route: grid of"),
         (22, OperatorAssignment.qubit_lowering(22), "^dense_vector: "),
     ):
         state = build_state(
@@ -421,15 +451,14 @@ def test_evaluate_refuses_an_over_cap_state_before_lhs_and_rhs1():
 
 
 def test_rhs_condition2_dimension_cap():
-    """Random operators on a large Fock space leave no viable route."""
-    from witnesslab.oracle import random_assignment
-
-    state = build_state(StateFamily("NModeSqueezed", {"n": 3, "x": 0.65}))
-    assert np.prod(state.dims) > 2**14
+    """Random operators on a large Fock space leave no viable route: 4 squeezed modes
+    of 27 levels make 27 terms x 27^4 complex full-space vectors."""
+    state = build_state(StateFamily("NModeSqueezed", {"n": 4, "x": 0.65}))
+    assert len(state.amplitudes()) * np.prod(state.dims) > 2**22
     rng = np.random.default_rng(0)
-    with pytest.raises(DimensionCap):
+    with pytest.raises(DimensionCap, match="^dense_vector: "):
         rhs_condition2(state, random_assignment(state.dims, rng))
-    # a ket-form GHZ takes the dense route; its message writes 2^1000 in short form
+    # a ket-form GHZ takes the eigenbasis route; its message writes 2^1000 in short form
     up, down = np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)
     amp = complex(math.sqrt(0.5))
     ket_ghz = PureSOP((2,) * 1000, (ProductTerm(amp, (up,) * 1000), ProductTerm(amp, (down,) * 1000)))
@@ -522,12 +551,12 @@ def test_dense_rhs2_matches_the_full_space_reference():
 
 @pytest.mark.parametrize("n", [12, 16, 20])
 def test_tilted_mixed_single_out_past_d_2048_matches_mixed_c2(n):
-    """Diagonal squares keep the dense route's S as its D real entries, so tilted
-    MixedSingleOut runs past D = 2048; both sides match MIXED_C2 (times n)."""
+    """The eigenbasis route keeps S as its D real entries, so tilted MixedSingleOut
+    runs past D = 2048; both sides match MIXED_C2 (times n)."""
     rng = np.random.default_rng(n)
     params = {"n": n, "theta": 0.4, "thetas": [float(t) for t in rng.uniform(0.1, 1.4, n)]}
     state = build_state(StateFamily("MixedSingleOut", params))
-    assert witness._rhs2_route(state, OperatorAssignment.qubit_lowering(n)) == "dense"
+    assert witness._rhs2_route(state, OperatorAssignment.qubit_lowering(n)) == "eigenbasis"
     closed = closed_form(FormulaId.MIXED_C2, params)
     numeric = numeric_form(FormulaId.MIXED_C2, params)
     assert max(abs(c - m) for c, m in zip(closed, numeric)) <= EXACT_TOL, (closed, numeric)
@@ -541,7 +570,7 @@ def test_tilted_l_separable_past_d_2048_matches_a_popcount_sum(n):
         StateFamily("LSeparable", {"n": n, "l": 2, "theta": 0.7, "thetas": [0.3, 1.1]})
     )
     lowering = OperatorAssignment.qubit_lowering(n)
-    assert witness._rhs2_route(state, lowering) == "dense"
+    assert witness._rhs2_route(state, lowering) == "eigenbasis"
     psi = state_vector(state)
     popcount = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).sum(axis=1)
     want = math.fsum((popcount / n) ** (n / 2) * np.abs(psi) ** 2)
@@ -579,8 +608,9 @@ def test_large_complex_operators_give_hermitian_squares():
         ops = tuple(1000 * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
                     for d in dims)
         assignment = OperatorAssignment(ops)
-        for local in assignment._local:
-            np.testing.assert_array_equal(local.square, dag(local.square))
+        for op in assignment.ops:
+            square = witness._square(op)
+            np.testing.assert_array_equal(square, dag(square))
         evaluate(random_pure_state(dims, 2, rng), assignment)
 
 
