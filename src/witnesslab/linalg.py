@@ -14,6 +14,7 @@ All functions here are pure and safe to call concurrently.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,22 +77,95 @@ def basis_ket(dim: int, index: int) -> np.ndarray:
     return ket
 
 
+class RowMap(NamedTuple):
+    """A local operator with at most one nonzero per row, ``A = sum_i w_i |i><c_i|``.
+
+    ``cols`` holds c_i and ``weights`` (complex) w_i for every row i; a
+    row with no nonzero has weight 0 at column 0.  The arrays are read-only.
+    """
+
+    cols: np.ndarray
+    weights: np.ndarray
+
+    @classmethod
+    def build(cls, cols, weights) -> "RowMap":
+        rows = cls(np.array(cols, dtype=np.int64), np.array(weights, dtype=complex))
+        for array in rows:
+            array.flags.writeable = False
+        return rows
+
+    @classmethod
+    def of(cls, mat: np.ndarray) -> "RowMap | None":
+        """The row map of a square matrix, or None when a row has two nonzeros."""
+        # more nonzeros than rows rules out one per row, without the per-row count
+        if np.count_nonzero(mat) > len(mat):
+            return None
+        nonzero = mat != 0
+        if np.any(nonzero.sum(axis=1) > 1):
+            return None
+        cols = nonzero.argmax(axis=1)
+        return cls.build(cols, mat[np.arange(len(mat)), cols])
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.cols), len(self.cols))
+
+    def square(self) -> np.ndarray:
+        """A^dag A, which is diagonal: ``|w_i|^2`` summed into column c_i, in row order."""
+        weights = self.weights
+        return np.bincount(self.cols, weights.real**2 + weights.imag**2, len(self.cols))
+
+    def trace(self) -> complex:
+        """``sum_i w_i [c_i = i]``, summed as numpy sums A's diagonal."""
+        return np.where(self.cols == np.arange(len(self.cols)), self.weights, 0j).sum()
+
+    def dense(self) -> np.ndarray:
+        """The d x d matrix, a new array."""
+        mat = np.zeros(self.shape, dtype=complex)
+        mat[np.arange(len(self.cols)), self.cols] = self.weights
+        return mat
+
+
+def qubit_lowering_rows() -> RowMap:
+    """|0><1| on a single qubit."""
+    return RowMap.build([1, 0], [1.0, 0.0])
+
+
+def qubit_raising_rows() -> RowMap:
+    """|1><0| on a single qubit."""
+    return RowMap.build([0, 0], [0.0, 1.0])
+
+
 def qubit_lowering_op() -> np.ndarray:
     """|0><1| on a single qubit."""
-    return np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    return qubit_lowering_rows().dense()
 
 
 def qubit_raising_op() -> np.ndarray:
     """|1><0| on a single qubit."""
-    return np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+    return qubit_raising_rows().dense()
+
+
+def check_annihilation_dim(dim: int) -> None:
+    """A truncated annihilation operator needs dim >= 1, and its d x d complex matrix
+    must fit the budget (:class:`DimensionCap` otherwise)."""
+    if dim < 1:
+        raise DimensionMismatch("annihilation operator needs dim >= 1")
+    check_bytes(dim * dim, 16, f"annihilation operator of dim {dim}:")
+
+
+def annihilation_rows(dim: int) -> RowMap:
+    """Truncated bosonic annihilation operator as a row map: row m-1 to column m, weight
+    sqrt(m); the last row is empty.  Refused like its matrix, before anything is built."""
+    check_annihilation_dim(dim)
+    weights = np.zeros(dim, dtype=complex)
+    weights[:-1] = np.sqrt(np.arange(1, dim, dtype=float))
+    return RowMap.build(np.arange(1, dim + 1) % dim, weights)
 
 
 def annihilation_op(dim: int) -> np.ndarray:
     """Truncated bosonic annihilation operator, a|m> = sqrt(m)|m-1>."""
-    if dim < 1:
-        raise DimensionMismatch("annihilation operator needs dim >= 1")
-    check_bytes(dim * dim, 16, f"annihilation operator of dim {dim}:")
-    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)).astype(complex), 1)
+    return annihilation_rows(dim).dense()
 
 
 def matelem(bra, op, ket) -> complex:

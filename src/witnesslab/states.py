@@ -18,7 +18,9 @@ all its components' terms on one axis, with their offsets and weights
 (a pure state is the one-component case).  The axis groups the
 components by term count t (:class:`TermGroup`); each per-site quantity
 of a group is one (G x t x t) block, a label gather on a label site and
-a batched stack product on a ket site.
+a batched stack product on a ket site.  For lhs, the label sites whose
+operators are row maps (:class:`~witnesslab.linalg.RowMap`) make one
+block together (:meth:`TermGroup.row_block`).
 
 Fock-truncated continuous-variable families carry an explicit cutoff;
 the discarded tail weight is checked against a tolerance and the kept
@@ -37,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadParameter, TruncationTooCoarse
-from .linalg import ARRAY_BYTES_CAP, basis_ket, check_bytes, total_dimension
+from .linalg import ARRAY_BYTES_CAP, RowMap, basis_ket, check_bytes, total_dimension
 
 #: Largest acceptable discarded probability for truncated CV states.
 DEFAULT_TAIL_TOL = 1e-10
@@ -84,9 +86,15 @@ def _check_kets(stacks) -> None:
         raise BadParameter("local kets must be finite and unit-normalized")
 
 
-def _stack_pairs(stack: np.ndarray, op: np.ndarray | None) -> np.ndarray:
+def _stack_pairs(stack: np.ndarray, op) -> np.ndarray:
     """(G x t x t) entries <u_j|op|u_j'> of a (G x t x dim) stack of kets; a 1-D ``op`` is
-    ``diag(op)`` and None the identity.  One term needs no batched matrix product."""
+    ``diag(op)``, a :class:`~witnesslab.linalg.RowMap` applies its rows, and None is the
+    identity.  One term needs no batched matrix product."""
+    if isinstance(op, RowMap):  # A u = w * u[c], for every ket at once
+        right = stack.take(op.cols, axis=2) * op.weights
+        if stack.shape[1] == 1:
+            return (stack[:, 0].conj() * right[:, 0]).sum(axis=1)[:, None, None]
+        return stack.conj() @ right.transpose(0, 2, 1)
     if stack.shape[1] == 1:
         rows = stack[:, 0]
         right = rows if op is None else rows * op if op.ndim == 1 else rows @ op.T
@@ -186,6 +194,27 @@ class TermGroup:
         if op.ndim == 1:
             return np.where(self.gram(site), op[labels][:, None, :], 0j)
         return op[labels[:, :, None], labels[:, None, :]]
+
+    def row_block(self, sites, starts, cols: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """New (G x t x t) block prod_k <u_j|A_k|u_j'> over the label sites ``sites``, each
+        A_k a row map whose columns and weights start at ``starts[k]`` (sites x 1 x 1) in
+        the flat tables ``cols`` and ``weights``.
+
+        Entry (j, j') is nonzero where every site's column at j's label is j''s label;
+        it is then the product of the weights at j's labels, taken in site order.
+        """
+        every = len(sites) == len(self.labels)
+        labels = self.labels if every else self.labels[sites]
+        at = labels + (starts if every else starts[sites])
+        images = cols.take(at)
+        count, terms = self.amps.shape
+        step = max(1, ARRAY_BYTES_CAP // (count * terms**2))  # sites compared at once
+        match = np.logical_and.reduce(images[:step, :, :, None] == labels[:step, :, None, :])
+        for start in range(step, len(sites), step):
+            part = slice(start, start + step)
+            match &= np.logical_and.reduce(images[part, :, :, None] == labels[part, :, None, :])
+        product = np.multiply.reduce(weights.take(at), axis=0)
+        return np.where(match, product[:, :, None], 0j)
 
     def quadratic(self, blocks: np.ndarray) -> np.ndarray:
         """w_c a_c^dag B_c a_c for every component c, from (... x G x t x t) blocks B."""

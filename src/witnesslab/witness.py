@@ -27,12 +27,17 @@ every side against a full-space reference built from the definitions
 (``tests/full_space.py``).
 
 Each distinct local operator's spectrum is computed once and kept on
-the :class:`OperatorAssignment`; when every row of A has at most one
-nonzero (every named operator choice), A^dag A is its real 1-D diagonal
-sum_i |A_ij|^2, its own spectrum.  A 1-D array stands for the diagonal
-operator it lists.  Every array is checked against
-:data:`~witnesslab.linalg.ARRAY_BYTES_CAP` before it is built, and an
-A^dag A that overflows double precision raises :class:`NumericalOverflow`.
+the :class:`OperatorAssignment`.  An operator with at most one nonzero
+per row (every named operator choice) is kept as its row map
+A = sum_i w_i |i><c_i| (:class:`~witnesslab.linalg.RowMap`), and no
+d x d matrix is built for it: A^dag A is |w|^2 summed into the columns c,
+a real 1-D diagonal that is its own spectrum; a ket site applies A as
+w * u[c]; and lhs takes all the label sites of a group whose operators
+are row maps as one block, nonzero where every site maps j's label to
+j''s.  A 1-D array stands for the diagonal operator it lists.  Every
+array is checked against :data:`~witnesslab.linalg.ARRAY_BYTES_CAP`
+before it is built, and an A^dag A that overflows double precision
+raises :class:`NumericalOverflow`.
 """
 
 from __future__ import annotations
@@ -46,14 +51,16 @@ import numpy as np
 from .errors import BadParameter, DimensionMismatch, NumericalOverflow
 from .linalg import (
     ARRAY_BYTES_CAP,
-    annihilation_op,
+    RowMap,
+    annihilation_rows,
     as_operator,
+    check_annihilation_dim,
     check_bytes,
     dag,
     kron_embed,
     psd_eigh,
-    qubit_lowering_op,
-    qubit_raising_op,
+    qubit_lowering_rows,
+    qubit_raising_rows,
     total_dimension,
 )
 from .states import PureSOP, State, dense_vector
@@ -66,20 +73,22 @@ DEFAULT_EPSILON_SCALE = 1e-9
 _CHUNK_BYTES = 2**18
 
 
-def _square(op: np.ndarray) -> np.ndarray:
-    """A^dag A: 1-D, its diagonal, when every row of A has at most one nonzero; otherwise
-    the d x d Hermitian product.  :class:`NumericalOverflow` if it is not finite."""
-    # more nonzeros than rows rules out one per row, without the per-row count
-    if np.count_nonzero(op) <= len(op) and np.all(np.count_nonzero(op, axis=1) <= 1):
+def _square(op) -> np.ndarray:
+    """A^dag A of a :class:`~witnesslab.linalg.RowMap` or a d x d operator: 1-D, its
+    diagonal, when every row of A has at most one nonzero (a dense one is read into its
+    row map); otherwise the d x d Hermitian product.  :class:`NumericalOverflow` if it is
+    not finite."""
+    rows = op if isinstance(op, RowMap) else RowMap.of(op)
+    if rows is not None:
         # the columns have disjoint supports, so A^dag A is diagonal:
         # sum_i |A_ij|^2, real and non-negative by construction
-        square = (op.real**2 + op.imag**2).sum(axis=0)
+        square, entries = rows.square(), rows.weights
     else:
         square = dag(op) @ op
         # Hermitian by construction; exact where A^dag A is diagonal
-        square = 0.5 * (square + dag(square))
+        square, entries = 0.5 * (square + dag(square)), op
     if not np.isfinite(square).all():
-        scale = float(np.max(np.abs(op)))
+        scale = float(np.max(np.abs(entries)))
         raise NumericalOverflow(
             f"A^dag A of an operator with largest modulus {scale:.3g} overflows double"
             " precision"
@@ -87,31 +96,54 @@ def _square(op: np.ndarray) -> np.ndarray:
     return square
 
 
-@dataclass(frozen=True)
 class OperatorAssignment:
     """One local operator per subsystem.
 
-    The operators are kept as read-only copies, so the matrices derived
-    from them and kept on the assignment cannot go stale.  Sites given
-    the same array object share one copy, so what is derived from it is
-    computed once for all of them.
+    Each distinct operator is kept once: sites given the same array
+    object share it, and so do sites of one dim under a named
+    constructor, so what is derived from it is computed once for all of
+    them.  An operator with at most one nonzero per row (every named
+    choice) is kept as its :class:`~witnesslab.linalg.RowMap`, which the
+    named constructors build directly and a d x d operator is read into
+    once; any other operator as a read-only copy.  ``ops`` is the dense,
+    read-only tuple, built from the row maps on first access.
     """
 
-    ops: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        ops = tuple(self.ops)
+    def __init__(self, ops):
+        ops = tuple(ops)
         copies: dict[int, np.ndarray] = {}
+        local: dict[int, RowMap | np.ndarray] = {}
         for op in ops:
             if id(op) not in copies:
-                mat = as_operator(np.array(op, dtype=complex))
+                mat = copies[id(op)] = as_operator(np.array(op, dtype=complex))
                 mat.flags.writeable = False
-                copies[id(op)] = mat
-        object.__setattr__(self, "ops", tuple(copies[id(op)] for op in ops))
+                rows = RowMap.of(mat)
+                local[id(op)] = mat if rows is None else rows
+        self._ops = tuple(copies[id(op)] for op in ops)
+        self._local = tuple(local[id(op)] for op in ops)
+
+    @classmethod
+    def _of_rows(cls, rows) -> "OperatorAssignment":
+        """The assignment of one row map per site; ``ops`` waits until it is read."""
+        assignment = cls.__new__(cls)
+        assignment._ops, assignment._local = None, tuple(rows)
+        return assignment
+
+    @property
+    def ops(self) -> tuple[np.ndarray, ...]:
+        """One read-only d x d array per site, shared by the sites that share an operator."""
+        if self._ops is None:
+            dense: dict[int, np.ndarray] = {}
+            for op in self._local:
+                if id(op) not in dense:
+                    mat = dense[id(op)] = op.dense()
+                    mat.flags.writeable = False
+            self._ops = tuple(dense[id(op)] for op in self._local)
+        return self._ops
 
     @cached_property
     def dims(self) -> tuple[int, ...]:
-        return tuple(op.shape[0] for op in self.ops)
+        return tuple(op.shape[0] for op in self._local)
 
     @cached_property
     def _spectra(self) -> tuple[tuple[np.ndarray, np.ndarray | None], ...]:
@@ -124,7 +156,7 @@ class OperatorAssignment:
         groups: dict[int, list[int]] = {}
         # an A^dag A that overflows raises NumericalOverflow instead of a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            for op in self.ops:
+            for op in self._local:
                 if id(op) not in spectra:
                     square = spectra[id(op)] = (_square(op), None)
                     if square[0].ndim == 2:
@@ -133,25 +165,48 @@ class OperatorAssignment:
             evals, vecs = psd_eigh(np.stack([spectra[key][0] for key in keys]))
             for i, key in enumerate(keys):
                 spectra[key] = (evals[i], None if vecs is None else vecs[i])
-        return tuple(spectra[id(op)] for op in self.ops)
+        return tuple(spectra[id(op)] for op in self._local)
 
     @cached_property
     def _diagonals(self) -> np.ndarray:
         """(sites x largest dim) clamped spectra of the diagonal A^dag A, zero-padded."""
-        padded = np.zeros((len(self.ops), max(self.dims)))
+        padded = np.zeros((len(self._local), max(self.dims)))
         for site, (evals, _) in enumerate(self._spectra):
             padded[site, : len(evals)] = evals
         return padded
 
+    @cached_property
+    def _row_sites(self) -> list[int]:
+        """The sites whose operator is a row map."""
+        return [k for k, op in enumerate(self._local) if isinstance(op, RowMap)]
+
+    @cached_property
+    def _row_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(starts, cols, weights)``: every site's row map as a zero-padded stretch of the
+        largest dim in two flat tables (zeros at a site whose operator is d x d), and where
+        each site's stretch starts, as a (sites x 1 x 1) array."""
+        width = max(self.dims)
+        cols = np.zeros((len(self._local), width), dtype=np.int64)
+        weights = np.zeros(cols.shape, dtype=complex)
+        for k in self._row_sites:
+            cols[k, : self.dims[k]], weights[k, : self.dims[k]] = self._local[k]
+        starts = np.arange(0, cols.size, width)[:, None, None]
+        return starts, cols.ravel(), weights.ravel()
+
+    @cached_property
+    def _traces(self) -> tuple[complex, ...]:
+        """tr(A_k) for every site, read once per assignment for white noise."""
+        return tuple(op.trace() for op in self._local)
+
     @classmethod
     def qubit_lowering(cls, n: int) -> "OperatorAssignment":
         """|0><1| on every site."""
-        return cls((qubit_lowering_op(),) * n)
+        return cls._of_rows((qubit_lowering_rows(),) * n)
 
     @classmethod
     def qubit_raising(cls, n: int) -> "OperatorAssignment":
         """|1><0| on every site."""
-        return cls((qubit_raising_op(),) * n)
+        return cls._of_rows((qubit_raising_rows(),) * n)
 
     @classmethod
     def qubit_flipped(cls, n: int) -> "OperatorAssignment":
@@ -160,13 +215,16 @@ class OperatorAssignment:
         Matches states whose site-0 spin is flipped relative to the rest,
         the single-flip GHZ variant.
         """
-        return cls((qubit_raising_op(),) + (qubit_lowering_op(),) * (n - 1))
+        return cls._of_rows((qubit_raising_rows(),) + (qubit_lowering_rows(),) * (n - 1))
 
     @classmethod
     def annihilation(cls, dims) -> "OperatorAssignment":
-        """Truncated annihilation operator on every mode."""
-        ops = {int(d): annihilation_op(int(d)) for d in dims}
-        return cls(tuple(ops[int(d)] for d in dims))
+        """Truncated annihilation operator on every mode, every dim checked first."""
+        dims = [int(d) for d in dims]
+        for d in dims:
+            check_annihilation_dim(d)
+        rows = {d: annihilation_rows(d) for d in dict.fromkeys(dims)}
+        return cls._of_rows(rows[d] for d in dims)
 
 
 #: Named operator choices: name -> (qubit subsystems only, assignment from the dims).
@@ -272,20 +330,28 @@ def _site_moments(state: State, assignment: OperatorAssignment, power: float) ->
 
 
 def product_expectation(state: State, assignment: OperatorAssignment) -> complex:
-    """< A_1 A_2 ... A_n > on the given state."""
+    """< A_1 A_2 ... A_n > on the given state: per group, the label sites whose operators
+    are row maps as one block, times every other site's pair block in site order."""
     _check_assignment(state, assignment)
+    local, mapped = assignment._local, assignment._row_sites
     values = []
     for group in state.term_axis.groups:
-        total = group.pair_block(0, assignment.ops[0])
-        for site in range(1, len(assignment.ops)):
-            total *= group.pair_block(site, assignment.ops[site])
+        fused = [k for k in mapped if k not in group.kets]
+        total = group.row_block(fused, *assignment._row_tables) if fused else None
+        rest = sorted(set(range(len(local))).difference(fused)) if fused else range(len(local))
+        for site in rest:
+            block = group.pair_block(site, local[site])
+            if total is None:
+                total = block
+            else:
+                total *= block
         values.append(group.quadratic(total))
     value = _mix(values)
     noise = _noise(state)
     if noise:
         traces = 1.0 + 0.0j
-        for op, d in zip(assignment.ops, state.dims):
-            traces *= np.trace(op) / d
+        for trace, d in zip(assignment._traces, state.dims):
+            traces *= trace / d
         value += noise * traces
     return complex(value)
 

@@ -57,6 +57,13 @@ def _squeezed(terms: int):
     return evaluate(state, canonical_assignment("annihilation", state.dims))
 
 
+def _four_mode_annihilation(cutoff: int):
+    """ModifiedFourMode's annihilation operators, dims (c+1, c+1, c+2, c+2): at the refused
+    cutoff 2047, dim 2049 comes after two operators of dim 2048 that fit."""
+    state = build_state(StateFamily("ModifiedFourMode", {"x": 0.9, "cutoff": cutoff}))
+    return canonical_assignment("annihilation", state.dims)
+
+
 @pytest.mark.parametrize(
     "run, admitted",
     [
@@ -65,6 +72,7 @@ def _squeezed(terms: int):
         (_white_noise, 23),
         (_squeezed, 2048),  # terms x terms complex: 2048 terms
         (annihilation_op, 2048),  # d x d complex: d = 2048
+        (_four_mode_annihilation, 2046),  # the same d, checked for every mode before any is built
     ],
 )
 def test_each_route_refuses_past_the_budget_before_allocating(run, admitted):
@@ -81,6 +89,12 @@ def test_each_route_refuses_past_the_budget_before_allocating(run, admitted):
         finally:
             tracemalloc.stop()
         assert peak < (2**20 if refused else 4 * ARRAY_BYTES_CAP), (size, peak)
+
+
+def test_the_refused_annihilation_operator_names_its_dim():
+    """The refusal names the first dim past the budget, as the d x d matrix would be sized."""
+    with pytest.raises(DimensionCap, match=r"^annihilation operator of dim 2049: 4198401 entries"):
+        _four_mode_annihilation(2047)
 
 
 def _poisson_binomial(probs) -> np.ndarray:
