@@ -22,7 +22,8 @@ from .errors import DimensionCap, DimensionMismatch, NegativeSpectrum, NonHermit
 
 #: Largest single array, in bytes, that a family builder or a route allocates
 #: (64 MiB): 2^23 label entries, 2048 x 2048 complex, 2^23 floats (rhs2's grid
-#: of S's entries at D = 2^23), or 2^22 complex (a 2-term full-space vector of D = 2^21).
+#: of S's entries at D = 2^23), or 2^22 complex (the eigenbasis rhs2 block of a
+#: 2-term component, 2 x 2 terms x D/2, at D = 2^21).
 ARRAY_BYTES_CAP = 2**26
 
 #: Tolerance for Hermiticity checks and eigenvalue clamping.

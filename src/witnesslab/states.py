@@ -20,7 +20,8 @@ components by term count t (:class:`TermGroup`); each per-site quantity
 of a group is one (G x t x t) block, a label gather on a label site and
 a batched stack product on a ket site.  For lhs, the label sites whose
 operators are row maps (:class:`~witnesslab.linalg.RowMap`) make one
-block together (:meth:`TermGroup.row_block`).
+block together (:meth:`TermGroup.row_block`), and rhs2 contracts each
+site's :meth:`TermGroup.ket_pairs` with S's entries, building no state vector.
 
 Fock-truncated continuous-variable families carry an explicit cutoff;
 the discarded tail weight is checked against a tolerance and the kept
@@ -39,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadParameter, TruncationTooCoarse
-from .linalg import ARRAY_BYTES_CAP, RowMap, basis_ket, check_bytes, total_dimension
+from .linalg import ARRAY_BYTES_CAP, RowMap, basis_ket, check_bytes
 
 #: Largest acceptable discarded probability for truncated CV states.
 DEFAULT_TAIL_TOL = 1e-10
@@ -156,15 +157,15 @@ class TermGroup:
         else:
             self._bras, self._columns = self.amps.conj()[:, None, :], self.amps[:, :, None]
         self._grams: list[np.ndarray] | None = None
-        self._squared: dict[int, tuple] = {}
+        self._rotated: dict[int, tuple] = {}
 
     def stack(self, site: int) -> np.ndarray:
         """(G x t x dim) kets at one site, written out on a label site."""
         stack = self.kets.get(site)
         if stack is None:
-            labels = self.labels[site]
-            stack = np.zeros((*labels.shape, self.dims[site]), dtype=complex)
-            np.put_along_axis(stack, labels[:, :, None], 1.0, axis=2)
+            labels, dim = self.labels[site], self.dims[site]
+            stack = np.zeros((*labels.shape, dim), dtype=complex)
+            stack.flat[np.arange(0, stack.size, dim) + labels.ravel()] = 1.0
         return stack
 
     def gram(self, site: int) -> np.ndarray:
@@ -225,23 +226,35 @@ class TermGroup:
     def spectral_block(self, site: int, spectrum, powered: np.ndarray) -> np.ndarray:
         """New (G x t x t) block of f(M) at one site, for M with clamped spectrum ``(evals,
         vecs)`` and ``powered`` = f(evals): ``diag(powered)`` without eigenvectors, else
-        from the :meth:`squared` moduli (one term) or the pairs of ``V f V^dag``."""
+        ``|u~|^2 @ powered`` of the :meth:`rotated` kets (one term) or the pairs of
+        ``V f V^dag``."""
         vecs = spectrum[1]
         if vecs is None:
             return self.pair_block(site, powered)
         if self.amps.shape[1] == 1:
-            return (self.squared(site, vecs) @ powered)[:, None, None]
+            rows = self.rotated(site, vecs)[:, 0]
+            return ((rows.real**2 + rows.imag**2) @ powered)[:, None, None]
         return self.pair_block(site, (vecs * powered) @ vecs.conj().T)
 
-    def squared(self, site: int, basis: np.ndarray | None) -> np.ndarray:
-        """(G x dim) |<b_i|u>|^2 of one-term components' kets at one site, for the columns
-        b_i of ``basis`` (None: the computational one), kept for rhs1 and rhs2 to share."""
-        kept = self._squared.get(site)
+    def ket_pairs(self, site: int, basis: np.ndarray | None, rows: slice) -> np.ndarray:
+        """(G' x t x t x dim) conj(u~_j[i]) u~_j'[i] of the :meth:`rotated` kets of the
+        components ``rows`` at one site (0/1 from the labels on a label site as it is)."""
+        if basis is None and site not in self.kets:
+            hits = self.labels[site][rows][:, :, None] == np.arange(self.dims[site])
+            return hits[:, :, None, :] * hits[:, None, :, :]
+        kets = self.rotated(site, basis)[rows]
+        return kets.conj()[:, :, None, :] * kets[:, None, :, :]
+
+    def rotated(self, site: int, basis: np.ndarray | None) -> np.ndarray:
+        """(G x t x dim) kets u~ at one site read in the columns b_i of ``basis``,
+        u~[i] = <b_i|u>, kept for rhs1 and rhs2 to share; None reads them as they are."""
+        if basis is None:
+            return self.stack(site)
+        kept = self._rotated.get(site)
         if kept is None or kept[0] is not basis:
-            rows = self.stack(site)[:, 0]
-            if basis is not None:
-                rows = rows @ basis.conj()
-            kept = self._squared[site] = (basis, _read_only(rows.real**2 + rows.imag**2))
+            stack = self.stack(site)
+            rows = stack.reshape(-1, stack.shape[2]) @ basis.conj()
+            kept = self._rotated[site] = (basis, _read_only(rows.reshape(stack.shape)))
         return kept[1]
 
 
@@ -762,24 +775,3 @@ def build_state(family: StateFamily, tail_tol: float = DEFAULT_TAIL_TOL) -> Stat
     if unknown:
         raise BadParameter(f"family {family.family} got unknown parameters {unknown}")
     return spec.build(dict(family.params), _check_tail_tol(tail_tol))
-
-
-def dense_vector(state: PureSOP, bases=None) -> np.ndarray:
-    """Expand a pure SOP state into a full state vector.
-
-    Every term's vector is built at once, as a terms x D array: the
-    amplitudes times site 0's kets, then each further site's, summed in
-    term order.  ``bases`` (one d x d unitary V_k or None per site) reads
-    site k's kets in V_k's columns, V_k^dag u, so the result is
-    (x_k V_k^dag) psi; without it, or where V_k is None, the kets are
-    taken as they are.
-    """
-    amps = state.amplitudes()
-    check_bytes(len(amps) * total_dimension(state.dims), 16, "dense_vector: terms x D array of")
-    comps = amps[:, None]
-    for k in range(state.num_sites):
-        stack = state.site_stack(k)
-        if bases is not None and bases[k] is not None:
-            stack = stack @ bases[k].conj()
-        comps = (comps[:, :, None] * stack[:, None, :]).reshape(len(amps), -1)
-    return comps.sum(axis=0)

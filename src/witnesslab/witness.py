@@ -16,15 +16,16 @@ group of equal term count and per site, one (G x t x t) block of
 <u_j|M|u_j'>.  lhs is sum_c w_c a_c^dag (prod_k P_k) a_c; rhs1 and the
 second moments weigh site k's block by the other sites' grams.  A
 non-diagonal A^dag A enters through its clamped spectrum (lambda, V):
-one-term components read |R_k|^2 . lambda^p, R_k = U_k V_k^*, from the
-rotation rhs2 reads too.  rhs2 needs the n/2 power of
-S = (1/n) sum_k A_k^dag A_k, whose embedded terms commute, so S is
-diagonal in the product of the local eigenbases.  Its route is read off
-the structure: factorized when every site is a label site and every
-A_k^dag A_k is diagonal (each term is an eigenvector of S), and
-eigenbasis otherwise, over S's D diagonal entries.  The tests check
-every side against a full-space reference built from the definitions
-(``tests/full_space.py``).
+one-term components read |u~|^2 . lambda^p from their kets read in V's
+columns, u~ = V^dag u, kept for rhs2 too.  rhs2 is the same form,
+sum_c w_c a_c^dag R_c a_c with R_jj' = <t_j|f(S)|t_j'>, f(s) = s^(n/2)
+and S = (1/n) sum_k A_k^dag A_k, whose embedded terms commute, so S is
+diagonal in the product of the local eigenbases.  Its route, read off
+the structure, only forms R: factorized when no site holds kets and
+every A_k^dag A_k is diagonal (each term is an eigenvector of S), and
+eigenbasis otherwise, S's D diagonal entries contracted with each
+site's ket pairs.  The tests check every side against a full-space
+reference built from the definitions (``tests/full_space.py``).
 
 Each distinct local operator's spectrum is computed once and kept on
 the :class:`OperatorAssignment`.  An operator with at most one nonzero
@@ -63,7 +64,7 @@ from .linalg import (
     qubit_raising_rows,
     total_dimension,
 )
-from .states import PureSOP, State, dense_vector
+from .states import State
 
 #: Scale for the default detection tolerance, see :func:`evaluate`.
 DEFAULT_EPSILON_SCALE = 1e-9
@@ -278,7 +279,7 @@ def _check_assignment(state: State, assignment: OperatorAssignment) -> None:
 
 
 def _noise(state: State) -> float:
-    return 0.0 if isinstance(state, PureSOP) else state.white_noise_weight
+    return getattr(state, "white_noise_weight", 0.0)
 
 
 def _mix(values) -> np.ndarray:
@@ -373,13 +374,10 @@ def rhs_condition1(state: State, assignment: OperatorAssignment) -> float:
 def _rhs2_route(state: State, assignment: OperatorAssignment) -> str:
     """The rhs2 route the state's structure takes: "factorized" or "eigenbasis".
 
-    Read off the components, so no term axis is built for it; a ket-form
-    state asks for no local spectrum here.
+    Read off the term axis: a state with a ket site asks for no local
+    spectrum here.
     """
-    pures = (state,) if isinstance(state, PureSOP) else state.pures
-    if all(pure.labels.min() >= 0 for pure in pures) and all(
-        vecs is None for _, vecs in assignment._spectra
-    ):
+    if not state.term_axis.kets and all(vecs is None for _, vecs in assignment._spectra):
         return "factorized"
     return "eigenbasis"
 
@@ -400,6 +398,27 @@ def _powered_grid(state: State, assignment: OperatorAssignment) -> np.ndarray:
     return grid
 
 
+def _eigenbasis_block(group, grid: np.ndarray, bases, lead: int, width: int) -> np.ndarray:
+    """(G x t x t) block R_jj' = <t_j|f(S)|t_j'> of one term group from the grid f(S) in
+    the local eigenbases ``bases``, in chunks of components of t x t x ``width``
+    complex within the budget: the ket pairs of every site but ``lead`` as one
+    (D/d x chunk t t) outer product, contracted with the grid by one real product
+    of its real and imaginary parts, then with the lead site's pairs."""
+    dims, terms = group.dims, group.amps.shape[1]
+    chunk = max(1, ARRAY_BYTES_CAP // (16 * terms * terms * width))
+    first, *rest = (*range(lead), *range(lead + 1, len(dims)))
+    blocks = []
+    for start in range(0, len(group.amps), chunk):
+        rows = slice(start, start + chunk)
+        pairs = [group.ket_pairs(k, bases[k], rows).reshape(-1, d).T for k, d in enumerate(dims)]
+        part = np.array(pairs[first], dtype=complex, order="C")
+        for k in rest:
+            part = np.multiply(part[:, None, :], pairs[k], order="C").reshape(-1, part.shape[1])
+        moments = (grid.reshape(dims[lead], -1) @ part.view(float)).view(complex)
+        blocks.append(np.einsum("iq,iq->q", pairs[lead], moments))
+    return np.concatenate(blocks).reshape(-1, terms, terms)
+
+
 def rhs_condition2(
     state: State,
     assignment: OperatorAssignment,
@@ -407,64 +426,50 @@ def rhs_condition2(
 ) -> float:
     """Operator-average bound: <((1/n) sum_k A_k^dag A_k)^(n/2)>.
 
+    Each term group adds ``group.quadratic(R)``, R_jj' = <t_j|f(S)|t_j'>, f(l) =
+    l^(n/2), and white noise its weight times the mean of f over S's D entries.
     ``method="auto"`` takes the route :func:`_rhs2_route` reads off the
-    structure; ``method="dense"`` forces the eigenbasis route, which
-    serves every state.  The embedded A_k^dag A_k commute, so S is
-    diagonal in the product of the local eigenbases V_k, with D entries
-    from n :func:`~witnesslab.linalg.kron_embed` calls.  One-term
-    components add ``f(S) . (x_k |R_k|^2)``, in chunks of components
-    within the budget; any other component adds ``f(S) . |psi~|^2``,
-    where ``psi~`` is its full-space vector with each site's kets in V_k
-    (:func:`~witnesslab.states.dense_vector`), ``f(l) = l^(n/2)``.  On
-    either route white noise adds the mean of f over the same D entries.
-    :class:`DimensionCap` is raised before an array over the budget is
-    built: a grid of D floats past 2^23, or terms x D full-space vectors.
+    structure; ``method="dense"`` forces the eigenbasis route, which serves
+    every state.  Factorized: each term is an eigenvector of S, so R is the term
+    overlaps times f of its local eigenvalues.  Eigenbasis: S is diagonal in the
+    product of the local eigenbases V_k, with D entries from n
+    :func:`~witnesslab.linalg.kron_embed` calls, and :func:`_eigenbasis_block`
+    gives R.  :class:`DimensionCap` is raised before an array over the budget is
+    built: a grid of D floats past 2^23, or one component's t x t x D/d complex
+    block, d the dim of the first site of dim > 1 (or the largest dim, if more).
     """
     _check_assignment(state, assignment)
     if method not in ("auto", "dense"):
         raise ValueError(f"unknown method {method!r}")
     route = _rhs2_route(state, assignment) if method == "auto" else "eigenbasis"
-    n, dim = len(state.dims), total_dimension(state.dims)
+    dims, n = state.dims, len(state.dims)
     noise = _noise(state)
     groups = state.term_axis.groups
     value = 0.0
     if route == "eigenbasis" or noise:
-        # one float per full-space basis state, and dense_vector's own check: both made
-        # before any D-sized array (and, for a state with ket sites, any local spectrum)
+        # the grid and one component's block are checked before any D-sized array
+        # (and, for a state with ket sites, any local spectrum)
+        dim = total_dimension(dims)
         check_bytes(dim, 8, f"the {route} rhs_condition2 route: grid of")
-        terms = max((g.amps.shape[1] for g in groups), default=1) if route == "eigenbasis" else 1
-        if terms > 1:
-            check_bytes(terms * dim, 16, "dense_vector: terms x D array of")
+        if route == "eigenbasis":
+            lead = next((k for k, d in enumerate(dims) if d > 1), 0)
+            width = max(dim // dims[lead], *dims)
+            terms = max((g.amps.shape[1] for g in groups), default=1)
+            check_bytes(terms * terms * width, 16, f"the {route} rhs_condition2 route: block of")
         powered = _powered_grid(state, assignment)
         if noise:
             value = noise * float(np.mean(powered))
-    if route == "factorized":
-        values, sites, half = [], np.arange(n)[:, None, None], n / 2.0
-        for group in groups:
+    values, sites = [], np.arange(n)[:, None, None]
+    bases = [vecs for _, vecs in assignment._spectra] if route == "eigenbasis" else None
+    for group in groups:
+        if route == "factorized":
             # every term is an eigenvector of S: f of its local eigenvalues, summed in site order
             sums = np.add.accumulate(assignment._diagonals[sites, group.labels], axis=0)[-1]
-            levels = (sums / n) ** half
-            values.append(group.quadratic(group.overlaps * levels[:, None, :]).real)
-        return value + float(_mix(values))
-    bases = [vecs for _, vecs in assignment._spectra]
-    pures = (state,) if isinstance(state, PureSOP) else state.pures
-    # one-term components: sum_c p_c (x_k |R_kc|^2) . powered, in chunks of rows x D
-    # floats within the budget (D <= 2^23 leaves room for one row)
-    rows = ARRAY_BYTES_CAP // (8 * dim)
-    for group in groups:
-        if group.amps.shape[1] > 1:
-            for comp, weight in zip(group.comps, group.weights):
-                vec = dense_vector(pures[comp], bases)
-                value += weight * float(powered @ (vec.real**2 + vec.imag**2))
-            continue
-        squared = [group.squared(k, vecs) for k, vecs in enumerate(bases)]
-        for start in range(0, len(group.probs), rows):
-            block = group.probs[start : start + rows, None]
-            for site_squared in squared:
-                chunk = site_squared[start : start + rows]
-                block = (block[:, :, None] * chunk[:, None, :]).reshape(len(block), -1)
-            value += float((block @ powered).sum())
-    return float(value)
+            block = group.overlaps * ((sums / n) ** (n / 2.0))[:, None, :]
+        else:
+            block = _eigenbasis_block(group, powered, bases, lead, width)
+        values.append(group.quadratic(block).real)
+    return value + float(_mix(values))
 
 
 def _check_epsilon(epsilon: float | None) -> float | None:

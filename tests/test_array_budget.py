@@ -7,7 +7,8 @@ multiple of the budget.  Sizes the budget newly admits (full dimensions
 past 2^14 on the eigenbasis route and for white noise, past 2^11 for
 multi-term states) are checked against exact sums or the full-space
 reference, which share no code with the engine, and a mixture of many
-product states is taken in chunks of components that fit the budget.
+product states or of many two-term components is taken in chunks of
+components that fit the budget.
 """
 
 import math
@@ -18,9 +19,10 @@ import pytest
 
 from witnesslab import oracle
 from witnesslab.errors import DimensionCap
-from witnesslab.linalg import ARRAY_BYTES_CAP, annihilation_op
+from witnesslab.formulas import EXACT_TOL, FormulaId, closed_form
+from witnesslab.linalg import ARRAY_BYTES_CAP, annihilation_op, qubit_lowering_op
 from witnesslab.states import MixedEnsemble, ProductTerm, PureSOP, StateFamily, build_state
-from witnesslab.witness import canonical_assignment, evaluate, rhs_condition2
+from witnesslab.witness import OperatorAssignment, canonical_assignment, evaluate, rhs_condition2
 
 import full_space
 
@@ -67,7 +69,7 @@ def _four_mode_annihilation(cutoff: int):
 @pytest.mark.parametrize(
     "run, admitted",
     [
-        (_tilted, 21),  # 2 terms x D complex dense_vector: D = 2^21
+        (_tilted, 21),  # 2 x 2 terms x D/2 complex eigenbasis block: D = 2^21
         (_eigenbasis, 23),  # D floats: D = 2^23
         (_white_noise, 23),
         (_squeezed, 2048),  # terms x terms complex: 2048 terms
@@ -131,9 +133,9 @@ def test_white_noise_rhs2_at_20_qubits_is_a_binomial_sum():
 
 
 def test_eigenbasis_rhs2_of_many_components_stays_within_the_budget():
-    """64 one-term components at D = 2^18 would make a 128 MiB components x D array; the
-    route takes them in chunks of 32 rows (64 MiB), and rhs2 is the mean of the
-    components' Poisson-binomial sums (lowering: S = s/n with s sites at |1>)."""
+    """64 one-term components at D = 2^18 would make a 128 MiB components x D/2 block;
+    the route takes them in chunks of 32 components (64 MiB), and rhs2 is the mean of
+    the components' Poisson-binomial sums (lowering: S = s/n with s sites at |1>)."""
     n, count = 18, 64
     rng = np.random.default_rng(64)
     kets = rng.standard_normal((n, count, 2)) + 1j * rng.standard_normal((n, count, 2))
@@ -155,6 +157,45 @@ def test_eigenbasis_rhs2_of_many_components_stays_within_the_budget():
     assert abs(got - want) <= 1e-12 * want, (got, want)
 
 
+def test_eigenbasis_rhs2_of_many_two_term_components_stays_within_the_budget():
+    """MixedSingleOut at n = 18 has 18 two-term components, 144 MiB of 2 x 2 terms x
+    D/2 complex blocks: the route takes them in chunks of 8 components, and rhs2 times
+    n matches MIXED_C2."""
+    n = 18
+    params = {"n": n, "theta": 0.4, "thetas": [0.1 + 0.07 * i for i in range(n)]}
+    state = build_state(StateFamily("MixedSingleOut", params))
+    assignment = canonical_assignment("lowering", state.dims)
+    tracemalloc.start()
+    try:
+        got = n * rhs_condition2(state, assignment)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * ARRAY_BYTES_CAP, peak
+    want = closed_form(FormulaId.MIXED_C2, params)[1]
+    assert abs(got - want) <= EXACT_TOL, (got, want)
+
+
+def test_a_dim_1_site_0_does_not_size_the_eigenbasis_block():
+    """A product of 23 qubits after a dim-1 site 0 has D = 2^23, admitted as without the
+    dim-1 site: the block is sized by the first site of dim > 1, not by D / 1.  Site 0's
+    A^dag A is 0, so S = s/24 with s qubits at |1>, a Poisson-binomial sum."""
+    n, rng = 24, np.random.default_rng(24)
+    kets = (np.ones(1, dtype=complex),) + tuple(oracle.haar_ket(2, rng) for _ in range(n - 1))
+    state = PureSOP((1,) + (2,) * (n - 1), (ProductTerm(1.0, kets),))
+    assignment = OperatorAssignment((np.zeros((1, 1)),) + (qubit_lowering_op(),) * (n - 1))
+    tracemalloc.start()
+    try:
+        got = rhs_condition2(state, assignment)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * ARRAY_BYTES_CAP, peak
+    dist = _poisson_binomial([abs(ket[1]) ** 2 for ket in kets[1:]])
+    want = math.fsum(dist[s] * (s / n) ** (n / 2) for s in range(n))
+    assert abs(got - want) <= 1e-12 * want, (got, want)
+
+
 def _tilted_under_random_operators(n: int):
     """LSeparable with one tilted qubit under random operators (non-diagonal A^dag A)."""
     params = {"n": n, "l": 1, "theta": 0.5, "thetas": [0.3]}
@@ -164,8 +205,8 @@ def _tilted_under_random_operators(n: int):
 
 def test_random_operators_on_a_multi_term_state_past_d_2048_stay_within_the_budget():
     """S is diagonal in the local eigenbases whatever the operators, so at D = 4096 the
-    route keeps D floats and 2-term vectors, with no D x D matrix: it peaks within 4x
-    the budget."""
+    route keeps D floats and a 2 x 2 terms x D/2 block, with no D x D matrix: it peaks
+    within 4x the budget."""
     state, assignment = _tilted_under_random_operators(12)
     tracemalloc.start()
     try:

@@ -15,16 +15,17 @@ from witnesslab.states import (
     StateFamily,
     auto_cutoff,
     build_state,
-    dense_vector,
     tail_weight,
 )
 from witnesslab.witness import OperatorAssignment, product_expectation
+
+import full_space
 
 
 def test_ghz_amplitudes():
     """cos/sin weighting on the all-zero and all-one strings."""
     state = build_state(StateFamily("GHZ", {"n": 3, "theta": math.pi / 6}))
-    vec = dense_vector(state)
+    vec = full_space.state_vector(state)
     assert vec[0] == pytest.approx(math.cos(math.pi / 6))
     assert vec[-1] == pytest.approx(math.sin(math.pi / 6))
     assert np.count_nonzero(np.abs(vec) > 1e-12) == 2
@@ -34,7 +35,7 @@ def test_flipped_ghz_amplitudes():
     """First spin flipped: weight on |100...> and |011...>."""
     n = 4
     state = build_state(StateFamily("FlippedGHZ", {"n": n, "theta": 0.3}))
-    vec = dense_vector(state)
+    vec = full_space.state_vector(state)
     assert vec[1 << (n - 1)] == pytest.approx(math.cos(0.3))
     assert vec[(1 << (n - 1)) - 1] == pytest.approx(math.sin(0.3))
 
@@ -55,7 +56,7 @@ def test_noisy_ghz_ground_components():
     )
     assert state.weights == (0.6, 0.4)
     assert state.white_noise_weight == 0.0
-    ground = dense_vector(state.pures[1])
+    ground = full_space.state_vector(state.pures[1])
     assert ground[0] == pytest.approx(1.0)
 
 
@@ -206,37 +207,12 @@ def test_two_group_factorizes():
     assert full == pytest.approx(split, abs=1e-12)
 
 
-def test_dense_vector_equals_the_per_term_loop():
-    """All terms at once give the values of one np.outer per term and site, summed in
-    term order; a terms x D array over the byte budget is refused."""
-    rng = np.random.default_rng(3)
-    states = [random_pure_state(dims, 4, rng) for dims in ((2, 3, 2), (3, 1, 4))]
-    for family, params in (
-        ("LSeparable", {"n": 6, "l": 2, "theta": 0.7, "thetas": [0.2, 1.3]}),
-        ("MixedSingleOut", {"n": 5, "theta": 0.4, "thetas": [0.1, 0.5, 0.9, 1.3, 1.7]}),
-        ("TwoGroupGHZ", {"n": 5, "l": 2, "theta1": 0.3, "theta2": 1.1}),
-    ):
-        state = build_state(StateFamily(family, params))
-        states.extend(getattr(state, "pures", (state,)))
-    for state in states:
-        want = np.zeros(int(np.prod(state.dims)), dtype=complex)
-        for j, amp in enumerate(state.amplitudes()):
-            comp = np.array([amp])
-            for site in range(state.num_sites):
-                comp = np.outer(comp, state.site_stack(site)[j]).ravel()
-            want += comp
-        assert np.array_equal(dense_vector(state), want)
-    labels = rng.integers(0, 2, (2048, 12))  # 2048 terms x D = 4096 complex: 128 MiB
-    with pytest.raises(DimensionCap, match="^dense_vector: "):
-        dense_vector(PureSOP.from_labels((2,) * 12, np.ones(2048), labels))
-
-
 def test_l_separable_site_order():
     """Single-qubit factors occupy the leading sites, GHZ block the rest."""
     state = build_state(
         StateFamily("LSeparable", {"n": 3, "l": 1, "theta": 0.7, "thetas": [0.2]})
     )
-    vec = dense_vector(state)
+    vec = full_space.state_vector(state)
     single = np.array([math.cos(0.2), math.sin(0.2)])
     want = math.cos(0.7) * np.kron(single, [1, 0, 0, 0]) + math.sin(0.7) * np.kron(
         single, [0, 0, 0, 1]

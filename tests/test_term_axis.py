@@ -156,10 +156,11 @@ def test_rotations_are_shared_by_rhs1_and_rhs2():
     )
     (group,) = state.term_axis.groups
     rhs_condition2(state, assignment)
-    rotated = [group.squared(site, vecs) for site, (_, vecs) in enumerate(assignment._spectra)]
+    bases = [vecs for _, vecs in assignment._spectra]
+    rotated = [group.rotated(site, vecs) for site, vecs in enumerate(bases)]
     rhs_condition1(state, assignment)
     site_second_moments(state, assignment)
-    assert all(group._squared[site][1] is rotated[site] for site in range(3))
+    assert all(group.rotated(site, bases[site]) is rotated[site] for site in range(3))
 
 
 def test_from_products_checks_every_ket_and_shape():

@@ -432,11 +432,11 @@ def test_every_route_refuses_a_state_over_the_side_cap(monkeypatch):
 
 def test_evaluate_refuses_an_over_cap_state_before_lhs_and_rhs1():
     """rhs2 runs first, so its DimensionCap comes before any lhs or rhs1 work: at n=24
-    under random operators (a grid of 2^24 floats), and at n=22 under lowering (2 terms
-    x 2^22 complex full-space vectors)."""
+    under random operators (a grid of 2^24 floats), and at n=22 under lowering (a 2 x 2
+    terms x 2^21 complex block per component)."""
     for n, assignment, match in (
         (24, random_assignment((2,) * 24, np.random.default_rng(24)), "route: grid of"),
-        (22, OperatorAssignment.qubit_lowering(22), "^dense_vector: "),
+        (22, OperatorAssignment.qubit_lowering(22), "route: block of"),
     ):
         state = build_state(
             StateFamily("MixedSingleOut", {"n": n, "theta": 0.3, "thetas": [0.2] * n})
@@ -452,11 +452,11 @@ def test_evaluate_refuses_an_over_cap_state_before_lhs_and_rhs1():
 
 def test_rhs_condition2_dimension_cap():
     """Random operators on a large Fock space leave no viable route: 4 squeezed modes
-    of 27 levels make 27 terms x 27^4 complex full-space vectors."""
+    of 27 levels make a 27 x 27 terms x 27^3 complex block."""
     state = build_state(StateFamily("NModeSqueezed", {"n": 4, "x": 0.65}))
-    assert len(state.amplitudes()) * np.prod(state.dims) > 2**22
+    assert len(state.amplitudes()) ** 2 * np.prod(state.dims[1:]) > 2**22
     rng = np.random.default_rng(0)
-    with pytest.raises(DimensionCap, match="^dense_vector: "):
+    with pytest.raises(DimensionCap, match="route: block of"):
         rhs_condition2(state, random_assignment(state.dims, rng))
     # a ket-form GHZ takes the eigenbasis route; its message writes 2^1000 in short form
     up, down = np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)
