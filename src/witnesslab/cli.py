@@ -12,7 +12,7 @@ import functools
 import json
 import sys
 
-from .errors import WitnessLabError
+from .errors import BadParameter, WitnessLabError
 from .formulas import run_verification
 from .oracle import run_lemma_trials, run_separable_trials
 from .scan import SweepSpec, find_threshold, sweep, sweep_to_csv, sweep_to_json
@@ -178,6 +178,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.lemma_trials < 0:
+        raise BadParameter(f"lemma trials must be >= 0, got {args.lemma_trials}")
     summary = run_separable_trials(
         trials=args.trials,
         seed=args.seed,

@@ -69,6 +69,10 @@ ASYMPTOTIC_RATIO_BOUND = 2.0
 TG_L1N3_ROUNDED = (1.09, 1.24, 0.44)
 CONSTANT_TOL = 0.01
 
+#: Most parameter draws per exact tag in :func:`run_verification` (about two
+#: minutes of engine time); more is refused with :class:`BadParameter`.
+MAX_VERIFY_POINTS = 10_000
+
 
 #: Last term index :func:`weighted_geometric_sum` adds before giving up.
 SERIES_MAX_TERMS = 10_000_000
@@ -770,6 +774,10 @@ def run_verification(seed: int = 0, points: int = 20) -> list[CrossCheckRow]:
     """
     if points < 1:
         raise BadParameter(f"points must be >= 1, got {points}")
+    if points > MAX_VERIFY_POINTS:
+        raise BadParameter(f"points must be <= {MAX_VERIFY_POINTS}, got {points}")
+    if seed < 0:
+        raise BadParameter(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng([int(seed), 1])
     rows = []
     for tag in FormulaId:

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import BadParameter, InvalidDensityMatrix
 from .linalg import DEFAULT_TOL, as_operator, dag, psd_power
 from .states import MixedEnsemble, ProductTerm, PureSOP
-from .witness import OperatorAssignment, evaluate
+from .witness import OperatorAssignment, evaluate, fill_spectra
 
 #: A separable-state margin below this counts as a genuine violation.
 SEPARABLE_MARGIN_TOL = -1e-9
@@ -33,6 +33,9 @@ LEMMA_DIM = 6
 
 #: Powers p drawn for the lemma trials.
 LEMMA_POWERS = (1.5, 2.0, 3.0)
+
+#: Separable trials drawn before their local spectra are computed together.
+_TRIAL_CHUNK = 64
 
 
 def haar_ket(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -182,9 +185,17 @@ def run_separable_trials(
     Per-trial generators are derived from (seed, trial index), so any
     subset of trials reproduces identically, serial or parallel.  The
     size limits must admit at least one :class:`SeparableSpec`.
+
+    Trials run in chunks of 64: each draws its spec and operators exactly
+    as alone, one :func:`~witnesslab.witness.fill_spectra` call computes
+    the chunk's local spectra, and then each trial samples its ensemble and
+    is one :func:`check_separable_bounds`, in trial order, with the margins
+    it has alone.  Only the worst margins outlive a chunk.
     """
     if trials < 1:
         raise BadParameter(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise BadParameter(f"seed must be >= 0, got {seed}")
     if not 2 <= max_n <= 5:
         raise BadParameter(f"max_n must lie in 2..5, got {max_n}")
     if not 2 <= max_dim <= 4:
@@ -193,22 +204,28 @@ def run_separable_trials(
         raise BadParameter(f"max_terms must lie in 1..6, got {max_terms}")
     violations = 0
     worst1 = worst2 = np.inf
-    for trial in range(int(trials)):
-        rng = np.random.default_rng([int(seed), trial])
-        n = int(rng.integers(2, max_n + 1))
-        dims = tuple(int(d) for d in rng.integers(2, max_dim + 1, n))
-        spec = SeparableSpec(
-            dims=dims,
-            n_terms=int(rng.integers(1, max_terms + 1)),
-            seed=int(rng.integers(0, 2**63 - 1)),
-        )
-        ensemble = sample_separable(spec)
-        assignment = random_assignment(dims, rng)
-        margin1, margin2 = check_separable_bounds(ensemble, assignment)
-        worst1 = min(worst1, margin1)
-        worst2 = min(worst2, margin2)
-        if margin1 < SEPARABLE_MARGIN_TOL or margin2 < SEPARABLE_MARGIN_TOL:
-            violations += 1
+    for start in range(0, int(trials), _TRIAL_CHUNK):
+        drawn = []
+        for trial in range(start, min(start + _TRIAL_CHUNK, int(trials))):
+            rng = np.random.default_rng([int(seed), trial])
+            n = int(rng.integers(2, max_n + 1))
+            dims = tuple(int(d) for d in rng.integers(2, max_dim + 1, n))
+            spec = SeparableSpec(
+                dims=dims,
+                n_terms=int(rng.integers(1, max_terms + 1)),
+                seed=int(rng.integers(0, 2**63 - 1)),
+            )
+            # the ensemble comes from the spec's own generator, so it waits for its check
+            drawn.append((spec, random_assignment(dims, rng)))
+        fill_spectra([assignment for _, assignment in drawn])
+        drawn.reverse()
+        while drawn:  # each trial's operators and their caches go once it is checked
+            spec, assignment = drawn.pop()
+            margin1, margin2 = check_separable_bounds(sample_separable(spec), assignment)
+            worst1 = min(worst1, margin1)
+            worst2 = min(worst2, margin2)
+            if margin1 < SEPARABLE_MARGIN_TOL or margin2 < SEPARABLE_MARGIN_TOL:
+                violations += 1
     return SeparableTrialSummary(int(trials), violations, float(worst1), float(worst2))
 
 
@@ -227,6 +244,8 @@ def run_lemma_trials(trials: int, seed: int) -> LemmaTrialSummary:
     """Seeded batch of (B, rho, p) triples for the operator-power inequality."""
     if trials < 1:
         raise BadParameter(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise BadParameter(f"seed must be >= 0, got {seed}")
     violations = 0
     worst = np.inf
     for trial in range(int(trials)):

@@ -23,6 +23,10 @@ from .witness import WitnessReport, _check_epsilon, canonical_assignment, evalua
 
 CSV_HEADER = "param,lhs,rhs1,rhs2,margin1,margin2,detected1,detected2"
 
+#: Most grid steps a sweep takes: a sweep keeps every row, about 1 KB each, until
+#: it returns, so a larger grid is refused with :class:`BadParameter`.
+MAX_GRID_STEPS = 100_000
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -58,6 +62,8 @@ def _validate(spec: SweepSpec, need_scalar_condition: bool = False) -> None:
         raise BadParameter(f"grid needs lo < hi, got ({lo}, {hi})")
     if int(steps) < 2:
         raise BadParameter(f"grid needs at least 2 steps, got {steps}")
+    if int(steps) > MAX_GRID_STEPS:
+        raise BadParameter(f"grid allows at most {MAX_GRID_STEPS} steps, got {steps}")
     for name in _param_names(spec):
         spec.family.with_param(name, lo)  # raises BadParameter on unknown names
     if spec.condition not in (1, 2, "both"):

@@ -28,8 +28,9 @@ site's ket pairs.  The tests check every side against a full-space
 reference built from the definitions (``tests/full_space.py``).
 
 Each distinct local operator's spectrum is computed once and kept on
-the :class:`OperatorAssignment`.  An operator with at most one nonzero
-per row (every named operator choice) is kept as its row map
+the :class:`OperatorAssignment`; :func:`fill_spectra` computes those of
+many assignments at once, with the same bits.  An operator with at most
+one nonzero per row (every named operator choice) is kept as its row map
 A = sum_i w_i |i><c_i| (:class:`~witnesslab.linalg.RowMap`), and no
 d x d matrix is built for it: A^dag A is |w|^2 summed into the columns c,
 a real 1-D diagonal that is its own spectrum; a ket site applies A as
@@ -49,7 +50,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BadParameter, DimensionMismatch, NumericalOverflow
+from .errors import BadParameter, DimensionMismatch, NumericalOverflow, WitnessLabError
 from .linalg import (
     ARRAY_BYTES_CAP,
     RowMap,
@@ -57,7 +58,6 @@ from .linalg import (
     as_operator,
     check_annihilation_dim,
     check_bytes,
-    dag,
     kron_embed,
     psd_eigh,
     qubit_lowering_rows,
@@ -74,27 +74,68 @@ DEFAULT_EPSILON_SCALE = 1e-9
 _CHUNK_BYTES = 2**18
 
 
-def _square(op) -> np.ndarray:
-    """A^dag A of a :class:`~witnesslab.linalg.RowMap` or a d x d operator: 1-D, its
-    diagonal, when every row of A has at most one nonzero (a dense one is read into its
-    row map); otherwise the d x d Hermitian product.  :class:`NumericalOverflow` if it is
-    not finite."""
-    rows = op if isinstance(op, RowMap) else RowMap.of(op)
-    if rows is not None:
-        # the columns have disjoint supports, so A^dag A is diagonal:
-        # sum_i |A_ij|^2, real and non-negative by construction
-        square, entries = rows.square(), rows.weights
-    else:
-        square = dag(op) @ op
-        # Hermitian by construction; exact where A^dag A is diagonal
-        square, entries = 0.5 * (square + dag(square)), op
-    if not np.isfinite(square).all():
-        scale = float(np.max(np.abs(entries)))
-        raise NumericalOverflow(
-            f"A^dag A of an operator with largest modulus {scale:.3g} overflows double"
-            " precision"
-        )
-    return square
+def _local_spectra(assignments) -> list[tuple[tuple[np.ndarray, np.ndarray | None], ...]]:
+    """Per assignment, per site, the clamped spectrum ``(evals, vecs)`` of A^dag A, once
+    per distinct operator of the assignment.
+
+    A row map's A^dag A is 1-D, its diagonal, and its own spectrum with
+    ``vecs=None``.  The d x d operators of one dim, across all the
+    assignments, take one stacked A^dag A, Hermitian by construction, and
+    one :func:`psd_eigh` each for the (assignment, d) groups whose squares
+    are all exactly diagonal (kept, ``vecs=None``) and for the rest, so each
+    spectrum is the one its group alone gives.  :class:`NumericalOverflow`
+    names the first operator, in assignment and site order, whose square is
+    not finite.
+    """
+    own: list[dict] = [{} for _ in assignments]
+    stacks: dict[int, list] = {}  # d -> [(assignment index, operator)], assignments in order
+    overflows = {}
+    # an A^dag A that overflows raises NumericalOverflow instead of a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, assignment in enumerate(assignments):
+            for op in assignment._local:
+                if id(op) in own[i]:
+                    continue
+                if isinstance(op, RowMap):
+                    # the columns have disjoint supports, so A^dag A is diagonal:
+                    # sum_i |A_ij|^2, real and non-negative by construction
+                    square = op.square()
+                    own[i][id(op)] = (square, None)
+                    if not np.isfinite(square).all():
+                        overflows[i, id(op)] = op.weights
+                else:
+                    own[i][id(op)] = None
+                    stacks.setdefault(len(op), []).append((i, op))
+        for members in stacks.values():
+            ops = np.stack([op for _, op in members])
+            squares = np.matmul(ops.conj().swapaxes(1, 2), ops)
+            # Hermitian by construction; exact where A^dag A is diagonal
+            squares = 0.5 * (squares + squares.conj().swapaxes(1, 2))
+            for j in np.flatnonzero(~np.isfinite(squares).all(axis=(1, 2))):
+                overflows[members[j][0], id(members[j][1])] = members[j][1]
+            if overflows:  # raised below; psd_eigh would refuse the non-finite squares
+                continue
+            # an assignment with a non-diagonal square of this dim sends all of them to eigh
+            index = np.array([i for i, _ in members])
+            diagonal = np.count_nonzero(squares, axis=(1, 2)) == np.count_nonzero(
+                squares.diagonal(axis1=1, axis2=2), axis=1
+            )
+            solved = np.isin(index, index[~diagonal])
+            for rows in (solved, ~solved):
+                if rows.any():
+                    evals, vecs = psd_eigh(squares[rows])
+                    for j, row in enumerate(np.flatnonzero(rows)):
+                        i, op = members[row]
+                        own[i][id(op)] = (evals[j], None if vecs is None else vecs[j])
+    for i, assignment in enumerate(assignments):
+        for op in assignment._local:
+            if (i, id(op)) in overflows:
+                scale = float(np.max(np.abs(overflows[i, id(op)])))
+                raise NumericalOverflow(
+                    f"A^dag A of an operator with largest modulus {scale:.3g} overflows"
+                    " double precision"
+                )
+    return [tuple(own[i][id(op)] for op in a._local) for i, a in enumerate(assignments)]
 
 
 class OperatorAssignment:
@@ -148,25 +189,9 @@ class OperatorAssignment:
 
     @cached_property
     def _spectra(self) -> tuple[tuple[np.ndarray, np.ndarray | None], ...]:
-        """Per site, the clamped spectrum ``(evals, vecs)`` of A^dag A, once per operator.
-
-        A 1-D square is its own spectrum, with ``vecs=None``; the d x d
-        squares of equal d go through one :func:`psd_eigh` of their stack.
-        """
-        spectra: dict[int, tuple] = {}
-        groups: dict[int, list[int]] = {}
-        # an A^dag A that overflows raises NumericalOverflow instead of a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            for op in self._local:
-                if id(op) not in spectra:
-                    square = spectra[id(op)] = (_square(op), None)
-                    if square[0].ndim == 2:
-                        groups.setdefault(len(op), []).append(id(op))
-        for keys in groups.values():
-            evals, vecs = psd_eigh(np.stack([spectra[key][0] for key in keys]))
-            for i, key in enumerate(keys):
-                spectra[key] = (evals[i], None if vecs is None else vecs[i])
-        return tuple(spectra[id(op)] for op in self._local)
+        """Per site, the clamped spectrum ``(evals, vecs)`` of A^dag A, once per operator:
+        the one-assignment case of :func:`fill_spectra`, unless that filled it in."""
+        return _local_spectra((self,))[0]
 
     @cached_property
     def _diagonals(self) -> np.ndarray:
@@ -226,6 +251,20 @@ class OperatorAssignment:
             check_annihilation_dim(d)
         rows = {d: annihilation_rows(d) for d in dict.fromkeys(dims)}
         return cls._of_rows(rows[d] for d in dims)
+
+
+def fill_spectra(assignments) -> None:
+    """Compute the local spectra of several assignments at once and keep them on each,
+    with the bits each would compute alone (:func:`_local_spectra`).  If that raises a
+    :class:`WitnessLabError`, nothing is kept: each assignment computes its own, and
+    raises, when they are first read."""
+    assignments = list(assignments)
+    try:
+        spectra = _local_spectra(assignments)
+    except WitnessLabError:
+        return
+    for assignment, own in zip(assignments, spectra):
+        vars(assignment)["_spectra"] = own
 
 
 #: Named operator choices: name -> (qubit subsystems only, assignment from the dims).

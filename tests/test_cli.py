@@ -12,6 +12,8 @@ import pytest
 
 from witnesslab.cli import run
 from witnesslab.errors import BadParameter
+from witnesslab.formulas import MAX_VERIFY_POINTS
+from witnesslab.scan import MAX_GRID_STEPS
 from witnesslab.states import StateFamily, build_state
 
 
@@ -318,6 +320,46 @@ def test_huge_family_size_exits_2_before_allocating(n, capsys):
     assert err.startswith("error: GHZ: label entries (terms x sites) from n: ")
     assert "Traceback" not in err and len(err) < 200
     assert peak < 50 * 2**20
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["oracle", "--trials", "5", "--lemma-trials", "-1"], "lemma trials must be >= 0, got -1"),
+        (["oracle", "--trials", "5", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["verify", "--seed", "-1"], "seed must be >= 0, got -1"),
+    ],
+    ids=["lemma-trials", "seed", "verify-seed"],
+)
+def test_seed_and_lemma_trial_errors_name_the_flag(argv, message, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["scan", "--family", '{"family":"GHZ","params":{"n":3}}', "--param", "theta",
+          "--grid", "0.1,1.0,1000000000000"],
+         f"grid allows at most {MAX_GRID_STEPS} steps, got 1000000000000"),
+        (["verify", "--points", "1000000000000"],
+         f"points must be <= {MAX_VERIFY_POINTS}, got 1000000000000"),
+    ],
+    ids=["scan-grid", "verify-points"],
+)
+def test_oversized_scan_grid_and_verify_points_exit_2_before_allocating(argv, message, capsys):
+    """Past the documented step and point caps, scan and verify are refused before the
+    grid or the first case is built."""
+    tracemalloc.start()
+    try:
+        code = run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert peak < 2**20
 
 
 def test_unknown_flag_exits_2(capsys):

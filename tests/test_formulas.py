@@ -10,6 +10,7 @@ from witnesslab.errors import BadParameter, MissingParameter
 from witnesslab.formulas import (
     ASYMPTOTIC_RATIO_BOUND,
     EXACT_TOL,
+    MAX_VERIFY_POINTS,
     FormulaId,
     closed_form,
     closed_form_threshold,
@@ -202,3 +203,8 @@ def test_run_verification_needs_at_least_one_point():
     """points=0 used to report PASS on rows that checked no case."""
     with pytest.raises(BadParameter):
         run_verification(points=0)
+
+
+def test_run_verification_refuses_more_than_the_point_cap():
+    with pytest.raises(BadParameter, match=f"<= {MAX_VERIFY_POINTS}"):
+        run_verification(points=MAX_VERIFY_POINTS + 1)

@@ -116,6 +116,12 @@ def test_lemma_trials_reject_empty_runs():
         run_lemma_trials(trials=-1, seed=0)
 
 
+def test_both_trial_runs_reject_a_negative_seed():
+    for run_trials in (run_separable_trials, run_lemma_trials):
+        with pytest.raises(BadParameter, match="seed must be >= 0"):
+            run_trials(trials=5, seed=-1)
+
+
 def test_check_lemma_projector():
     """For a projector, the slack is q - q^p >= 0 with q = <P>."""
     rng = np.random.default_rng(31)

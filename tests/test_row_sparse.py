@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from witnesslab import witness
-from witnesslab.linalg import annihilation_op, dag
+from witnesslab.linalg import RowMap, annihilation_op, dag
 from witnesslab.states import MixedEnsemble, ProductTerm, PureSOP, StateFamily, build_state
 from witnesslab.witness import (
     OperatorAssignment,
@@ -52,11 +52,11 @@ def test_named_choices_keep_the_exact_diagonal(name, dim):
     if name == "annihilation":
         ops.append(annihilation_op(dim).T.copy())
     for op in ops:
-        diagonal = witness._square(op)
-        assert diagonal.ndim == 1 and diagonal.dtype == float
-        assert np.array_equal(diagonal, np.diagonal(_dense_square(op)))
-        evals, vecs = OperatorAssignment((op,) * n)._spectra[0]
-        assert np.array_equal(evals, diagonal) and vecs is None
+        assignment = OperatorAssignment((op,) * n)
+        assert isinstance(assignment._local[0], RowMap)
+        evals, vecs = assignment._spectra[0]
+        assert evals.ndim == 1 and evals.dtype == float and vecs is None
+        assert np.array_equal(evals, np.diagonal(_dense_square(op)))
 
 
 @pytest.mark.parametrize(
@@ -144,7 +144,7 @@ def test_row_sparse_operators_match_the_full_space_reference(case):
     """All three sides, and every <A_k^dag A_k>, agree with the reference built from
     the definitions, on label-form, ket-form, mixed and white-noise states."""
     state, assignment = case
-    assert all(witness._square(op).ndim == 1 for op in assignment.ops)
+    assert all(isinstance(op, RowMap) for op in assignment._local)
     ref_lhs, ref_rhs1, ref_rhs2 = sides(state, assignment)
     assert _close(abs(product_expectation(state, assignment)), ref_lhs)
     assert _close(rhs_condition1(state, assignment), ref_rhs1)

@@ -216,6 +216,14 @@ def test_sweep_validation():
         )
 
 
+def test_grid_step_cap():
+    """MAX_GRID_STEPS steps pass validation; one more is refused before the grid is built."""
+    spec = SweepSpec(StateFamily("GHZ", {"n": 3}), "theta", (0.0, 1.0, scan.MAX_GRID_STEPS))
+    scan._validate(spec)
+    with pytest.raises(BadParameter, match="at most"):
+        sweep(SweepSpec(spec.family, "theta", (0.0, 1.0, scan.MAX_GRID_STEPS + 1)))
+
+
 def test_csv_output_schema():
     results = sweep(ghz_spec(3, steps=5, lo=0.2, hi=0.6))
     text = sweep_to_csv(results, meta={"epsilon": "auto", "note": "test"})
