@@ -6,22 +6,22 @@ of such pure states, optionally with a maximally-mixed component.  This
 sum-of-products form is what lets expectation values factorize per site
 instead of going through the full tensor-product space.
 
-A pure state stores a (terms x sites) integer ``labels`` array next to
-the amplitudes, and a dict from each ket-form site to its (terms x dim)
-stack of unit-norm kets.  A site whose kets are all computational-basis
-kets (every basis-ket site of the built-in families) is its label
-column, so its overlaps and matrix elements are index lookups; any
-other site (tilted qubits, random kets) is in the dict, with labels -1.
-
-Every state is read through one :class:`TermAxis`, built once and kept:
-all its components' terms on one axis, with their offsets and weights
-(a pure state is the one-component case).  The axis groups the
-components by term count t (:class:`TermGroup`); each per-site quantity
-of a group is one (G x t x t) block, a label gather on a label site and
-a batched stack product on a ket site.  For lhs, the label sites whose
-operators are row maps (:class:`~witnesslab.linalg.RowMap`) make one
-block together (:meth:`TermGroup.row_block`), and rhs2 contracts each
-site's :meth:`TermGroup.ket_pairs` with S's entries, building no state vector.
+Every state is its :class:`TermAxis`, the base of both classes: all its
+components' terms on one axis, a (terms x sites) integer ``labels``
+array next to the amplitudes, a dict from each ket site to its
+(terms x dim) stack of unit-norm kets, and each component's offset and
+weight, filled once by each constructor (a mixture's ``pures`` are views
+cut from them).  A site whose kets are all computational-basis kets
+(every basis-ket site of the built-in families) is its label column, so
+its overlaps and matrix elements are index lookups; any other site
+(tilted qubits, random kets) is in the dict, with labels -1 where a
+component gave kets.  The axis groups the components by term count t
+(:class:`TermGroup`); each per-site quantity of a group is one
+(G x t x t) block, a label gather on a label site and a batched stack
+product on a ket site.  For lhs, the label sites whose operators are row
+maps (:class:`~witnesslab.linalg.RowMap`) make one block together
+(:meth:`TermGroup.row_block`), and rhs2 contracts each site's
+:meth:`TermGroup.ket_pairs` with S's entries, building no state vector.
 
 Fock-truncated continuous-variable families carry an explicit cutoff;
 the discarded tail weight is checked against a tolerance and the kept
@@ -87,6 +87,13 @@ def _check_kets(stacks) -> None:
         raise BadParameter("local kets must be finite and unit-normalized")
 
 
+def _basis_kets(labels: np.ndarray, dim: int) -> np.ndarray:
+    """(... x dim) computational-basis kets |labels[...]>, written out."""
+    stack = np.zeros((*labels.shape, dim), dtype=complex)
+    stack.flat[np.arange(0, stack.size, dim) + labels.ravel()] = 1.0
+    return stack
+
+
 def _stack_pairs(stack: np.ndarray, op) -> np.ndarray:
     """(G x t x t) entries <u_j|op|u_j'> of a (G x t x dim) stack of kets; a 1-D ``op`` is
     ``diag(op)``, a :class:`~witnesslab.linalg.RowMap` applies its rows, and None is the
@@ -107,27 +114,41 @@ def _stack_pairs(stack: np.ndarray, op) -> np.ndarray:
 
 
 class TermAxis:
-    """Every pure component of a state on one axis of product terms.
+    """Every pure component of a state on one axis of product terms; the base of
+    :class:`PureSOP` and :class:`MixedEnsemble`, whose constructors fill it once.
 
-    ``labels`` is (terms x sites), -1 on ket sites; ``kets`` maps each ket
-    site to its (terms x dim) stack; component c is the rows
-    ``offsets[c]:offsets[c + 1]`` of ``amps``, with weight ``weights[c]``.
-    ``groups`` groups the components by term count, checking their blocks
-    against the byte budget.
+    ``labels`` is (terms x sites): each row's basis label, or -1 where its
+    component gave kets.  ``kets`` maps each site where any component gave kets
+    to its (terms x dim) stack, basis kets written out; no reader takes such a
+    site's labels.  Component c is the rows ``offsets[c]:offsets[c + 1]`` of
+    ``amps``, with weight ``weight_array[c]``.
     """
 
-    def __init__(self, dims, labels, kets, amps, offsets, weights):
+    white_noise_weight = 0.0
+
+    def _fill(self, dims, labels, kets, amps, offsets, weights) -> None:
+        for array in (labels, amps, *kets.values()):
+            array.flags.writeable = False
         self.dims, self.labels, self.kets, self.amps = dims, labels, kets, amps
-        self.offsets, self.weights = offsets, weights
-        counts = offsets[1:] - offsets[:-1]
-        sizes = list(dict.fromkeys(counts.tolist()))
-        if len(sizes) == 1:
-            groups = [(np.arange(len(counts)), sizes[0])]
-        else:
-            groups = [((counts == t).nonzero()[0], t) for t in sizes]
+        self.offsets, self.weight_array = offsets, np.array(weights, dtype=float)
+
+    @property
+    def num_sites(self) -> int:
+        return len(self.dims)
+
+    @property
+    def term_axis(self) -> "TermAxis":
+        """The state itself, which is its term axis."""
+        return self
+
+    @cached_property
+    def groups(self) -> tuple["TermGroup", ...]:
+        """The components grouped by term count, their blocks checked against the budget."""
+        counts = self.offsets[1:] - self.offsets[:-1]
+        groups = [((counts == t).nonzero()[0], t) for t in dict.fromkeys(counts.tolist())]
         for comps, t in groups:  # each group's complex (G x t x t) blocks
             check_bytes(len(comps) * t * t, 16, "term group: components x terms x terms block of")
-        self.groups = tuple(TermGroup(self, comps, t) for comps, t in groups)
+        return tuple(TermGroup(self, comps, t) for comps, t in groups)
 
 
 class TermGroup:
@@ -140,14 +161,14 @@ class TermGroup:
     def __init__(self, axis: TermAxis, comps: np.ndarray, t: int):
         self.dims, self.comps = axis.dims, comps
         count, first, last = len(comps), comps[0], comps[-1]
-        if count == len(axis.weights):
-            rows, self.weights = slice(None), axis.weights
+        if count == len(axis.weight_array):
+            rows, self.weights = slice(None), axis.weight_array
         elif last - first + 1 == count:  # consecutive components: views of the axis
             rows = slice(axis.offsets[first], axis.offsets[last + 1])
-            self.weights = axis.weights[first : last + 1]
+            self.weights = axis.weight_array[first : last + 1]
         else:
             rows = axis.offsets[comps, None] + np.arange(t)
-            self.weights = axis.weights[comps]
+            self.weights = axis.weight_array[comps]
         self.amps = axis.amps[rows].reshape(count, t)
         labels = axis.labels[rows].reshape(count, t, -1)
         self.labels = np.ascontiguousarray(labels.transpose(2, 0, 1))
@@ -162,11 +183,7 @@ class TermGroup:
     def stack(self, site: int) -> np.ndarray:
         """(G x t x dim) kets at one site, written out on a label site."""
         stack = self.kets.get(site)
-        if stack is None:
-            labels, dim = self.labels[site], self.dims[site]
-            stack = np.zeros((*labels.shape, dim), dtype=complex)
-            stack.flat[np.arange(0, stack.size, dim) + labels.ravel()] = 1.0
-        return stack
+        return _basis_kets(self.labels[site], self.dims[site]) if stack is None else stack
 
     def gram(self, site: int) -> np.ndarray:
         """Overlaps <u_j|u_j'> of the kets at one site, kept: on a label site the boolean
@@ -258,7 +275,15 @@ class TermGroup:
         return kept[1]
 
 
-class PureSOP:
+def _numbers(value, what: str, dtype=complex) -> np.ndarray:
+    """``value`` as a new array; what numpy cannot read as numbers is a :class:`BadParameter`."""
+    try:
+        return np.array(value, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise BadParameter(f"{what} must be numbers: {exc}") from None
+
+
+class PureSOP(TermAxis):
     """Pure state as a sum of product terms over fixed subsystem dims.
 
     ``PureSOP(dims, terms)`` takes explicit :class:`ProductTerm` objects,
@@ -274,21 +299,19 @@ class PureSOP:
         terms = tuple(terms)
         if not terms:
             raise BadParameter("a state needs at least one product term")
-        for term in terms:
-            if len(term.factors) != len(dims):
-                raise BadParameter(
-                    f"term has {len(term.factors)} factors for {len(dims)} subsystems"
-                )
-            for ket, dim in zip(term.factors, dims):
-                if ket.shape != (dim,):
-                    raise BadParameter(f"local ket shape {ket.shape} != ({dim},)")
-        kets = {
-            k: np.array([term.factors[k] for term in terms], dtype=complex)
-            for k in range(len(dims))
-        }
-        amps = np.array([term.amplitude for term in terms], dtype=complex)
-        labels = np.full((len(terms), len(dims)), -1, dtype=np.int64)
-        self._setup(dims, amps, labels, kets)
+        try:  # a non-term, a ragged ket or a non-number is a BadParameter
+            for term in terms:
+                if (count := len(term.factors)) != len(dims):
+                    raise BadParameter(f"term has {count} factors for {len(dims)} subsystems")
+                for ket, dim in zip(term.factors, dims):
+                    if np.shape(ket) != (dim,):
+                        raise BadParameter(f"local ket shape {np.shape(ket)} != ({dim},)")
+            stacks = zip(*(term.factors for term in terms))
+            kets = {k: np.array(stack, dtype=complex) for k, stack in enumerate(stacks)}
+            amps = np.array([term.amplitude for term in terms], dtype=complex)
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise BadParameter(f"terms must be ProductTerms of numeric kets: {exc}") from None
+        self._setup(dims, amps, np.full((len(terms), len(dims)), -1, dtype=np.int64), kets)
 
     @classmethod
     def from_labels(cls, dims, amplitudes, labels, kets=None) -> "PureSOP":
@@ -300,9 +323,9 @@ class PureSOP:
         must be -1.
         """
         dims = _check_dims(dims)
-        amps = np.array(amplitudes, dtype=complex)
-        labels = np.array(labels)
-        kets = {site: np.array(stack, dtype=complex) for site, stack in (kets or {}).items()}
+        amps = _numbers(amplitudes, "amplitudes")
+        labels = _numbers(labels, "labels", None)
+        kets = {site: _numbers(stack, "local kets") for site, stack in (kets or {}).items()}
         if amps.ndim != 1 or amps.size == 0:
             raise BadParameter("a state needs at least one product term")
         if labels.shape != (amps.size, len(dims)) or labels.dtype.kind not in "iu":
@@ -324,29 +347,17 @@ class PureSOP:
                 raise BadParameter(f"kets given for unknown site {site!r}")
             if stack.shape != (amps.size, dims[site]):
                 raise BadParameter(f"kets at site {site} have shape {stack.shape}")
-        state = cls.__new__(cls)
-        state._setup(dims, amps, labels, kets)
-        return state
+        return cls.__new__(cls)._setup(dims, amps, labels, kets)
 
-    def _setup(self, dims, amps, labels, kets) -> None:
-        """Both constructors end here: kets must be finite and unit-norm, amplitudes finite."""
+    def _setup(self, dims, amps, labels, kets) -> "PureSOP":
+        """Keep the arrays as the one component, of weight 1: kets must be finite and
+        unit-norm, amplitudes finite."""
         if kets:
             _check_kets(kets.values())
         if not np.isfinite(amps).all():
             raise BadParameter("amplitudes must be finite")
-        kets = {site: _read_only(stack) for site, stack in kets.items()}
-        self._store(dims, _read_only(amps), _read_only(labels), kets)
-
-    def _store(self, dims, amps, labels, kets) -> None:
-        """Keep checked, read-only arrays."""
-        self.dims = dims
-        self.labels = labels
-        self._amps = amps
-        self._kets = kets
-
-    @property
-    def num_sites(self) -> int:
-        return len(self.dims)
+        self._fill(dims, labels, kets, amps, np.array([0, len(amps)]), (1.0,))
+        return self
 
     @property
     def terms(self) -> Sequence[ProductTerm]:
@@ -354,39 +365,40 @@ class PureSOP:
         return _Terms(self)
 
     def amplitudes(self) -> np.ndarray:
-        return self._amps
+        return self.amps
 
     def site_labels(self, site: int) -> np.ndarray | None:
         """Basis labels of all terms at a label-form site, or None for a ket-form site."""
-        return None if site in self._kets else self.labels[:, site]
+        return None if site in self.kets else self.labels[:, site]
 
     def site_stack(self, site: int) -> np.ndarray:
         """All terms' local kets at one site, stacked to shape (terms, dim)."""
-        stack = self._kets.get(site)
-        if stack is None:
-            labels = self.labels[:, site]
-            stack = np.zeros((len(labels), self.dims[site]), dtype=complex)
-            stack[np.arange(len(labels)), labels] = 1.0
-        return stack
+        stack = self.kets.get(site)
+        return _basis_kets(self.labels[:, site], self.dims[site]) if stack is None else stack
 
-    @cached_property
-    def term_axis(self) -> TermAxis:
-        """The state as the one component, of weight 1, of a :class:`TermAxis`."""
-        offsets = np.array([0, len(self._amps)])
-        return TermAxis(self.dims, self.labels, self._kets, self._amps, offsets, np.ones(1))
+    def _scaled_norm(self) -> tuple[float, float]:
+        """(m, r) with norm m r: r is the norm of the amplitudes / m, and m is 1 unless the
+        direct norm is 0 or not finite, then the largest amplitude modulus."""
+        overlaps = self.groups[0].overlaps[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = float(np.sqrt((self.amps.conj() @ overlaps @ self.amps).real))
+        top = 1.0 if 0.0 < value < math.inf else float(np.max(np.abs(self.amps)))
+        if top in (0.0, 1.0):  # in range, or a zero state
+            return 1.0, value
+        amps = self.amps / top
+        return top, float(np.sqrt((amps.conj() @ overlaps @ amps).real))
 
     def norm(self) -> float:
-        amps = self._amps
-        overlaps = self.term_axis.groups[0].overlaps[0]
-        return float(np.sqrt((amps.conj() @ overlaps @ amps).real))
+        return math.prod(self._scaled_norm())
 
     def normalized(self) -> "PureSOP":
-        scale = self.norm()
+        top, scale = self._scaled_norm()
         if scale == 0.0:
             raise BadParameter("cannot normalize a zero state")
+        amps = self.amps if top == 1.0 else self.amps / top
         # one Python division per amplitude: numpy would scale by 1/scale instead
-        amps = [complex(amp) / scale for amp in self._amps]
-        return PureSOP.from_labels(self.dims, amps, self.labels, self._kets)
+        amps = np.array([complex(amp) / scale for amp in amps], dtype=complex)
+        return PureSOP.__new__(PureSOP)._setup(self.dims, amps, self.labels, self.kets)
 
 
 class _Terms(Sequence):
@@ -396,55 +408,61 @@ class _Terms(Sequence):
         self._state = state
 
     def __len__(self) -> int:
-        return len(self._state.amplitudes())
+        return len(self._state.amps)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return tuple(self[j] for j in range(len(self))[index])
         j = range(len(self))[index]
-        state = self._state
-        kets = state._kets
+        state, kets = self._state, self._state.kets
         factors = tuple(
             kets[site][j] if site in kets else basis_ket(dim, label)
             for site, (dim, label) in enumerate(zip(state.dims, state.labels[j].tolist()))
         )
-        return ProductTerm(complex(state.amplitudes()[j]), factors)
+        return ProductTerm(complex(state.amps[j]), factors)
 
 
-@dataclass(frozen=True, eq=False)
-class MixedEnsemble:
+class MixedEnsemble(TermAxis):
     """Convex mixture of pure SOP states plus an optional white-noise part.
 
-    ``weights`` and ``white_noise_weight`` sum to one; the white-noise
-    component stands for I / prod(dims) and is always handled factorwise,
-    never materialized.
+    The constructor concatenates the components on the axis once, and
+    ``pures`` cuts one :class:`PureSOP` view per component from it on each
+    read.  ``weights`` (a tuple of floats) and ``white_noise_weight`` sum to
+    one; the white-noise component stands for I / prod(dims) and is always
+    handled factorwise, never materialized.
     """
 
-    dims: tuple[int, ...]
-    weights: tuple[float, ...]
-    pures: tuple[PureSOP, ...]
-    white_noise_weight: float = 0.0
+    def __init__(self, dims, weights, pures, white_noise_weight=0.0):
+        dims = _check_dims(dims)
+        pures = tuple(pures)
+        self._set_weights(weights, white_noise_weight, len(pures))
+        for pure in pures:
+            if not isinstance(pure, PureSOP) or pure.dims != dims:
+                raise BadParameter(f"all components must be PureSOPs of the ensemble dims {dims}")
+        offsets = np.array([0, *itertools.accumulate(len(pure.amps) for pure in pures)])
+        labels = np.concatenate([pure.labels for pure in pures] or [np.zeros((0, len(dims)), int)])
+        amps = np.concatenate([pure.amps for pure in pures] or [np.zeros(0, complex)])
+        kets = {}
+        for site in sorted({site for pure in pures for site in pure.kets}):
+            # basis kets written out; each row labelled -1 takes its component's ket below
+            kets[site] = _basis_kets(np.maximum(labels[:, site], 0), dims[site])
+        for pure, start in zip(pures, offsets.tolist()):
+            for site, stack in pure.kets.items():
+                kets[site][start : start + len(stack)] = stack
+        self._fill(dims, labels, kets, amps, offsets, self.weights)
 
-    def __post_init__(self):
-        object.__setattr__(self, "dims", _check_dims(self.dims))
-        weights = tuple(_as_real(w, "weights", "MixedEnsemble") for w in self.weights)
-        noise = _as_real(self.white_noise_weight, "white_noise_weight", "MixedEnsemble")
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "white_noise_weight", noise)
-        if len(weights) != len(self.pures):
+    def _set_weights(self, weights, noise, count: int) -> None:
+        """Keep one finite weight >= 0 per component and the white-noise weight, summing to 1."""
+        weights = tuple(_as_real(w, "weights", "MixedEnsemble") for w in weights)
+        noise = _as_real(noise, "white_noise_weight", "MixedEnsemble")
+        if len(weights) != count:
             raise BadParameter("one weight per pure component required")
         if not all(w >= -1e-12 for w in (*weights, noise)):
             raise BadParameter("mixture weights must be nonnegative")
         total = sum(weights) + noise
         if not abs(total - 1.0) <= 1e-12:
             raise BadParameter(f"mixture weights sum to {total}, expected 1")
-        for pure in self.pures:
-            if pure.dims != self.dims:
-                raise BadParameter("all components must share the ensemble dims")
-
-    @property
-    def num_sites(self) -> int:
-        return len(self.dims)
+        self.weights, self.white_noise_weight = weights, noise
 
     @classmethod
     def from_products(cls, dims, weights, stacks) -> "MixedEnsemble":
@@ -452,51 +470,34 @@ class MixedEnsemble:
 
         Component c is ``|stacks[0][c]> x ... x |stacks[n-1][c]>`` with weight
         ``weights[c]``; ``stacks[k]`` is a (components x dims[k]) array of unit-norm
-        kets, checked once and kept as the ket stacks of the :attr:`term_axis`.
+        kets, checked once and kept as the ket stacks of the axis.
         """
         dims = _check_dims(dims)
         weights = tuple(weights)
-        stacks = [np.array(stack, dtype=complex) for stack in stacks]
+        stacks = [_numbers(stack, "local kets") for stack in stacks]
         if len(stacks) != len(dims):
             raise BadParameter(f"{len(stacks)} ket stacks for {len(dims)} subsystems")
         for site, (stack, dim) in enumerate(zip(stacks, dims)):
             if stack.shape != (len(weights), dim):
                 raise BadParameter(f"kets at site {site} have shape {stack.shape}")
-            _read_only(stack)
         _check_kets(stacks)
-        labels = _read_only(np.full((len(weights), len(dims)), -1, dtype=np.int64))
-        amps = _read_only(np.ones(len(weights), dtype=complex))
-        pures, one = [], (amps[:1], labels[:1])  # each component's amplitude and labels
-        for c in range(len(weights)):
-            pure = PureSOP.__new__(PureSOP)
-            pure._store(dims, *one, {k: stack[c : c + 1] for k, stack in enumerate(stacks)})
-            pures.append(pure)
-        ensemble = cls(dims, weights, tuple(pures))
-        offsets, kets = np.arange(len(weights) + 1), dict(enumerate(stacks))
-        # filled in here, so the cached property never concatenates the components
-        axis = TermAxis(dims, labels, kets, amps, offsets, np.array(ensemble.weights))
-        ensemble.__dict__["term_axis"] = axis
+        ensemble = cls.__new__(cls)
+        ensemble._set_weights(weights, 0.0, len(weights))
+        labels = np.full((len(weights), len(dims)), -1, dtype=np.int64)
+        amps, offsets = np.ones(len(weights), dtype=complex), np.arange(len(weights) + 1)
+        ensemble._fill(dims, labels, dict(enumerate(stacks)), amps, offsets, ensemble.weights)
         return ensemble
 
-    @cached_property
-    def term_axis(self) -> TermAxis:
-        """The components concatenated on one :class:`TermAxis`, built once."""
-        pures, empty = self.pures, [np.zeros((0, len(self.dims)), np.int64)]
-        offsets = np.array([0, *itertools.accumulate(len(pure.amplitudes()) for pure in pures)])
-        labels = np.concatenate([pure.labels for pure in pures] or empty)
-        amps = np.concatenate([pure.amplitudes() for pure in pures] or [np.zeros(0, complex)])
-        kets = {}
-        for site in sorted({site for pure in pures for site in pure._kets}):
-            rows = np.flatnonzero(labels[:, site] >= 0)  # basis kets written out
-            kets[site] = np.zeros((len(labels), self.dims[site]), dtype=complex)
-            kets[site][rows, labels[rows, site]] = 1.0
-            labels[:, site] = -1
-        for pure, start in zip(pures, offsets.tolist()):
-            for site, stack in pure._kets.items():
-                kets[site][start : start + len(stack)] = stack
-        kets = {site: _read_only(stack) for site, stack in kets.items()}
-        weights = np.array(self.weights, dtype=float)
-        return TermAxis(self.dims, _read_only(labels), kets, _read_only(amps), offsets, weights)
+    @property
+    def pures(self) -> tuple[PureSOP, ...]:
+        """One :class:`PureSOP` view per component, cut from the axis rows on each read: a
+        site is in ket form where the component's labels are -1."""
+        views = []
+        for start, stop in itertools.pairwise(self.offsets.tolist()):
+            labels, amps = self.labels[start:stop], self.amps[start:stop]
+            kets = {k: stack[start:stop] for k, stack in self.kets.items() if labels[0, k] < 0}
+            views.append(PureSOP.__new__(PureSOP)._setup(self.dims, amps, labels, kets))
+        return tuple(views)
 
 
 State = PureSOP | MixedEnsemble

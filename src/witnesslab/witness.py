@@ -11,8 +11,9 @@ Every fully separable state satisfies lhs <= rhs1 and lhs <= rhs2, so a
 value of lhs exceeding either bound (beyond tolerance) certifies
 entanglement; non-violation is inconclusive.
 
-Every side reads the state's :class:`~witnesslab.states.TermAxis`: per
-group of equal term count and per site, one (G x t x t) block of
+Every side reads the state as its :class:`~witnesslab.states.TermAxis`
+(its term groups, dims, ket sites and white-noise weight): per group of
+equal term count and per site, one (G x t x t) block of
 <u_j|M|u_j'>.  lhs is sum_c w_c a_c^dag (prod_k P_k) a_c; rhs1 and the
 second moments weigh site k's block by the other sites' grams.  A
 non-diagonal A^dag A enters through its clamped spectrum (lambda, V):
@@ -317,10 +318,6 @@ def _check_assignment(state: State, assignment: OperatorAssignment) -> None:
     raise DimensionMismatch(f"operator dim {ops[site]} != state dim {dims[site]} at site {site}")
 
 
-def _noise(state: State) -> float:
-    return getattr(state, "white_noise_weight", 0.0)
-
-
 def _mix(values) -> np.ndarray:
     """The sum over the components of the term groups' weighted values, each group's of
     shape (G,) or (G x sites), added one at a time in group and component order."""
@@ -338,7 +335,7 @@ def _site_moments(state: State, assignment: OperatorAssignment, power: float) ->
     powered = [evals**power for evals, _ in spectra]
     n = len(spectra)
     values = []
-    for group in state.term_axis.groups:
+    for group in state.groups:
         count, terms = group.amps.shape
         step = max(1, _CHUNK_BYTES // (16 * count * terms**2))
         # a label site's gram is 0 or 1: weighed by the other grams, a diagonal operator's
@@ -363,7 +360,7 @@ def _site_moments(state: State, assignment: OperatorAssignment, power: float) ->
                 chunk = []
         values.append((np.concatenate(moments) if moments[1:] else moments[0])[::-1].T)
     result = _mix(values)
-    noise = _noise(state)
+    noise = state.white_noise_weight
     if noise:
         result = result + noise * np.array([f.sum() / d for f, d in zip(powered, state.dims)])
     return np.real(result)
@@ -375,7 +372,7 @@ def product_expectation(state: State, assignment: OperatorAssignment) -> complex
     _check_assignment(state, assignment)
     local, mapped = assignment._local, assignment._row_sites
     values = []
-    for group in state.term_axis.groups:
+    for group in state.groups:
         fused = [k for k in mapped if k not in group.kets]
         total = group.row_block(fused, *assignment._row_tables) if fused else None
         rest = sorted(set(range(len(local))).difference(fused)) if fused else range(len(local))
@@ -387,7 +384,7 @@ def product_expectation(state: State, assignment: OperatorAssignment) -> complex
                 total *= block
         values.append(group.quadratic(total))
     value = _mix(values)
-    noise = _noise(state)
+    noise = state.white_noise_weight
     if noise:
         traces = 1.0 + 0.0j
         for trace, d in zip(assignment._traces, state.dims):
@@ -416,7 +413,7 @@ def _rhs2_route(state: State, assignment: OperatorAssignment) -> str:
     Read off the term axis: a state with a ket site asks for no local
     spectrum here.
     """
-    if not state.term_axis.kets and all(vecs is None for _, vecs in assignment._spectra):
+    if not state.kets and all(vecs is None for _, vecs in assignment._spectra):
         return "factorized"
     return "eigenbasis"
 
@@ -482,8 +479,8 @@ def rhs_condition2(
         raise ValueError(f"unknown method {method!r}")
     route = _rhs2_route(state, assignment) if method == "auto" else "eigenbasis"
     dims, n = state.dims, len(state.dims)
-    noise = _noise(state)
-    groups = state.term_axis.groups
+    noise = state.white_noise_weight
+    groups = state.groups
     value = 0.0
     if route == "eigenbasis" or noise:
         # the grid and one component's block are checked before any D-sized array

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from witnesslab import linalg
 from witnesslab.errors import BadParameter, DimensionCap, TruncationTooCoarse
 from witnesslab.linalg import ARRAY_BYTES_CAP
 from witnesslab.oracle import random_pure_state
@@ -392,3 +393,64 @@ def test_modified_four_mode_shifted_occupation():
     for m, term in enumerate(state.terms):
         assert np.argmax(np.abs(term.factors[0])) == m
         assert np.argmax(np.abs(term.factors[2])) == m + 1
+
+
+@pytest.mark.parametrize("modulus", [1e200, 1e-200])
+def test_norm_and_normalized_outside_the_normal_float_range(modulus):
+    """Amplitudes whose squares overflow or underflow are first divided by the largest
+    modulus: the norm is finite and the normalized state is (|00> + |11>) / sqrt(2)."""
+    state = PureSOP.from_labels((2, 2), (modulus, modulus), [[0, 0], [1, 1]])
+    assert state.norm() == pytest.approx(math.sqrt(2.0) * modulus, rel=1e-15)
+    normalized = state.normalized()
+    np.testing.assert_allclose(normalized.amplitudes(), [2**-0.5, 2**-0.5], rtol=1e-15)
+    assert normalized.norm() == pytest.approx(1.0, abs=1e-15)
+
+
+def test_an_exactly_cancelling_state_still_cannot_be_normalized():
+    state = PureSOP.from_labels((2, 2), (1e200, -1e200), [[0, 1], [0, 1]])
+    assert state.norm() == 0.0
+    with pytest.raises(BadParameter, match="zero state"):
+        state.normalized()
+
+
+_PURE = PureSOP.from_labels((2, 2), (1.0,), [[0, 0]])
+
+
+def test_product_terms_may_list_their_kets():
+    """A ProductTerm whose kets are lists is read through numpy like an array."""
+    state = PureSOP((2, 2), [ProductTerm(1.0, ([1, 0], [0, 1]))])
+    assert [factor.tolist() for factor in state.terms[0].factors] == [[1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: PureSOP.from_labels((2, 2), ["a"], [[0, 0]]),
+        lambda: PureSOP.from_labels((2, 2), (1.0,), [[0, -1]], {1: [["a", 0]]}),
+        lambda: PureSOP((2, 2), ["not a term"]),
+        lambda: PureSOP((2, 2), [ProductTerm(1.0, (["a", 0], [0, 1]))]),
+        lambda: PureSOP((2, 2), [ProductTerm(1.0, ([1, [0, 1]], [0, 1]))]),
+        lambda: MixedEnsemble((2, 2), (0.5, 0.5), (_PURE, "x")),
+        lambda: MixedEnsemble.from_products((2, 2), (1.0,), [[["a", 0]], [[1, 0]]]),
+    ],
+    ids=[
+        "string-amplitude", "string-ket-entry", "non-term", "string-term-ket", "ragged-ket",
+        "non-state-component", "string-product-ket",
+    ],
+)
+def test_public_constructors_raise_bad_parameter(make):
+    """What numpy cannot read as numbers, and a component that is not a state, is a
+    BadParameter rather than a ValueError or AttributeError."""
+    with pytest.raises(BadParameter):
+        make()
+
+
+def test_site_stacks_and_terms_need_no_term_group(monkeypatch):
+    """A state whose terms x terms block is over the byte budget still gives its site
+    stacks, site labels and terms; only what reads the term groups raises DimensionCap."""
+    state = build_state(StateFamily("NModeSqueezed", {"n": 2, "x": 0.1, "cutoff": 8}))
+    monkeypatch.setattr(linalg, "ARRAY_BYTES_CAP", 8 * 8 * 16)
+    np.testing.assert_array_equal(state.site_stack(1), np.eye(9))
+    assert state.site_labels(0).tolist() == list(range(9)) and len(state.terms) == 9
+    with pytest.raises(DimensionCap):
+        state.norm()

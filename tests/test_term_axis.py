@@ -21,6 +21,7 @@ from witnesslab.states import MixedEnsemble, PureSOP, StateFamily, build_state
 from witnesslab.witness import (
     OperatorAssignment,
     canonical_assignment,
+    evaluate,
     product_expectation,
     rhs_condition1,
     rhs_condition2,
@@ -60,9 +61,10 @@ def _operator(draw, dim, rng) -> np.ndarray:
 
 
 @st.composite
-def term_axis_cases(draw):
+def term_axis_cases(draw, components=False):
     """(state, assignment): a PureSOP, or a mixture of 0-4 components of 1-4 terms each
-    (some of weight zero) with an optional white-noise weight, over dims 1..3."""
+    (some of weight zero) with an optional white-noise weight, over dims 1..3.  With
+    ``components``, the PureSOPs the state was built from come third."""
     n = draw(st.integers(2, 4))
     dims = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -79,7 +81,7 @@ def term_axis_cases(draw):
         weights = tuple(float(w) * (1.0 - noise) for w in weights)
         state = MixedEnsemble(dims, weights, pures, white_noise_weight=noise)
     assignment = OperatorAssignment(tuple(_operator(draw, d, rng) for d in dims))
-    return state, assignment
+    return (state, assignment, pures) if components else (state, assignment)
 
 
 def _close(got, want, tol=1e-10):
@@ -107,6 +109,66 @@ def test_term_axis_sides_match_the_full_space_reference(case):
     _assert_sides_match_the_reference(*case)
 
 
+def _assert_same_view(view, pure):
+    """A component view holds its component's labels and gives the same site labels, site
+    stacks and product terms."""
+    np.testing.assert_array_equal(view.labels, pure.labels)
+    for site in range(len(pure.dims)):
+        want = pure.site_labels(site)
+        got = view.site_labels(site)
+        assert (got is None) == (want is None), site
+        if want is not None:
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(view.site_stack(site), pure.site_stack(site))
+    assert len(view.terms) == len(pure.terms)
+    for got, want in zip(view.terms, pure.terms):
+        assert got.amplitude == want.amplitude
+        for ket, other in zip(got.factors, want.factors):
+            np.testing.assert_array_equal(ket, other)
+
+
+@settings(max_examples=100, deadline=None)
+@given(term_axis_cases(components=True))
+def test_component_views_rebuild_the_state(case):
+    """``pures`` is one view per component, cut from the axis: a mixture rebuilt from the
+    views holds the same axis arrays and gives an identical report, each view matches the
+    component it came from, and ``from_products`` builds no PureSOP."""
+    state, assignment, components = case
+    noise = state.white_noise_weight
+    weights = getattr(state, "weights", (1.0,))
+    views = state.pures if isinstance(state, MixedEnsemble) else (state,)
+    assert len(views) == len(components)
+    for view, pure in zip(views, components):
+        _assert_same_view(view, pure)
+    rebuilt = MixedEnsemble(state.dims, weights, views, noise)
+    for name in ("labels", "amps", "offsets", "weight_array"):
+        np.testing.assert_array_equal(getattr(rebuilt, name), getattr(state, name), name)
+    assert list(rebuilt.kets) == list(state.kets)
+    for site, stack in state.kets.items():
+        np.testing.assert_array_equal(rebuilt.kets[site], stack)
+    for view, pure in zip(rebuilt.pures, components):
+        _assert_same_view(view, pure)
+    assert evaluate(rebuilt, assignment) == evaluate(state, assignment)
+    if components:
+        dims, count, n = state.dims, len(components), len(state.dims)
+        stacks = [np.array([pure.site_stack(k)[0] for pure in components]) for k in range(n)]
+        made, setup = [], PureSOP._setup
+
+        def spy(pure, *args):  # every PureSOP constructor ends in _setup
+            made.append(type(pure))
+            return setup(pure, *args)
+
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(PureSOP, "_setup", spy)
+            products = MixedEnsemble.from_products(dims, (1.0 / count,) * count, stacks)
+            assert made == []
+            PureSOP.from_labels(dims, (1.0,), [[0] * len(dims)])
+            assert made == [PureSOP]  # the spy sees every construction
+        for c, view in enumerate(products.pures):
+            for k, stack in enumerate(stacks):
+                np.testing.assert_array_equal(view.site_stack(k), stack[c : c + 1])
+
+
 @pytest.mark.parametrize("ops", ["lowering", "random"])
 @pytest.mark.parametrize("n", [3, 4])
 def test_noisy_ghz_ground_evaluates_its_two_groups(n, ops):
@@ -127,16 +189,18 @@ def test_noisy_ghz_ground_evaluates_its_two_groups(n, ops):
 
 def test_a_mixture_concatenates_its_components_once():
     """Labels, kets, amplitudes, offsets and weights of the components on one axis: a site
-    in ket form in any component is a ket site of the axis, with basis kets written out."""
+    in ket form in any component is a ket site of the axis, with basis kets written out,
+    and each row keeps the basis label its component gave (-1 where it gave kets)."""
     tilted = _unit(np.array([1.0, 2.0 + 1.0j]))
     ghz = PureSOP.from_labels((2, 2), (0.6, 0.8), [[0, 0], [1, 1]])
     product = PureSOP.from_labels((2, 2), (1.0,), [[-1, 1]], {0: [tilted]})
     state = MixedEnsemble((2, 2), (0.25, 0.75), (ghz, product))
     axis = state.term_axis
     assert axis.offsets.tolist() == [0, 2, 3]
-    assert axis.weights.tolist() == [0.25, 0.75]
+    assert axis.weights == (0.25, 0.75)
+    assert axis.weight_array.tolist() == [0.25, 0.75]
     assert axis.amps.tolist() == [0.6, 0.8, 1.0]
-    assert axis.labels.tolist() == [[-1, 0], [-1, 1], [-1, 1]]
+    assert axis.labels.tolist() == [[0, 0], [1, 1], [-1, 1]]
     np.testing.assert_array_equal(axis.kets[0], [[1, 0], [0, 1], tilted])
     assert list(axis.kets) == [0]
     assert state.term_axis is axis
