@@ -95,6 +95,21 @@ class RowMap(NamedTuple):
             array.flags.writeable = False
         return rows
 
+    def checked(self) -> "RowMap":
+        """Read-only copies of this row map, which needs d >= 1 integer columns in [0, d)
+        and d finite weights; :func:`as_operator`'s errors refuse any other."""
+        if (kind := np.asarray(self.cols).dtype.kind) not in "iu":
+            raise DimensionMismatch(f"row map columns must be integers in [0, d), got {kind!r}")
+        cols, weights = rows = self.build(self.cols, self.weights)  # the only copies
+        if cols.ndim != 1 or cols.shape != weights.shape or cols.size == 0:
+            shapes = f"got {cols.shape} and {weights.shape}"
+            raise DimensionMismatch(f"row map needs d >= 1 columns and as many weights, {shapes}")
+        if cols.view(np.uint64).max() >= cols.size:  # as unsigned, a negative one is past d
+            raise DimensionMismatch(f"row map columns must be integers in [0, {cols.size})")
+        if not np.isfinite(weights).all():
+            raise ValueError("operator has non-finite entries")
+        return rows
+
     @classmethod
     def of(cls, mat: np.ndarray) -> "RowMap | None":
         """The row map of a square matrix, or None when a row has two nonzeros."""

@@ -92,8 +92,13 @@ class SeparableSpec:
             raise BadParameter(f"need 2..5 subsystems, got {len(dims)}")
         if any(not 1 <= d <= 4 for d in dims):
             raise BadParameter(f"local dims must be 1..4, got {dims}")
+        for name, value in (("n_terms", self.n_terms), ("seed", self.seed)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise BadParameter(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.n_terms <= 6:
             raise BadParameter(f"n_terms must be 1..6, got {self.n_terms}")
+        if self.seed < 0:
+            raise BadParameter(f"seed must be >= 0, got {self.seed}")
 
 
 def _row_norms(vecs: np.ndarray) -> np.ndarray:

@@ -58,8 +58,11 @@ def _param_names(spec: SweepSpec) -> list[str]:
 
 def _validate(spec: SweepSpec, need_scalar_condition: bool = False) -> None:
     lo, hi, steps = spec.grid
+    name = "bracket" if need_scalar_condition else "grid"
     if not lo < hi:
-        raise BadParameter(f"grid needs lo < hi, got ({lo}, {hi})")
+        raise BadParameter(f"{name} needs lo < hi, got ({lo}, {hi})")
+    if not math.isfinite(float(hi) - float(lo)):  # an infinite end, or ends too far apart
+        raise BadParameter(f"{name} needs finite ends and a finite span hi - lo, got ({lo}, {hi})")
     if int(steps) < 2:
         raise BadParameter(f"grid needs at least 2 steps, got {steps}")
     if int(steps) > MAX_GRID_STEPS:

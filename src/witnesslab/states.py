@@ -17,10 +17,11 @@ its overlaps and matrix elements are index lookups; any other site
 (tilted qubits, random kets) is in the dict, with labels -1 where a
 component gave kets.  The axis groups the components by term count t
 (:class:`TermGroup`); each per-site quantity of a group is one
-(G x t x t) block, a label gather on a label site and a batched stack
-product on a ket site.  For lhs, the label sites whose operators are row
-maps (:class:`~witnesslab.linalg.RowMap`) make one block together
-(:meth:`TermGroup.row_block`), and rhs2 contracts each site's
+(G x t x t) block, by one contraction for any t: a lookup on a label
+site, and a batched product of the kets on a ket site or in the
+eigenbasis of a non-diagonal A^dag A.  lhs takes the label sites whose
+operators are row maps (:class:`~witnesslab.linalg.RowMap`) as one
+block (:meth:`TermGroup.row_block`), and rhs2 contracts each site's
 :meth:`TermGroup.ket_pairs` with S's entries, building no state vector.
 
 Fock-truncated continuous-variable families carry an explicit cutoff;
@@ -95,20 +96,13 @@ def _basis_kets(labels: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _stack_pairs(stack: np.ndarray, op) -> np.ndarray:
-    """(G x t x t) entries <u_j|op|u_j'> of a (G x t x dim) stack of kets; a 1-D ``op`` is
-    ``diag(op)``, a :class:`~witnesslab.linalg.RowMap` applies its rows, and None is the
-    identity.  One term needs no batched matrix product."""
-    if isinstance(op, RowMap):  # A u = w * u[c], for every ket at once
-        right = stack.take(op.cols, axis=2) * op.weights
-        if stack.shape[1] == 1:
-            return (stack[:, 0].conj() * right[:, 0]).sum(axis=1)[:, None, None]
-        return stack.conj() @ right.transpose(0, 2, 1)
-    if stack.shape[1] == 1:
-        rows = stack[:, 0]
-        right = rows if op is None else rows * op if op.ndim == 1 else rows @ op.T
-        return (rows.conj() * right).sum(axis=1)[:, None, None]
+    """(G x t x t) entries <u_j|op|u_j'> of a (G x t x dim) stack of kets, one batched
+    product for any t; a 1-D ``op`` is ``diag(op)``, a :class:`~witnesslab.linalg.RowMap`
+    applies its rows, and None is the identity."""
     right = stack.transpose(0, 2, 1)
-    if op is not None:
+    if isinstance(op, RowMap):  # A u = w * u[c], for every ket at once
+        right = (stack.take(op.cols, axis=2) * op.weights).transpose(0, 2, 1)
+    elif op is not None:
         right = op[:, None] * right if op.ndim == 1 else op @ right
     return stack.conj() @ right
 
@@ -161,9 +155,7 @@ class TermGroup:
     def __init__(self, axis: TermAxis, comps: np.ndarray, t: int):
         self.dims, self.comps = axis.dims, comps
         count, first, last = len(comps), comps[0], comps[-1]
-        if count == len(axis.weight_array):
-            rows, self.weights = slice(None), axis.weight_array
-        elif last - first + 1 == count:  # consecutive components: views of the axis
+        if last - first + 1 == count:  # consecutive components: views of the axis
             rows = slice(axis.offsets[first], axis.offsets[last + 1])
             self.weights = axis.weight_array[first : last + 1]
         else:
@@ -173,17 +165,16 @@ class TermGroup:
         labels = axis.labels[rows].reshape(count, t, -1)
         self.labels = np.ascontiguousarray(labels.transpose(2, 0, 1))
         self.kets = {site: stack[rows].reshape(count, t, -1) for site, stack in axis.kets.items()}
-        if t == 1:  # w_c |a_c|^2
-            self.probs = self.weights * (self.amps[:, 0].real ** 2 + self.amps[:, 0].imag ** 2)
-        else:
-            self._bras, self._columns = self.amps.conj()[:, None, :], self.amps[:, :, None]
+        self._bras, self._columns = self.amps.conj()[:, None, :], self.amps[:, :, None]
         self._grams: list[np.ndarray] | None = None
         self._rotated: dict[int, tuple] = {}
 
     def stack(self, site: int) -> np.ndarray:
-        """(G x t x dim) kets at one site, written out on a label site."""
-        stack = self.kets.get(site)
-        return _basis_kets(self.labels[site], self.dims[site]) if stack is None else stack
+        """(G x t x dim) kets at one site, written out on a label site within the byte budget."""
+        if (stack := self.kets.get(site)) is None:
+            check_bytes(self.labels[site].size * self.dims[site], 16, "term group: basis kets of")
+            stack = _basis_kets(self.labels[site], self.dims[site])
+        return stack
 
     def gram(self, site: int) -> np.ndarray:
         """Overlaps <u_j|u_j'> of the kets at one site, kept: on a label site the boolean
@@ -204,8 +195,9 @@ class TermGroup:
         """Term overlaps <t_j|t_j'>: the product of every site's gram (kept)."""
         return _read_only(reduce(np.multiply, (self.gram(k) for k in range(len(self.dims)))))
 
-    def pair_block(self, site: int, op: np.ndarray) -> np.ndarray:
-        """New (G x t x t) array of <u_j|op|u_j'> at one site; a 1-D ``op`` is ``diag(op)``."""
+    def pair_block(self, site: int, op) -> np.ndarray:
+        """New (G x t x t) array of <u_j|op|u_j'> at one site, for any t: a product of its
+        kets, or on a label site a lookup of op's entries; a 1-D ``op`` is ``diag(op)``."""
         if site in self.kets:
             return _stack_pairs(self.kets[site], op)
         labels = self.labels[site]
@@ -235,23 +227,17 @@ class TermGroup:
         return np.where(match, product[:, :, None], 0j)
 
     def quadratic(self, blocks: np.ndarray) -> np.ndarray:
-        """w_c a_c^dag B_c a_c for every component c, from (... x G x t x t) blocks B."""
-        if blocks.shape[-1] == 1:
-            return blocks[..., 0, 0] * self.probs
+        """w_c a_c^dag B_c a_c for every component c, from (... x G x t x t) blocks B, any t."""
         return (self._bras @ blocks @ self._columns)[..., 0, 0] * self.weights
 
     def spectral_block(self, site: int, spectrum, powered: np.ndarray) -> np.ndarray:
         """New (G x t x t) block of f(M) at one site, for M with clamped spectrum ``(evals,
-        vecs)`` and ``powered`` = f(evals): ``diag(powered)`` without eigenvectors, else
-        ``|u~|^2 @ powered`` of the :meth:`rotated` kets (one term) or the pairs of
-        ``V f V^dag``."""
-        vecs = spectrum[1]
-        if vecs is None:
+        vecs)`` and ``powered`` = f(evals): ``diag(powered)`` between the site's kets read in
+        V's columns (the :meth:`rotated` kets rhs2 reads too), or its :meth:`pair_block`
+        without eigenvectors."""
+        if spectrum[1] is None:
             return self.pair_block(site, powered)
-        if self.amps.shape[1] == 1:
-            rows = self.rotated(site, vecs)[:, 0]
-            return ((rows.real**2 + rows.imag**2) @ powered)[:, None, None]
-        return self.pair_block(site, (vecs * powered) @ vecs.conj().T)
+        return _stack_pairs(self.rotated(site, spectrum[1]), powered)
 
     def ket_pairs(self, site: int, basis: np.ndarray | None, rows: slice) -> np.ndarray:
         """(G' x t x t x dim) conj(u~_j[i]) u~_j'[i] of the :meth:`rotated` kets of the

@@ -14,11 +14,12 @@ entanglement; non-violation is inconclusive.
 Every side reads the state as its :class:`~witnesslab.states.TermAxis`
 (its term groups, dims, ket sites and white-noise weight): per group of
 equal term count and per site, one (G x t x t) block of
-<u_j|M|u_j'>.  lhs is sum_c w_c a_c^dag (prod_k P_k) a_c; rhs1 and the
-second moments weigh site k's block by the other sites' grams.  A
-non-diagonal A^dag A enters through its clamped spectrum (lambda, V):
-one-term components read |u~|^2 . lambda^p from their kets read in V's
-columns, u~ = V^dag u, kept for rhs2 too.  rhs2 is the same form,
+<u_j|M|u_j'>, one contraction for any term count.  lhs is
+sum_c w_c a_c^dag (prod_k P_k) a_c; rhs1 and the second moments weigh
+site k's block by the other sites' grams.  A non-diagonal A^dag A
+enters through its clamped spectrum (lambda, V): every group reads
+conj(u~_j) . lambda^p u~_j' from its kets read in V's columns,
+u~ = V^dag u, kept for rhs2 too.  rhs2 is the same form,
 sum_c w_c a_c^dag R_c a_c with R_jj' = <t_j|f(S)|t_j'>, f(s) = s^(n/2)
 and S = (1/n) sum_k A_k^dag A_k, whose embedded terms commute, so S is
 diagonal in the product of the local eigenbases.  Its route, read off
@@ -32,15 +33,15 @@ Each distinct local operator's spectrum is computed once and kept on
 the :class:`OperatorAssignment`; :func:`fill_spectra` computes those of
 many assignments at once, with the same bits.  An operator with at most
 one nonzero per row (every named operator choice) is kept as its row map
-A = sum_i w_i |i><c_i| (:class:`~witnesslab.linalg.RowMap`), and no
-d x d matrix is built for it: A^dag A is |w|^2 summed into the columns c,
-a real 1-D diagonal that is its own spectrum; a ket site applies A as
-w * u[c]; and lhs takes all the label sites of a group whose operators
-are row maps as one block, nonzero where every site maps j's label to
-j''s.  A 1-D array stands for the diagonal operator it lists.  Every
-array is checked against :data:`~witnesslab.linalg.ARRAY_BYTES_CAP`
-before it is built, and an A^dag A that overflows double precision
-raises :class:`NumericalOverflow`.
+A = sum_i w_i |i><c_i| (:class:`~witnesslab.linalg.RowMap`, given as one
+or read from a matrix), and no d x d matrix is built for it: A^dag A is
+|w|^2 summed into the columns c, a real 1-D diagonal that is its own
+spectrum; a ket site applies A as w * u[c]; and lhs takes all the label
+sites of a group whose operators are row maps as one block, nonzero
+where every site maps j's label to j''s.  A 1-D array stands for the
+diagonal operator it lists.  Every array is checked against
+:data:`~witnesslab.linalg.ARRAY_BYTES_CAP` before it is built, and an
+A^dag A that overflows double precision raises :class:`NumericalOverflow`.
 """
 
 from __future__ import annotations
@@ -140,49 +141,41 @@ def _local_spectra(assignments) -> list[tuple[tuple[np.ndarray, np.ndarray | Non
 
 
 class OperatorAssignment:
-    """One local operator per subsystem.
+    """One local operator per subsystem, each a d x d matrix or a
+    :class:`~witnesslab.linalg.RowMap` ``A = sum_i w_i |i><c_i|``.
 
-    Each distinct operator is kept once: sites given the same array
-    object share it, and so do sites of one dim under a named
-    constructor, so what is derived from it is computed once for all of
-    them.  An operator with at most one nonzero per row (every named
-    choice) is kept as its :class:`~witnesslab.linalg.RowMap`, which the
-    named constructors build directly and a d x d operator is read into
-    once; any other operator as a read-only copy.  ``ops`` is the dense,
-    read-only tuple, built from the row maps on first access.
+    Each distinct operator is kept once, in one form: sites given the same
+    object share it, and so do sites of one dim under a named constructor,
+    so what is derived from it is computed once for all of them.  A row map
+    is checked and kept as read-only copies of its arrays; a matrix with at
+    most one nonzero per row is read into its row map, and any other matrix
+    is kept as a read-only copy.  ``ops`` is the dense, read-only tuple,
+    built on first access.
     """
 
     def __init__(self, ops):
         ops = tuple(ops)
-        copies: dict[int, np.ndarray] = {}
         local: dict[int, RowMap | np.ndarray] = {}
         for op in ops:
-            if id(op) not in copies:
-                mat = copies[id(op)] = as_operator(np.array(op, dtype=complex))
+            if id(op) in local:
+                continue
+            if isinstance(op, RowMap):
+                local[id(op)] = op.checked()
+            else:
+                mat = as_operator(np.array(op, dtype=complex))
                 mat.flags.writeable = False
                 rows = RowMap.of(mat)
                 local[id(op)] = mat if rows is None else rows
-        self._ops = tuple(copies[id(op)] for op in ops)
         self._local = tuple(local[id(op)] for op in ops)
 
-    @classmethod
-    def _of_rows(cls, rows) -> "OperatorAssignment":
-        """The assignment of one row map per site; ``ops`` waits until it is read."""
-        assignment = cls.__new__(cls)
-        assignment._ops, assignment._local = None, tuple(rows)
-        return assignment
-
-    @property
+    @cached_property
     def ops(self) -> tuple[np.ndarray, ...]:
         """One read-only d x d array per site, shared by the sites that share an operator."""
-        if self._ops is None:
-            dense: dict[int, np.ndarray] = {}
-            for op in self._local:
-                if id(op) not in dense:
-                    mat = dense[id(op)] = op.dense()
-                    mat.flags.writeable = False
-            self._ops = tuple(dense[id(op)] for op in self._local)
-        return self._ops
+        distinct = {id(op): op for op in self._local}
+        dense = {key: op.dense() if isinstance(op, RowMap) else op for key, op in distinct.items()}
+        for mat in dense.values():
+            mat.flags.writeable = False
+        return tuple(dense[id(op)] for op in self._local)
 
     @cached_property
     def dims(self) -> tuple[int, ...]:
@@ -228,12 +221,12 @@ class OperatorAssignment:
     @classmethod
     def qubit_lowering(cls, n: int) -> "OperatorAssignment":
         """|0><1| on every site."""
-        return cls._of_rows((qubit_lowering_rows(),) * n)
+        return cls((qubit_lowering_rows(),) * n)
 
     @classmethod
     def qubit_raising(cls, n: int) -> "OperatorAssignment":
         """|1><0| on every site."""
-        return cls._of_rows((qubit_raising_rows(),) * n)
+        return cls((qubit_raising_rows(),) * n)
 
     @classmethod
     def qubit_flipped(cls, n: int) -> "OperatorAssignment":
@@ -242,7 +235,7 @@ class OperatorAssignment:
         Matches states whose site-0 spin is flipped relative to the rest,
         the single-flip GHZ variant.
         """
-        return cls._of_rows((qubit_raising_rows(),) + (qubit_lowering_rows(),) * (n - 1))
+        return cls((qubit_raising_rows(),) + (qubit_lowering_rows(),) * (n - 1))
 
     @classmethod
     def annihilation(cls, dims) -> "OperatorAssignment":
@@ -251,7 +244,7 @@ class OperatorAssignment:
         for d in dims:
             check_annihilation_dim(d)
         rows = {d: annihilation_rows(d) for d in dict.fromkeys(dims)}
-        return cls._of_rows(rows[d] for d in dims)
+        return cls(rows[d] for d in dims)
 
 
 def fill_spectra(assignments) -> None:
@@ -378,10 +371,7 @@ def product_expectation(state: State, assignment: OperatorAssignment) -> complex
         rest = sorted(set(range(len(local))).difference(fused)) if fused else range(len(local))
         for site in rest:
             block = group.pair_block(site, local[site])
-            if total is None:
-                total = block
-            else:
-                total *= block
+            total = block if total is None else np.multiply(total, block, out=total)
         values.append(group.quadratic(total))
     value = _mix(values)
     noise = state.white_noise_weight

@@ -362,6 +362,30 @@ def test_oversized_scan_grid_and_verify_points_exit_2_before_allocating(argv, me
     assert peak < 2**20
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["scan", "--grid", "0,inf,5"],
+         "grid needs finite ends and a finite span hi - lo, got (0.0, inf)"),
+        (["scan", "--grid=-1e308,1e308,3"],
+         "grid needs finite ends and a finite span hi - lo, got (-1e+308, 1e+308)"),
+        (["threshold", "--condition", "1", "--bracket", "0.1,inf"],
+         "bracket needs finite ends and a finite span hi - lo, got (0.1, inf)"),
+        (["threshold", "--condition", "1", "--bracket", "0.5,0.1"],
+         "bracket needs lo < hi, got (0.5, 0.1)"),
+    ],
+    ids=["infinite-end", "overflowing-span", "infinite-bracket", "reversed-bracket"],
+)
+def test_infinite_grid_and_bracket_spans_exit_2_naming_them(argv, message, capsys):
+    """A grid or bracket whose span hi - lo is not finite, or whose ends are reversed, is
+    refused before np.linspace or the first evaluation, so it names the grid (the bracket,
+    for threshold), not a family parameter, in one line."""
+    family = '{"family":"GHZ","params":{"n":3}}'
+    assert run([argv[0], "--family", family, "--param", "theta", *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
 def test_unknown_flag_exits_2(capsys):
     assert run(["detect", "--bogus"]) == 2
 

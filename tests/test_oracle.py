@@ -96,6 +96,28 @@ def test_separable_spec_validation():
 
 
 @pytest.mark.parametrize(
+    "n_terms,seed,message",
+    [
+        (2, -1, "seed must be >= 0, got -1"),
+        (2, 1.5, "seed must be an integer, got 1.5"),
+        (1.5, 0, "n_terms must be an integer, got 1.5"),
+        (True, 0, "n_terms must be an integer, got True"),
+        (2, np.bool_(True), "seed must be an integer, got "),
+    ],
+    ids=["negative-seed", "fractional-seed", "fractional-terms", "bool-terms", "bool-seed"],
+)
+def test_separable_spec_refuses_what_sampling_cannot_use(n_terms, seed, message):
+    """A seed or term count numpy's generator cannot take is a BadParameter, not numpy's
+    ValueError or TypeError; numpy integers are accepted and sample as Python ints do."""
+    with pytest.raises(BadParameter, match=message):
+        SeparableSpec((2, 2), n_terms, seed)
+    numpy_ints = sample_separable(SeparableSpec((2, 3), np.int64(3), np.uint32(11)))
+    python_ints = sample_separable(SeparableSpec((2, 3), 3, 11))
+    assert numpy_ints.weights == python_ints.weights
+    assert all(np.array_equal(numpy_ints.kets[k], python_ints.kets[k]) for k in range(2))
+
+
+@pytest.mark.parametrize(
     "kwargs",
     [
         {"trials": 0},

@@ -16,8 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from witnesslab.linalg import RowMap, annihilation_op, dag
-from witnesslab.states import MixedEnsemble, PureSOP
+from witnesslab.errors import DimensionMismatch
+from witnesslab.linalg import (
+    RowMap,
+    annihilation_op,
+    annihilation_rows,
+    dag,
+    qubit_lowering_rows,
+)
+from witnesslab.states import MixedEnsemble, PureSOP, StateFamily, build_state
 from witnesslab.witness import (
     OperatorAssignment,
     canonical_assignment,
@@ -134,7 +141,7 @@ def test_rows_sharing_a_column_sum_into_the_square(case):
         assert not np.any(product - np.diag(np.diagonal(product)))
     report = evaluate(state, assignment)
     _assert_matches_the_reference(state, assignment, report)
-    rows = OperatorAssignment._of_rows(RowMap.of(op) for op in ops)
+    rows = OperatorAssignment(tuple(RowMap.of(op) for op in ops))
     assert evaluate(state, rows) == report
     assert all(np.array_equal(a, b) for a, b in zip(rows.ops, ops))
 
@@ -179,3 +186,49 @@ def test_qubit_choices_are_the_qubit_matrices(name):
             "flipped": (lowering.T, lowering, lowering)}[name]
     got = canonical_assignment(name, (2, 2, 2)).ops
     assert all(np.array_equal(a, b) and a.dtype == complex for a, b in zip(got, want))
+
+
+def test_row_maps_given_to_the_constructor_are_the_named_choice():
+    """Row maps passed to OperatorAssignment are read as row maps: the lowering maps on
+    GHZ n=3 give the named choice's report field for field, and a 3-level map has dim 3."""
+    state = build_state(StateFamily("GHZ", {"n": 3, "theta": 0.4}))
+    report = evaluate(state, OperatorAssignment((qubit_lowering_rows(),) * 3))
+    assert report == evaluate(state, canonical_assignment("lowering", state.dims))
+    assert report.detected1 and report.lhs == pytest.approx(0.3587, abs=1e-4)
+    assert OperatorAssignment((annihilation_rows(3),) * 2).dims == (3, 3)
+
+
+@pytest.mark.parametrize(
+    "cols,weights,error,match",
+    [
+        ([1, 2, 3], [1.0, 1.0, 1.0], DimensionMismatch, "columns must be integers in"),
+        ([1, -1, 0], [1.0, 1.0, 1.0], DimensionMismatch, "columns must be integers in"),
+        ([1.0, 2.0, 0.0], [1.0, 1.0, 1.0], DimensionMismatch, "columns must be integers in"),
+        ([1, 2, 0], [1.0, np.inf, 1.0], ValueError, "non-finite"),
+        ([1, 2, 0], [1.0, np.nan, 1.0], ValueError, "non-finite"),
+        ([1, 2, 0], [1.0, 1.0], DimensionMismatch, "d >= 1 columns and as many weights"),
+        ([[1, 2, 0]], [[1.0, 1.0, 1.0]], DimensionMismatch, "d >= 1 columns and as many weights"),
+        (np.zeros(0, dtype=int), np.zeros(0), DimensionMismatch, "d >= 1 columns and as many weights"),
+    ],
+    ids=["column-past-d", "negative-column", "float-columns", "inf-weight", "nan-weight",
+         "ragged", "two-dimensional", "empty"],
+)
+def test_malformed_row_maps_are_refused(cols, weights, error, match):
+    rows = RowMap(np.array(cols), np.array(weights))
+    with pytest.raises(error, match=match):
+        OperatorAssignment((rows, rows))
+
+
+def test_a_row_map_shared_by_two_sites_is_kept_once():
+    """Two sites given one row map share one checked, read-only copy of it, which later
+    writes to the given arrays leave alone; each distinct map is its own."""
+    cols, weights = np.array([1, 2, 0]), np.array([1.0, 2.0j, 0.5])
+    rows = RowMap(cols, weights)
+    assignment = OperatorAssignment((rows, rows, annihilation_rows(3)))
+    kept = assignment._local
+    assert kept[0] is kept[1] and kept[2] is not kept[0]
+    assert not kept[0].cols.flags.writeable and not kept[0].weights.flags.writeable
+    cols[0], weights[0] = 0, 9.0
+    assert kept[0].cols.tolist() == [1, 2, 0] and kept[0].weights.tolist() == [1.0, 2.0j, 0.5]
+    assert assignment.ops[0] is assignment.ops[1]
+    assert np.array_equal(assignment.ops[0], RowMap.build([1, 2, 0], [1.0, 2.0j, 0.5]).dense())

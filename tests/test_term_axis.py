@@ -15,9 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from witnesslab.errors import BadParameter
+from witnesslab.errors import BadParameter, DimensionCap
 from witnesslab.formulas import EXACT_TOL, FormulaId, closed_form
-from witnesslab.states import MixedEnsemble, PureSOP, StateFamily, build_state
+from witnesslab.states import (
+    MixedEnsemble,
+    ProductTerm,
+    PureSOP,
+    StateFamily,
+    TermGroup,
+    build_state,
+)
 from witnesslab.witness import (
     OperatorAssignment,
     canonical_assignment,
@@ -208,8 +215,52 @@ def test_a_mixture_concatenates_its_components_once():
         axis.labels[0, 0] = 0
 
 
-def test_rotations_are_shared_by_rhs1_and_rhs2():
-    """One state and one assignment: each site's kets are rotated into the eigenbasis once."""
+def test_label_sites_under_dense_operators_write_out_no_kets(monkeypatch):
+    """Hadamards are dense (two nonzeros per row) with an exactly diagonal A^dag A, so every
+    side reads a label mixture's sites by lookup: no basis ket is written out, and the
+    report matches the full-space reference."""
+    h2 = np.array([[1.0, 1.0], [1.0, -1.0]])
+    assignment = OperatorAssignment((h2, np.kron(h2, h2), 1j * h2))
+    assert all(vecs is None for _, vecs in assignment._spectra)
+    dims = (2, 4, 2)
+    pures = [
+        PureSOP.from_labels(dims, [1.0], [[1, 3, 0]]),
+        PureSOP.from_labels(dims, [0.6, 0.8j], [[0, 2, 1], [1, 0, 1]]),
+        PureSOP.from_labels(dims, [0.8, -0.6], [[1, 1, 0], [1, 1, 1]]),
+    ]
+    state = MixedEnsemble(dims, (0.5, 0.3, 0.2), pures)
+    assert all(not group.kets for group in state.groups)
+
+    def refuse(labels, dim):
+        raise AssertionError("a label site's basis kets were written out")
+
+    monkeypatch.setattr("witnesslab.states._basis_kets", refuse)
+    sides = (abs(product_expectation(state, assignment)), rhs_condition1(state, assignment),
+             rhs_condition2(state, assignment))
+    monkeypatch.undo()
+    for got, want in zip(sides, full_space.sides(state, assignment)):
+        assert _close(got, want), (got, want)
+
+
+def test_label_site_kets_are_checked_against_the_byte_budget(monkeypatch):
+    """rhs1 reads a label site under a non-diagonal A^dag A from its basis kets, written
+    out (G x t x dim) only after the byte budget admits them."""
+    rng = np.random.default_rng(4)
+    state = PureSOP.from_labels((8, 2), [0.6, 0.64j, 0.48], [[0, 0], [3, 1], [7, 0]])
+    ops = tuple(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in (8, 2))
+    reference = rhs_condition1(state, OperatorAssignment(ops))
+    # the 3 x 3 block (144 B) fits, site 0's 3 x 8 basis kets (384 B) do not
+    monkeypatch.setattr("witnesslab.linalg.ARRAY_BYTES_CAP", 200)
+    fresh = PureSOP.from_labels((8, 2), [0.6, 0.64j, 0.48], [[0, 0], [3, 1], [7, 0]])
+    with pytest.raises(DimensionCap, match="term group: basis kets of 24 entries"):
+        rhs_condition1(fresh, OperatorAssignment(ops))
+    monkeypatch.undo()
+    assert rhs_condition1(fresh, OperatorAssignment(ops)) == reference
+
+
+def test_rotations_are_shared_by_rhs1_and_rhs2(monkeypatch):
+    """One state and one assignment: each site's kets are rotated into the eigenbasis once,
+    for one-term components and for a two-term state, whose rhs1 alone rotates them."""
     rng = np.random.default_rng(8)
     dims = (2, 3, 2)
     stacks = [np.array([_unit(rng.standard_normal(d) + 1j * rng.standard_normal(d))
@@ -225,6 +276,28 @@ def test_rotations_are_shared_by_rhs1_and_rhs2():
     rhs_condition1(state, assignment)
     site_second_moments(state, assignment)
     assert all(group.rotated(site, bases[site]) is rotated[site] for site in range(3))
+
+    calls = []
+    rotate = TermGroup.rotated
+
+    def spy(group, site, basis):
+        calls.append((site, rotate(group, site, basis)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(TermGroup, "rotated", spy)
+    terms = [ProductTerm(amp, tuple(_unit(rng.standard_normal(d) + 1j * rng.standard_normal(d))
+                                    for d in dims)) for amp in (0.6, 0.8j)]
+    state = PureSOP(dims, terms).normalized()
+    assignment = OperatorAssignment(
+        tuple(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in dims)
+    )
+    rhs_condition1(state, assignment)
+    assert sorted(site for site, _ in calls) == [0, 1, 2]
+    rotated = dict(calls)
+    calls.clear()
+    rhs_condition2(state, assignment)
+    assert sorted(site for site, _ in calls) == [0, 1, 2]
+    assert all(kets is rotated[site] for site, kets in calls)
 
 
 def test_from_products_checks_every_ket_and_shape():
