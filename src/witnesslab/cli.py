@@ -276,8 +276,9 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (WitnessLabError, json.JSONDecodeError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (WitnessLabError, json.JSONDecodeError, ValueError, OSError, MemoryError) as exc:
+        kind = "out of memory: " if isinstance(exc, MemoryError) else ""
+        print(f"error: {kind}{exc}", file=sys.stderr)
         return 2
 
 

@@ -16,12 +16,14 @@ cut from them).  A site whose kets are all computational-basis kets
 its overlaps and matrix elements are index lookups; any other site
 (tilted qubits, random kets) is in the dict, with labels -1 where a
 component gave kets.  The axis groups the components by term count t
-(:class:`TermGroup`); each per-site quantity of a group is one
-(G x t x t) block, by one contraction for any t: a lookup on a label
-site, and a batched product of the kets on a ket site or in the
-eigenbasis of a non-diagonal A^dag A.  lhs takes the label sites whose
-operators are row maps (:class:`~witnesslab.linalg.RowMap`) as one
-block (:meth:`TermGroup.row_block`), and rhs2 contracts each site's
+(:class:`TermGroup`); each per-site quantity of a group is one (G x t x
+t) block, by one contraction for any t: a lookup on a label site, and a
+batched product of the kets on a ket site or in the eigenbasis of a
+non-diagonal A^dag A; a diagonal one on a label site is one weighted sum
+of its entries at the labels (:meth:`TermGroup.diagonal`).  lhs takes
+the label sites whose operators are row maps
+(:class:`~witnesslab.linalg.RowMap`) as one block
+(:meth:`TermGroup.row_block`), and rhs2 contracts each site's
 :meth:`TermGroup.ket_pairs` with S's entries, building no state vector.
 
 Fock-truncated continuous-variable families carry an explicit cutoff;
@@ -95,7 +97,7 @@ def _basis_kets(labels: np.ndarray, dim: int) -> np.ndarray:
     return stack
 
 
-def _stack_pairs(stack: np.ndarray, op) -> np.ndarray:
+def stack_pairs(stack: np.ndarray, op) -> np.ndarray:
     """(G x t x t) entries <u_j|op|u_j'> of a (G x t x dim) stack of kets, one batched
     product for any t; a 1-D ``op`` is ``diag(op)``, a :class:`~witnesslab.linalg.RowMap`
     applies its rows, and None is the identity."""
@@ -146,7 +148,7 @@ class TermAxis:
 
 
 class TermGroup:
-    """The G components of one term count t; each per-site quantity is a (G x t x t) block.
+    """The G components of one term count t: per site, a (G x t x t) block or a (G x t) row.
 
     ``comps`` and ``weights`` index and weigh the components; ``amps`` (G x t),
     ``labels`` (sites x G x t) and ``kets`` (site -> G x t x dim) are cut from the axis.
@@ -166,7 +168,7 @@ class TermGroup:
         self.labels = np.ascontiguousarray(labels.transpose(2, 0, 1))
         self.kets = {site: stack[rows].reshape(count, t, -1) for site, stack in axis.kets.items()}
         self._bras, self._columns = self.amps.conj()[:, None, :], self.amps[:, :, None]
-        self._grams: list[np.ndarray] | None = None
+        self._grams: dict[int, np.ndarray] = {}
         self._rotated: dict[int, tuple] = {}
 
     def stack(self, site: int) -> np.ndarray:
@@ -177,32 +179,37 @@ class TermGroup:
         return stack
 
     def gram(self, site: int) -> np.ndarray:
-        """Overlaps <u_j|u_j'> of the kets at one site, kept: on a label site the boolean
-        equality of the labels, for as many sites at once as fit the byte budget."""
-        if self._grams is None:
-            count, terms = self.amps.shape
-            step = max(1, ARRAY_BYTES_CAP // (count * terms**2))
-            self._grams = []
-            for start in range(0, len(self.labels), step):
-                labels = self.labels[start : start + step]
-                self._grams.extend(_read_only(labels[:, :, :, None] == labels[:, :, None, :]))
-            for k, stack in self.kets.items():
-                self._grams[k] = _read_only(_stack_pairs(stack, None))
-        return self._grams[site]
+        """Overlaps <u_j|u_j'> of the kets at one site: on a ket site their products, kept;
+        on a label site the boolean equality of its labels, a new array on each call."""
+        if site not in self.kets:
+            labels = self.labels[site]
+            return labels[:, :, None] == labels[:, None, :]
+        if (gram := self._grams.get(site)) is None:
+            gram = self._grams[site] = _read_only(stack_pairs(self.kets[site], None))
+        return gram
 
     @cached_property
     def overlaps(self) -> np.ndarray:
         """Term overlaps <t_j|t_j'>: the product of every site's gram (kept)."""
         return _read_only(reduce(np.multiply, (self.gram(k) for k in range(len(self.dims)))))
 
+    @cached_property
+    def _row(self) -> np.ndarray:
+        """(G x t) row r = w (a^dag O) o a of :meth:`diagonal`; the overlaps O are 1 at t = 1."""
+        bras = self._bras if self.amps.shape[1] == 1 else self._bras @ self.overlaps
+        return bras[:, 0, :] * self.amps * self.weights[:, None]
+
+    def diagonal(self, values: np.ndarray) -> np.ndarray:
+        """w_c a_c^dag (O_c o v_c) a_c, (O o v)_jj' = O_jj' v_j', for each component c from
+        (... x G x t) values v, as sum_j' r_cj' v_cj': a label site's diagonal operator."""
+        return (values * self._row).sum(axis=-1)
+
     def pair_block(self, site: int, op) -> np.ndarray:
         """New (G x t x t) array of <u_j|op|u_j'> at one site, for any t: a product of its
-        kets, or on a label site a lookup of op's entries; a 1-D ``op`` is ``diag(op)``."""
+        kets (see :func:`stack_pairs`), or on a label site a lookup of op's d x d entries."""
         if site in self.kets:
-            return _stack_pairs(self.kets[site], op)
+            return stack_pairs(self.kets[site], op)
         labels = self.labels[site]
-        if op.ndim == 1:
-            return np.where(self.gram(site), op[labels][:, None, :], 0j)
         return op[labels[:, :, None], labels[:, None, :]]
 
     def row_block(self, sites, starts, cols: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -229,15 +236,6 @@ class TermGroup:
     def quadratic(self, blocks: np.ndarray) -> np.ndarray:
         """w_c a_c^dag B_c a_c for every component c, from (... x G x t x t) blocks B, any t."""
         return (self._bras @ blocks @ self._columns)[..., 0, 0] * self.weights
-
-    def spectral_block(self, site: int, spectrum, powered: np.ndarray) -> np.ndarray:
-        """New (G x t x t) block of f(M) at one site, for M with clamped spectrum ``(evals,
-        vecs)`` and ``powered`` = f(evals): ``diag(powered)`` between the site's kets read in
-        V's columns (the :meth:`rotated` kets rhs2 reads too), or its :meth:`pair_block`
-        without eigenvectors."""
-        if spectrum[1] is None:
-            return self.pair_block(site, powered)
-        return _stack_pairs(self.rotated(site, spectrum[1]), powered)
 
     def ket_pairs(self, site: int, basis: np.ndarray | None, rows: slice) -> np.ndarray:
         """(G' x t x t x dim) conj(u~_j[i]) u~_j'[i] of the :meth:`rotated` kets of the

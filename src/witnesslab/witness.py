@@ -13,21 +13,21 @@ entanglement; non-violation is inconclusive.
 
 Every side reads the state as its :class:`~witnesslab.states.TermAxis`
 (its term groups, dims, ket sites and white-noise weight): per group of
-equal term count and per site, one (G x t x t) block of
-<u_j|M|u_j'>, one contraction for any term count.  lhs is
-sum_c w_c a_c^dag (prod_k P_k) a_c; rhs1 and the second moments weigh
-site k's block by the other sites' grams.  A non-diagonal A^dag A
-enters through its clamped spectrum (lambda, V): every group reads
-conj(u~_j) . lambda^p u~_j' from its kets read in V's columns,
-u~ = V^dag u, kept for rhs2 too.  rhs2 is the same form,
-sum_c w_c a_c^dag R_c a_c with R_jj' = <t_j|f(S)|t_j'>, f(s) = s^(n/2)
-and S = (1/n) sum_k A_k^dag A_k, whose embedded terms commute, so S is
-diagonal in the product of the local eigenbases.  Its route, read off
-the structure, only forms R: factorized when no site holds kets and
-every A_k^dag A_k is diagonal (each term is an eigenvector of S), and
-eigenbasis otherwise, S's D diagonal entries contracted with each
-site's ket pairs.  The tests check every side against a full-space
-reference built from the definitions (``tests/full_space.py``).
+equal term count and per site, one (G x t x t) block of <u_j|M|u_j'>,
+one contraction for any term count.  lhs is sum_c w_c a_c^dag (prod_k
+P_k) a_c.  At an eigen site, a label site whose A^dag A is diagonal,
+each term is an eigenvector: rhs1 and the second moments read it as
+sum_j' r_cj' v_j', v the eigenvalues at the labels and r = w (a^dag O) o a
+from the term overlaps O, and weigh any other site's block by the other
+sites' grams.  A non-diagonal A^dag A enters through its clamped
+spectrum (lambda, V), as conj(u~_j) . lambda^p u~_j' of the kets read in
+V's columns, u~ = V^dag u, kept for rhs2 too.  rhs2 is sum_c w_c a_c^dag
+R_c a_c, R_jj' = <t_j|f(S)|t_j'>, f(s) = s^(n/2), S = (1/n) sum_k A_k^dag
+A_k, which is diagonal in the product of the local eigenbases.  Its route
+is read off the structure: factorized when every site is an eigen site
+(each term is an eigenvector of S, so rhs2 is r summed against f), and
+eigenbasis otherwise, S's D diagonal entries contracted with each site's
+ket pairs.  The tests check every side against ``tests/full_space.py``.
 
 Each distinct local operator's spectrum is computed once and kept on
 the :class:`OperatorAssignment`; :func:`fill_spectra` computes those of
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -66,7 +66,7 @@ from .linalg import (
     qubit_raising_rows,
     total_dimension,
 )
-from .states import State
+from .states import State, stack_pairs
 
 #: Scale for the default detection tolerance, see :func:`evaluate`.
 DEFAULT_EPSILON_SCALE = 1e-9
@@ -189,7 +189,7 @@ class OperatorAssignment:
 
     @cached_property
     def _diagonals(self) -> np.ndarray:
-        """(sites x largest dim) clamped spectra of the diagonal A^dag A, zero-padded."""
+        """(sites x largest dim) every site's clamped spectrum of A^dag A, zero-padded."""
         padded = np.zeros((len(self._local), max(self.dims)))
         for site, (evals, _) in enumerate(self._spectra):
             padded[site, : len(evals)] = evals
@@ -321,8 +321,9 @@ def _mix(values) -> np.ndarray:
 
 
 def _site_moments(state: State, assignment: OperatorAssignment, power: float) -> np.ndarray:
-    """<(A_k^dag A_k)^power> for every site, as real numbers: site k's block weighed by
-    every other site's gram (one for a one-term component, whose kets are unit-norm)."""
+    """<(A_k^dag A_k)^power> for every site, as real numbers: an eigen site's one
+    :meth:`~witnesslab.states.TermGroup.diagonal` sum, any other site's block weighed by the
+    eigen sites' grams once and the rest's (one for a one-term component) by prefix/suffix."""
     _check_assignment(state, assignment)
     spectra = assignment._spectra
     powered = [evals**power for evals, _ in spectra]
@@ -330,28 +331,29 @@ def _site_moments(state: State, assignment: OperatorAssignment, power: float) ->
     values = []
     for group in state.groups:
         count, terms = group.amps.shape
+        eigen = [k for k in range(n) if k not in group.kets and spectra[k][1] is None]
+        others = [k for k in range(n) if k not in eigen]
+        moments = np.empty((n, count), dtype=complex)
+        if eigen:  # each eigen site's powered eigenvalues at the terms' labels
+            entries = assignment._diagonals[np.array(eigen)[:, None, None], group.labels[eigen]]
+            moments[eigen] = group.diagonal(entries**power)
+        paired = terms > 1 and bool(others)
+        if paired:  # the product of no grams is True
+            suffix, prefix = True, [reduce(np.multiply, map(group.gram, eigen), True)]
+            for k in others[:-1]:
+                prefix.append(prefix[-1] * group.gram(k))
         step = max(1, _CHUNK_BYTES // (16 * count * terms**2))
-        # a label site's gram is 0 or 1: weighed by the other grams, a diagonal operator's
-        # block is the overlaps times its entries; other sites take a prefix/suffix pass
-        gathered = [terms > 1 and k not in group.kets and spectra[k][1] is None for k in range(n)]
-        paired = terms > 1 and not all(gathered)
-        prefix = [np.ones((count, terms, terms), dtype=bool)]
-        for k in range(n - 1 if paired else 0):
-            prefix.append(prefix[-1] * group.gram(k))
-        suffix, chunk, moments = prefix[0], [], []
-        for k in range(n - 1, -1, -1):
-            if gathered[k]:
-                chunk.append(group.overlaps * powered[k][group.labels[k]][:, None, :])
-            else:
-                chunk.append(group.spectral_block(k, spectra[k], powered[k]))
-                if paired:
-                    chunk[-1] *= prefix[k] * suffix  # a new block, so weighed in place
+        chunk = []  # the blocks of others[i:] not yet taken, last site first
+        for i, k in reversed(list(enumerate(others))):
+            chunk.append(stack_pairs(group.rotated(k, spectra[k][1]), powered[k]))
             if paired:
+                chunk[-1] *= prefix[i] * suffix  # a new block, so weighed in place
                 suffix = suffix * group.gram(k)
-            if len(chunk) == step or k == 0:  # a chunk of one block is a view, not a copy
-                moments.append(group.quadratic(np.stack(chunk) if chunk[1:] else chunk[0][None]))
+            if len(chunk) == step or i == 0:  # a chunk of one block is a view, not a copy
+                blocks = np.stack(chunk[::-1]) if chunk[1:] else chunk[0][None]
+                moments[others[i : i + len(chunk)]] = group.quadratic(blocks)
                 chunk = []
-        values.append((np.concatenate(moments) if moments[1:] else moments[0])[::-1].T)
+        values.append(moments.T)
     result = _mix(values)
     noise = state.white_noise_weight
     if noise:
@@ -398,11 +400,8 @@ def rhs_condition1(state: State, assignment: OperatorAssignment) -> float:
 
 
 def _rhs2_route(state: State, assignment: OperatorAssignment) -> str:
-    """The rhs2 route the state's structure takes: "factorized" or "eigenbasis".
-
-    Read off the term axis: a state with a ket site asks for no local
-    spectrum here.
-    """
+    """The rhs2 route the state's structure takes: "factorized" when every site is an eigen
+    site, else "eigenbasis"; a state with a ket site asks for no local spectrum here."""
     if not state.kets and all(vecs is None for _, vecs in assignment._spectra):
         return "factorized"
     return "eigenbasis"
@@ -452,12 +451,12 @@ def rhs_condition2(
 ) -> float:
     """Operator-average bound: <((1/n) sum_k A_k^dag A_k)^(n/2)>.
 
-    Each term group adds ``group.quadratic(R)``, R_jj' = <t_j|f(S)|t_j'>, f(l) =
+    Each term group adds w_c a_c^dag R_c a_c, R_jj' = <t_j|f(S)|t_j'>, f(l) =
     l^(n/2), and white noise its weight times the mean of f over S's D entries.
     ``method="auto"`` takes the route :func:`_rhs2_route` reads off the
     structure; ``method="dense"`` forces the eigenbasis route, which serves
-    every state.  Factorized: each term is an eigenvector of S, so R is the term
-    overlaps times f of its local eigenvalues.  Eigenbasis: S is diagonal in the
+    every state.  Factorized: each term is an eigenvector of S, so the group adds
+    ``group.diagonal`` of f at its local eigenvalues.  Eigenbasis: S is diagonal in the
     product of the local eigenbases V_k, with D entries from n
     :func:`~witnesslab.linalg.kron_embed` calls, and :func:`_eigenbasis_block`
     gives R.  :class:`DimensionCap` is raised before an array over the budget is
@@ -491,10 +490,10 @@ def rhs_condition2(
         if route == "factorized":
             # every term is an eigenvector of S: f of its local eigenvalues, summed in site order
             sums = np.add.accumulate(assignment._diagonals[sites, group.labels], axis=0)[-1]
-            block = group.overlaps * ((sums / n) ** (n / 2.0))[:, None, :]
+            values.append(group.diagonal((sums / n) ** (n / 2.0)).real)
         else:
             block = _eigenbasis_block(group, powered, bases, lead, width)
-        values.append(group.quadratic(block).real)
+            values.append(group.quadratic(block).real)
     return value + float(_mix(values))
 
 
@@ -533,7 +532,7 @@ def evaluate(
     epsilon = _check_epsilon(epsilon)
     # rhs2 first: its eigenbasis route can raise DimensionCap for the full
     # dimension, and lhs and rhs1 cost seconds on such large states.
-    # A moment m^(n/2) overflows for large n and then meets zeros as NaN:
+    # A moment m^(n/2) overflows to inf for large n, and may meet zeros as NaN:
     # numpy's warnings on the way are kept back and each side is checked.
     try:
         with np.errstate(over="ignore", invalid="ignore"):

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from witnesslab import cli
 from witnesslab.cli import run
 from witnesslab.errors import BadParameter
 from witnesslab.formulas import MAX_VERIFY_POINTS
@@ -90,7 +91,21 @@ def test_detect_overflow_exits_2(capsys):
     assert run(["detect", "--family", family, "--ops", "annihilation"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: rhs2 is nan in double precision")
+    assert captured.err.startswith("error: rhs2 is inf in double precision")
+
+
+def test_out_of_memory_exits_2(capsys, monkeypatch):
+    """An allocation that fails is one error line and exit 2, not a traceback."""
+
+    def fail(*args, **kwargs):
+        raise MemoryError("Unable to allocate 27.3 MiB for an array")
+
+    monkeypatch.setattr(cli, "evaluate", fail)
+    assert run(["detect", "--family", '{"family":"GHZ","params":{"n":3,"theta":0.5}}']) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: out of memory: Unable to allocate")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
 def test_scan_csv_deterministic(capsys):

@@ -128,18 +128,19 @@ def test_unit_norm(family, params):
 
 def _assert_pair_matrices(state, rng):
     """On every site of every term group, the pair and gram blocks equal each component's
-    stack products, for a dense operator and a diagonal one given as its 1-D diagonal."""
+    stack products for a dense operator, and on a label site the weighted sum of a diagonal
+    operator's entries at the labels equals the quadratic form of the overlaps times them."""
     for group in state.term_axis.groups:
         for site, dim in enumerate(state.dims):
             op = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            diagonal = rng.standard_normal(dim)
+            if site not in group.kets:
+                values = rng.standard_normal(dim)[group.labels[site]]
+                want = group.quadratic(group.overlaps * values[:, None, :])
+                np.testing.assert_allclose(group.diagonal(values), want, rtol=0, atol=1e-14)
             stacks = group.stack(site)
             for c, stack in enumerate(stacks):
                 want = stack.conj() @ op @ stack.T
                 np.testing.assert_allclose(group.pair_block(site, op)[c], want, rtol=0, atol=1e-14)
-                want = stack.conj() @ np.diag(diagonal) @ stack.T
-                got = group.pair_block(site, diagonal)[c]
-                np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
                 gram = stack.conj() @ stack.T
                 np.testing.assert_allclose(group.gram(site)[c], gram, rtol=0, atol=1e-14)
 

@@ -9,6 +9,7 @@ full-space reference built from the definitions.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from witnesslab.errors import BadParameter, DimensionCap
 from witnesslab.formulas import EXACT_TOL, FormulaId, closed_form
+from witnesslab.linalg import ARRAY_BYTES_CAP
 from witnesslab.states import (
     MixedEnsemble,
     ProductTerm,
@@ -330,3 +332,91 @@ def test_mixed_single_out_at_large_n_matches_the_closed_form(n):
     assert abs(lhs - want_lhs) <= EXACT_TOL, (lhs, want_lhs)
     assert abs(rhs1 - want_rhs1) <= EXACT_TOL, (rhs1, want_rhs1)
     assert math.isfinite(lhs) and lhs > 0.0
+
+
+def _hadamards(dims) -> OperatorAssignment:
+    """A Hadamard on every qubit: dense, with A^dag A = 2 I exactly diagonal."""
+    return OperatorAssignment((np.array([[1.0, 1.0], [1.0, -1.0]]),) * len(dims))
+
+
+_EIGEN_CASES = [
+    ("GHZ", {"n": 5, "theta": 0.7}, "lowering"),
+    ("TwoGroupGHZ", {"n": 5, "l": 2, "theta1": 0.3, "theta2": 0.9}, "flipped"),
+    ("NoisyGHZ", {"n": 3, "theta": 0.5, "p": 0.7, "noise": "ground"}, "lowering"),
+    ("NoisyGHZ", {"n": 3, "theta": 0.5, "p": 0.7, "noise": "white"}, "lowering"),
+    ("NModeSqueezed", {"n": 3, "x": 0.3}, "annihilation"),
+    ("GHZ", {"n": 5, "theta": 0.7}, "hadamard"),
+]
+
+
+def _spy_quadratic(monkeypatch) -> list:
+    """Record the shape of every block stack passed to ``TermGroup.quadratic``."""
+    shapes, quadratic = [], TermGroup.quadratic
+
+    def spy(group, blocks):
+        shapes.append(blocks.shape)
+        return quadratic(group, blocks)
+
+    monkeypatch.setattr(TermGroup, "quadratic", spy)
+    return shapes
+
+
+@pytest.mark.parametrize("family,params,ops", _EIGEN_CASES)
+def test_eigen_sites_take_no_quadratic_form(monkeypatch, family, params, ops):
+    """Every site of these label states is an eigen site, a label site whose A^dag A is
+    diagonal: rhs1, the second moments and the factorized rhs2 read each as one weighted
+    sum of its eigenvalues, so no block is formed, and they match the full-space
+    reference."""
+    state = build_state(StateFamily(family, params))
+    assignment = _hadamards(state.dims) if ops == "hadamard" else canonical_assignment(
+        ops, state.dims
+    )
+    assert not state.kets and all(vecs is None for _, vecs in assignment._spectra)
+    shapes = _spy_quadratic(monkeypatch)
+    rhs1 = rhs_condition1(state, assignment)
+    moments = site_second_moments(state, assignment)
+    rhs2 = rhs_condition2(state, assignment)
+    assert shapes == []
+    monkeypatch.undo()
+    _, want_rhs1, want_rhs2 = full_space.sides(state, assignment)
+    assert _close(rhs1, want_rhs1), (rhs1, want_rhs1)
+    assert _close(rhs2, want_rhs2), (rhs2, want_rhs2)
+    for got, want in zip(moments, full_space.second_moments(state, assignment)):
+        assert _close(got, want), (got, want)
+
+
+def test_lseparable_forms_blocks_for_its_ket_sites_only(monkeypatch):
+    """LSeparable's tilted sites hold kets and its others are eigen sites under lowering:
+    rhs1 and the second moments form one block per ket site, and rhs2 takes the
+    eigenbasis route's one block per term group."""
+    params = {"n": 5, "l": 2, "theta": 0.4, "thetas": [0.5, 1.0]}
+    state = build_state(StateFamily("LSeparable", params))
+    assignment = canonical_assignment("lowering", state.dims)
+    (group,) = state.groups
+    block = (*group.amps.shape, group.amps.shape[1])  # G x t x t
+    assert 0 < len(state.kets) < len(state.dims)
+    shapes = _spy_quadratic(monkeypatch)
+    rhs_condition1(state, assignment)
+    site_second_moments(state, assignment)
+    assert {shape[1:] for shape in shapes} == {block}
+    assert sum(shape[0] for shape in shapes) == 2 * len(state.kets)
+    shapes.clear()
+    rhs_condition2(state, assignment)
+    assert shapes == [block]
+
+
+def test_eigen_sites_keep_rhs1_and_rhs2_within_the_budget():
+    """NModeSqueezed n=64, x=0.994 (1914 terms, 64 eigen sites): rhs1 and then rhs2 on a
+    fresh state peak under twice the byte budget; a (terms x terms) block per site and
+    every site's kept gram took 314 MiB."""
+    state = build_state(StateFamily("NModeSqueezed", {"n": 64, "x": 0.994}))
+    assignment = canonical_assignment("annihilation", state.dims)
+    tracemalloc.start()
+    try:
+        rhs1 = rhs_condition1(state, assignment)
+        rhs2 = rhs_condition2(state, assignment)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * ARRAY_BYTES_CAP, peak
+    assert math.isfinite(rhs1) and math.isfinite(rhs2) and rhs1 > 0.0 and rhs2 > 0.0

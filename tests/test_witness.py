@@ -579,13 +579,13 @@ def test_tilted_l_separable_past_d_2048_matches_a_popcount_sum(n):
 
 
 def test_overflowing_moment_is_a_typed_error():
-    """n=400 squeezed modes overflow (A^dag A)^(n/2) and meet zeros as NaN: evaluate
-    names the side in a NumericalOverflow, with no RuntimeWarning; n=300 stays finite."""
+    """n=400 squeezed modes overflow (A^dag A)^(n/2) to inf: evaluate names the side in
+    a NumericalOverflow, with no RuntimeWarning; n=300 stays finite."""
     def squeezed(n):
         state = build_state(StateFamily("NModeSqueezed", {"n": n, "x": 0.9}))
         return state, OperatorAssignment.annihilation(state.dims)
 
-    with pytest.raises(NumericalOverflow, match="^rhs2 is nan"):
+    with pytest.raises(NumericalOverflow, match="^rhs2 is inf"):
         evaluate(*squeezed(400))
     report = evaluate(*squeezed(300))
     assert all(math.isfinite(v) for v in (report.lhs, report.rhs1, report.rhs2))
