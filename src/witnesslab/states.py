@@ -11,8 +11,12 @@ components' terms on one axis, a (terms x sites) integer ``labels``
 array next to the amplitudes, a dict from each ket site to its
 (terms x dim) stack of unit-norm kets, and each component's offset and
 weight, filled once by each constructor (a mixture's ``pures`` are views
-cut from them).  A site whose kets are all computational-basis kets
-(every basis-ket site of the built-in families) is its label column, so
+cut from them).  The built-in mixtures (MixedSingleOut, NoisyGHZ) write
+their axis arrays directly, with no per-component :class:`PureSOP`, and
+every mixture's weights and new kets are checked in one place
+(``MixedEnsemble._from_axis``).  A site whose kets are all
+computational-basis kets (every basis-ket site of the built-in
+families) is its label column, so
 its overlaps and matrix elements are index lookups; any other site
 (tilted qubits, random kets) is in the dict, with labels -1 where a
 component gave kets.  The axis groups the components by term count t
@@ -419,7 +423,6 @@ class MixedEnsemble(TermAxis):
     def __init__(self, dims, weights, pures, white_noise_weight=0.0):
         dims = _check_dims(dims)
         pures = tuple(pures)
-        self._set_weights(weights, white_noise_weight, len(pures))
         for pure in pures:
             if not isinstance(pure, PureSOP) or pure.dims != dims:
                 raise BadParameter(f"all components must be PureSOPs of the ensemble dims {dims}")
@@ -433,7 +436,17 @@ class MixedEnsemble(TermAxis):
         for pure, start in zip(pures, offsets.tolist()):
             for site, stack in pure.kets.items():
                 kets[site][start : start + len(stack)] = stack
+        self._from_axis(dims, weights, white_noise_weight, labels, kets, amps, offsets)
+
+    def _from_axis(self, dims, weights, noise, labels, kets, amps, offsets, new_kets=()):
+        """Fill the axis with these arrays as they are, every mixture's one way in: the
+        weights must be a mixture's, and the (rows x dim) ket stacks ``new_kets``, checked
+        as one batch, unit-norm; the caller builds or checks every other array."""
+        self._set_weights(weights, noise, len(offsets) - 1)
+        if new_kets:
+            _check_kets(new_kets)
         self._fill(dims, labels, kets, amps, offsets, self.weights)
+        return self
 
     def _set_weights(self, weights, noise, count: int) -> None:
         """Keep one finite weight >= 0 per component and the white-noise weight, summing to 1."""
@@ -464,13 +477,11 @@ class MixedEnsemble(TermAxis):
         for site, (stack, dim) in enumerate(zip(stacks, dims)):
             if stack.shape != (len(weights), dim):
                 raise BadParameter(f"kets at site {site} have shape {stack.shape}")
-        _check_kets(stacks)
-        ensemble = cls.__new__(cls)
-        ensemble._set_weights(weights, 0.0, len(weights))
         labels = np.full((len(weights), len(dims)), -1, dtype=np.int64)
         amps, offsets = np.ones(len(weights), dtype=complex), np.arange(len(weights) + 1)
-        ensemble._fill(dims, labels, dict(enumerate(stacks)), amps, offsets, ensemble.weights)
-        return ensemble
+        return cls.__new__(cls)._from_axis(
+            dims, weights, 0.0, labels, dict(enumerate(stacks)), amps, offsets, stacks
+        )
 
     @property
     def pures(self) -> tuple[PureSOP, ...]:
@@ -598,6 +609,14 @@ def _superposition_qubit(theta: float) -> np.ndarray:
     return np.array([math.cos(theta), math.sin(theta)], dtype=complex)
 
 
+def _ghz_rows(copies: int, n: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Labels (2 copies x n) and amplitudes of ``copies`` GHZ components cos(theta)|0...0> +
+    sin(theta)|1...1> on one axis, as :func:`_ghz_state` writes each."""
+    labels = np.zeros((2 * copies, n), dtype=np.int64)
+    labels[1::2] = 1
+    return labels, np.tile(np.array((math.cos(theta), math.sin(theta)), dtype=complex), copies)
+
+
 def _ghz_state(n: int, theta: float, tilted=None, flipped: int | None = None) -> PureSOP:
     """cos(theta)|0...0> + sin(theta)|1...1> in label form.
 
@@ -605,15 +624,13 @@ def _ghz_state(n: int, theta: float, tilted=None, flipped: int | None = None) ->
     ``tilted`` maps sites to one qubit ket that both terms carry there
     instead of a bit.
     """
-    labels = np.zeros((2, n), dtype=np.int64)
-    labels[1] = 1
+    labels, amps = _ghz_rows(1, n, theta)
     if flipped is not None:
         labels[:, flipped] = (1, 0)
     kets = {}
     for site, ket in (tilted or {}).items():
         labels[:, site] = -1
         kets[site] = (ket, ket)
-    amps = (math.cos(theta), math.sin(theta))
     return PureSOP.from_labels((2,) * n, amps, labels, kets)
 
 
@@ -653,17 +670,31 @@ def _build_l_separable(params: dict, tail_tol: float) -> PureSOP:
 
 
 def _build_mixed_single_out(params: dict, tail_tol: float) -> MixedEnsemble:
+    """The mixture of n tilted GHZ states, component i with its own qubit ket at site i,
+    written straight onto its axis: site i's (2n x 2) stack holds basis kets from the
+    labels and the tilted ket at component i's two rows (labelled -1 there)."""
     n = _as_int(params, "n", "MixedSingleOut", 2)
     check_bytes(2 * n * n, 8, _LABELS.format("MixedSingleOut", "n"))
     theta = _as_float(params, "theta", "MixedSingleOut")
     thetas = _as_angles(params, "thetas", "MixedSingleOut", n)
-    pures = tuple(
-        _ghz_state(n, theta, tilted={i: _superposition_qubit(thetas[i])}) for i in range(n)
+    labels, amps = _ghz_rows(n, n, theta)
+    rows = np.arange(2 * n)
+    labels[rows, rows // 2] = -1
+    tilted = np.array([(math.cos(t), math.sin(t)) for t in thetas], dtype=complex)
+    basis = _basis_kets(rows % 2, 2)
+    kets = {}
+    for site, ket in enumerate(tilted):
+        kets[site] = stack = basis.copy()
+        stack[2 * site : 2 * site + 2] = ket
+    offsets, weights = np.arange(0, 2 * n + 1, 2), (1.0 / n,) * n
+    return MixedEnsemble.__new__(MixedEnsemble)._from_axis(
+        (2,) * n, weights, 0.0, labels, kets, amps, offsets, (tilted,)
     )
-    return MixedEnsemble((2,) * n, (1.0 / n,) * n, pures)
 
 
 def _build_noisy_ghz(params: dict, tail_tol: float) -> MixedEnsemble:
+    """GHZ with weight p, plus |0...0> (ground noise) or I / 2^n (white noise) with 1 - p,
+    written straight onto its axis."""
     n = _as_int(params, "n", "NoisyGHZ", 2)
     check_bytes((3 if params["noise"] == "ground" else 2) * n, 8, _LABELS.format("NoisyGHZ", "n"))
     theta = _as_float(params, "theta", "NoisyGHZ")
@@ -671,21 +702,24 @@ def _build_noisy_ghz(params: dict, tail_tol: float) -> MixedEnsemble:
     if not 0.0 < p < 1.0:
         raise BadParameter(f"NoisyGHZ: p must lie in (0, 1), got {p}")
     noise = params["noise"]
-    ghz = _ghz_state(n, theta)
-    if noise == "ground":
-        ground = PureSOP.from_labels((2,) * n, (1.0,), np.zeros((1, n), dtype=np.int64))
-        return MixedEnsemble((2,) * n, (p, 1.0 - p), (ghz, ground))
-    if noise == "white":
-        return MixedEnsemble((2,) * n, (p,), (ghz,), white_noise_weight=1.0 - p)
-    raise BadParameter(f"NoisyGHZ: noise must be 'ground' or 'white', got {noise!r}")
+    labels, amps = _ghz_rows(1, n, theta)
+    if noise == "ground":  # one more component, the one term |0...0> of amplitude 1
+        labels, amps = np.concatenate((labels, labels[:1])), np.append(amps, 1.0)
+        weights, white, offsets = (p, 1.0 - p), 0.0, np.array([0, 2, 3])
+    elif noise == "white":
+        weights, white, offsets = (p,), 1.0 - p, np.array([0, 2])
+    else:
+        raise BadParameter(f"NoisyGHZ: noise must be 'ground' or 'white', got {noise!r}")
+    return MixedEnsemble.__new__(MixedEnsemble)._from_axis(
+        (2,) * n, weights, white, labels, {}, amps, offsets
+    )
 
 
 def _squeezed_amplitudes(x: float, cutoff: int) -> np.ndarray:
     # Renormalized geometric amplitudes; successive ratio is exactly x.
-    amps = np.empty(cutoff + 1)
+    amps = np.full(cutoff + 1, x)
     amps[0] = 1.0
-    for m in range(cutoff):
-        amps[m + 1] = amps[m] * x
+    np.multiply.accumulate(amps, out=amps)
     kept = (1.0 - x ** (2 * (cutoff + 1))) / (1.0 - x * x)
     return (amps / math.sqrt(kept)).astype(complex)
 

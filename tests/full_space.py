@@ -13,16 +13,38 @@ eigenvalues clamped at zero.  The state is read only through its explicit
 product terms (``PureSOP.terms``) and mixture weights, the operators as
 plain arrays, and no witnesslab helper is called, so the engine's routes
 are checked against code that shares none of their steps.  Every array
-is full-space, so keep the dimension small (a few hundred).
+is full-space, so keep the dimension small (a few hundred); a state of
+dimension over :data:`MAX_DIM` is refused with :class:`FullSpaceTooLarge`
+before anything is allocated.
 
 :func:`rhs2` reads rhs2 from the state vectors instead of rho: S's
 eigenbasis from np.linalg.eigh, then sum_c w_c |V^dag psi_c|^2 . f(evals)
 plus the white-noise weight times the mean of f, which reaches D = 1024.
 """
 
+import math
 from functools import reduce
 
 import numpy as np
+
+#: Largest full-space dimension D: a D x D complex matrix of 64 MiB, several of which
+#: are alive at once.
+MAX_DIM = 2048
+
+
+class FullSpaceTooLarge(ValueError):
+    """A state too large for the full-space reference."""
+
+
+def _dim(dims) -> int:
+    """D = prod(dims), refused above :data:`MAX_DIM` before any D x D array exists."""
+    dim = math.prod(dims)
+    if dim > MAX_DIM:
+        raise FullSpaceTooLarge(
+            f"full-space reference: D = {dim} over {MAX_DIM}, its D x D matrices would take"
+            f" {16 * dim**2 / 2**20:,.0f} MiB each"
+        )
+    return dim
 
 
 def state_vector(pure) -> np.ndarray:
@@ -32,7 +54,7 @@ def state_vector(pure) -> np.ndarray:
 
 def _density_matrix(state) -> np.ndarray:
     """rho of a pure state or of a mixture with an optional white-noise weight."""
-    dim = int(np.prod(state.dims))
+    dim = _dim(state.dims)
     pures = getattr(state, "pures", (state,))
     weights = getattr(state, "weights", (1.0,))
     rho = np.eye(dim, dtype=complex) * getattr(state, "white_noise_weight", 0.0) / dim
@@ -87,6 +109,7 @@ def rhs2(state, assignment) -> float:
     """tr(rho f(S)) with f(s) = s^(n/2), from S's eigenbasis and the state vectors."""
     dims = tuple(state.dims)
     n = len(dims)
+    _dim(dims)
     squares = [op.conj().T @ op for op in assignment.ops]
     mean = sum(_embed(square, k, dims) for k, square in enumerate(squares)) / n
     evals, vecs = np.linalg.eigh((mean + mean.conj().T) / 2)

@@ -1,5 +1,7 @@
 """The full-space reference against the printed closed forms, with no engine route involved."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -52,3 +54,19 @@ def test_the_vector_rhs2_equals_the_density_matrix_rhs2():
                 want = sides(state, assignment)[2]
                 got = full_space.rhs2(state, assignment)
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (dims, got, want)
+
+
+def test_reference_refuses_a_state_too_large_before_allocating():
+    """A state over MAX_DIM (NModeSqueezed n=3, x=0.6 at cutoff 22: D = 12,167, a 2.4 GB
+    density matrix) is refused by every entry point before anything of that size exists."""
+    state = build_state(StateFamily("NModeSqueezed", {"n": 3, "x": 0.6, "cutoff": 22}))
+    assignment = OperatorAssignment.annihilation(state.dims)
+    for reference in (full_space.sides, full_space.second_moments, full_space.rhs2):
+        tracemalloc.start()
+        try:
+            with pytest.raises(full_space.FullSpaceTooLarge, match="D = 12167 over 2048"):
+                reference(state, assignment)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, reference.__name__

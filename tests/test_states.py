@@ -1,6 +1,7 @@
 """Tests for the state-family constructors."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from witnesslab.states import (
     ProductTerm,
     PureSOP,
     StateFamily,
+    _squeezed_amplitudes,
     auto_cutoff,
     build_state,
     tail_weight,
@@ -78,6 +80,20 @@ def test_squeezed_amplitude_recursion():
     amps = state.amplitudes()
     ratios = amps[1:] / amps[:-1]
     np.testing.assert_allclose(ratios.real, 0.37, rtol=2e-15)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_squeezed_amplitudes_take_the_products_of_the_multiply_loop(seed):
+    """The amplitudes are x^m as a running product, bit for bit what multiplying by x once
+    per level in a Python loop gives, then divided by the truncated norm."""
+    rng = np.random.default_rng(seed)
+    for x, cutoff in zip(rng.uniform(0.0, 1.0, 500), rng.integers(1, 2000, 500)):
+        powers = [1.0]
+        for _ in range(cutoff):
+            powers.append(powers[-1] * x)
+        kept = (1.0 - x ** (2 * (cutoff + 1))) / (1.0 - x * x)
+        want = (np.array(powers) / math.sqrt(kept)).astype(complex)
+        assert np.array_equal(_squeezed_amplitudes(x, cutoff), want)
 
 
 def test_tail_weight_values():
@@ -272,9 +288,18 @@ def test_family_sizes_over_the_label_cap_raise_dimension_cap(family, params, nam
 
 
 def test_label_cap_admits_the_largest_sizes_that_run():
-    """MixedSingleOut at n=2000 (8e6 label entries, 61 MiB) and GHZ at n=10^5 still build."""
+    """MixedSingleOut at n=2000 (8e6 label entries, 61 MiB) and GHZ at n=10^5 still build.
+    The mixture's axis (306 MiB of labels and ket stacks) is written once, so the build
+    peaks within a few MiB of what the state keeps."""
     thetas = [0.3] * 2000
-    mixed = build_state(StateFamily("MixedSingleOut", {"n": 2000, "theta": 0.1, "thetas": thetas}))
+    tracemalloc.start()
+    try:
+        mixed = build_state(StateFamily("MixedSingleOut", {"n": 2000, "theta": 0.1, "thetas": thetas}))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept >= mixed.labels.nbytes + sum(stack.nbytes for stack in mixed.kets.values())
+    assert peak - kept <= 4 * 2**20
     assert sum(p.labels.nbytes for p in mixed.pures) == 8 * 8 * 10**6 <= ARRAY_BYTES_CAP
     assert build_state(StateFamily("GHZ", {"n": 10**5, "theta": 0.2})).labels.shape == (2, 10**5)
 

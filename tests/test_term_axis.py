@@ -25,6 +25,8 @@ from witnesslab.states import (
     PureSOP,
     StateFamily,
     TermGroup,
+    _ghz_state,
+    _superposition_qubit,
     build_state,
 )
 from witnesslab.witness import (
@@ -420,3 +422,49 @@ def test_eigen_sites_keep_rhs1_and_rhs2_within_the_budget():
         tracemalloc.stop()
     assert peak < 2 * ARRAY_BYTES_CAP, peak
     assert math.isfinite(rhs1) and math.isfinite(rhs2) and rhs1 > 0.0 and rhs2 > 0.0
+
+
+def _assert_same_axis(got, want):
+    """Equal axis arrays (dtype and bits), ket sites in the same order, equal weights."""
+    for name in ("labels", "amps", "offsets", "weight_array"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert list(got.kets) == list(want.kets)
+    for site, stack in want.kets.items():
+        assert got.kets[site].dtype == stack.dtype and np.array_equal(got.kets[site], stack)
+    assert got.weights == want.weights and got.white_noise_weight == want.white_noise_weight
+
+
+_ANGLES = st.floats(-7.0, 7.0, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 12).flatmap(
+    lambda n: st.tuples(_ANGLES, st.lists(_ANGLES, min_size=n, max_size=n))
+))
+def test_mixed_single_out_axis_equals_its_concatenated_components(case):
+    """The builder writes the mixture's axis directly, bit for bit the axis that
+    concatenating its n tilted GHZ components as PureSOPs gives."""
+    theta, thetas = case
+    n = len(thetas)
+    state = build_state(StateFamily("MixedSingleOut", {"n": n, "theta": theta, "thetas": thetas}))
+    pures = [_ghz_state(n, theta, tilted={i: _superposition_qubit(t)}) for i, t in enumerate(thetas)]
+    _assert_same_axis(state, MixedEnsemble((2,) * n, (1.0 / n,) * n, pures))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 12), _ANGLES, st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.sampled_from(("ground", "white")),
+)
+def test_noisy_ghz_axis_equals_its_concatenated_components(n, theta, p, noise):
+    """NoisyGHZ's directly written axis equals GHZ plus |0...0> (ground noise) or GHZ with
+    white noise, built from PureSOPs."""
+    state = build_state(StateFamily("NoisyGHZ", {"n": n, "theta": theta, "p": p, "noise": noise}))
+    ghz, dims = _ghz_state(n, theta), (2,) * n
+    if noise == "ground":
+        ground = PureSOP.from_labels(dims, (1.0,), np.zeros((1, n), dtype=np.int64))
+        want = MixedEnsemble(dims, (p, 1.0 - p), (ghz, ground))
+    else:
+        want = MixedEnsemble(dims, (p,), (ghz,), white_noise_weight=1.0 - p)
+    _assert_same_axis(state, want)
