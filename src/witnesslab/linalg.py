@@ -95,12 +95,12 @@ class RowMap(NamedTuple):
             array.flags.writeable = False
         return rows
 
-    def checked(self) -> "RowMap":
+    def checked(self) -> "CheckedRowMap":
         """Read-only copies of this row map, which needs d >= 1 integer columns in [0, d)
         and d finite weights; :func:`as_operator`'s errors refuse any other."""
         if (kind := np.asarray(self.cols).dtype.kind) not in "iu":
             raise DimensionMismatch(f"row map columns must be integers in [0, d), got {kind!r}")
-        cols, weights = rows = self.build(self.cols, self.weights)  # the only copies
+        cols, weights = rows = CheckedRowMap.build(self.cols, self.weights)  # the only copies
         if cols.ndim != 1 or cols.shape != weights.shape or cols.size == 0:
             shapes = f"got {cols.shape} and {weights.shape}"
             raise DimensionMismatch(f"row map needs d >= 1 columns and as many weights, {shapes}")
@@ -142,14 +142,21 @@ class RowMap(NamedTuple):
         return mat
 
 
-def qubit_lowering_rows() -> RowMap:
+class CheckedRowMap(RowMap):
+    """A valid :class:`RowMap` whose read-only arrays are its own: what :meth:`RowMap.checked`
+    returns and the named operators' builders make, so it needs no second check."""
+
+    __slots__ = ()
+
+
+def qubit_lowering_rows() -> CheckedRowMap:
     """|0><1| on a single qubit."""
-    return RowMap.build([1, 0], [1.0, 0.0])
+    return CheckedRowMap.build([1, 0], [1.0, 0.0])
 
 
-def qubit_raising_rows() -> RowMap:
+def qubit_raising_rows() -> CheckedRowMap:
     """|1><0| on a single qubit."""
-    return RowMap.build([0, 0], [0.0, 1.0])
+    return CheckedRowMap.build([0, 0], [0.0, 1.0])
 
 
 def qubit_lowering_op() -> np.ndarray:
@@ -170,13 +177,13 @@ def check_annihilation_dim(dim: int) -> None:
     check_bytes(dim * dim, 16, f"annihilation operator of dim {dim}:")
 
 
-def annihilation_rows(dim: int) -> RowMap:
+def annihilation_rows(dim: int) -> CheckedRowMap:
     """Truncated bosonic annihilation operator as a row map: row m-1 to column m, weight
     sqrt(m); the last row is empty.  Refused like its matrix, before anything is built."""
     check_annihilation_dim(dim)
     weights = np.zeros(dim, dtype=complex)
     weights[:-1] = np.sqrt(np.arange(1, dim, dtype=float))
-    return RowMap.build(np.arange(1, dim + 1) % dim, weights)
+    return CheckedRowMap.build(np.arange(1, dim + 1) % dim, weights)
 
 
 def annihilation_op(dim: int) -> np.ndarray:

@@ -15,7 +15,7 @@ Every side reads the state as its :class:`~witnesslab.states.TermAxis`
 (its term groups, dims, ket sites and white-noise weight): per group of
 equal term count and per site, one (G x t x t) block of <u_j|M|u_j'>,
 one contraction for any term count.  lhs is sum_c w_c a_c^dag (prod_k
-P_k) a_c.  At an eigen site, a label site whose A^dag A is diagonal,
+P_k) a_c.  At an eigen site, a label site whose own A^dag A is diagonal,
 each term is an eigenvector: rhs1 and the second moments read it as
 sum_j' r_cj' v_j', v the eigenvalues at the labels and r = w (a^dag O) o a
 from the term overlaps O, and weigh any other site's block by the other
@@ -29,12 +29,13 @@ is read off the structure: factorized when every site is an eigen site
 eigenbasis otherwise, S's D diagonal entries contracted with each site's
 ket pairs.  The tests check every side against ``tests/full_space.py``.
 
-Each distinct local operator's spectrum is computed once and kept on
-the :class:`OperatorAssignment`; :func:`fill_spectra` computes those of
-many assignments at once, with the same bits.  An operator with at most
-one nonzero per row (every named operator choice) is kept as its row map
-A = sum_i w_i |i><c_i| (:class:`~witnesslab.linalg.RowMap`, given as one
-or read from a matrix), and no d x d matrix is built for it: A^dag A is
+Each distinct local operator's spectrum depends on that operator alone,
+is computed once and kept on the :class:`OperatorAssignment`;
+:func:`fill_spectra` computes those of many assignments at once, with the
+same bits.  An operator with at most one nonzero per row (every named
+operator choice) is kept as its row map A = sum_i w_i |i><c_i|
+(:class:`~witnesslab.linalg.RowMap`, given as one or read from a
+matrix), and no d x d matrix is built for it: A^dag A is
 |w|^2 summed into the columns c, a real 1-D diagonal that is its own
 spectrum; a ket site applies A as w * u[c]; and lhs takes all the label
 sites of a group whose operators are row maps as one block, nonzero
@@ -55,10 +56,10 @@ import numpy as np
 from .errors import BadParameter, DimensionMismatch, NumericalOverflow, WitnessLabError
 from .linalg import (
     ARRAY_BYTES_CAP,
+    CheckedRowMap,
     RowMap,
     annihilation_rows,
     as_operator,
-    check_annihilation_dim,
     check_bytes,
     kron_embed,
     psd_eigh,
@@ -78,66 +79,47 @@ _CHUNK_BYTES = 2**18
 
 def _local_spectra(assignments) -> list[tuple[tuple[np.ndarray, np.ndarray | None], ...]]:
     """Per assignment, per site, the clamped spectrum ``(evals, vecs)`` of A^dag A, once
-    per distinct operator of the assignment.
+    per distinct operator; each spectrum depends on its own operator alone.
 
     A row map's A^dag A is 1-D, its diagonal, and its own spectrum with
-    ``vecs=None``.  The d x d operators of one dim, across all the
-    assignments, take one stacked A^dag A, Hermitian by construction, and
-    one :func:`psd_eigh` each for the (assignment, d) groups whose squares
-    are all exactly diagonal (kept, ``vecs=None``) and for the rest, so each
-    spectrum is the one its group alone gives.  :class:`NumericalOverflow`
-    names the first operator, in assignment and site order, whose square is
-    not finite.
+    ``vecs=None``.  The distinct d x d operators of one dim, across all the
+    assignments, take one stacked A^dag A, Hermitian by construction: the
+    squares that are exactly diagonal keep their diagonals (``vecs=None``),
+    and the rest take one :func:`psd_eigh`.  :class:`NumericalOverflow` names
+    the first operator, in assignment and site order, whose square is not finite.
     """
-    own: list[dict] = [{} for _ in assignments]
-    stacks: dict[int, list] = {}  # d -> [(assignment index, operator)], assignments in order
-    overflows = {}
+    spectra = {}  # id(op) -> (evals, vecs), for each operator whose square is finite
+    stacks: dict[int, list[np.ndarray]] = {}  # d -> the distinct d x d operators
     # an A^dag A that overflows raises NumericalOverflow instead of a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, assignment in enumerate(assignments):
-            for op in assignment._local:
-                if id(op) in own[i]:
-                    continue
-                if isinstance(op, RowMap):
-                    # the columns have disjoint supports, so A^dag A is diagonal:
-                    # sum_i |A_ij|^2, real and non-negative by construction
-                    square = op.square()
-                    own[i][id(op)] = (square, None)
-                    if not np.isfinite(square).all():
-                        overflows[i, id(op)] = op.weights
-                else:
-                    own[i][id(op)] = None
-                    stacks.setdefault(len(op), []).append((i, op))
+        for op in {id(op): op for a in assignments for op in a._local}.values():
+            if not isinstance(op, RowMap):
+                stacks.setdefault(len(op), []).append(op)
+            # the columns have disjoint supports, so A^dag A is diagonal:
+            # sum_i |A_ij|^2, real and non-negative by construction
+            elif np.isfinite(square := op.square()).all():
+                spectra[id(op)] = (square, None)
         for members in stacks.values():
-            ops = np.stack([op for _, op in members])
+            ops = np.stack(members)
             squares = np.matmul(ops.conj().swapaxes(1, 2), ops)
             # Hermitian by construction; exact where A^dag A is diagonal
             squares = 0.5 * (squares + squares.conj().swapaxes(1, 2))
-            for j in np.flatnonzero(~np.isfinite(squares).all(axis=(1, 2))):
-                overflows[members[j][0], id(members[j][1])] = members[j][1]
-            if overflows:  # raised below; psd_eigh would refuse the non-finite squares
-                continue
-            # an assignment with a non-diagonal square of this dim sends all of them to eigh
-            index = np.array([i for i, _ in members])
+            finite = np.isfinite(squares).all(axis=(1, 2))
             diagonal = np.count_nonzero(squares, axis=(1, 2)) == np.count_nonzero(
                 squares.diagonal(axis1=1, axis2=2), axis=1
             )
-            solved = np.isin(index, index[~diagonal])
-            for rows in (solved, ~solved):
+            for rows in (finite & diagonal, finite & ~diagonal):
                 if rows.any():
                     evals, vecs = psd_eigh(squares[rows])
                     for j, row in enumerate(np.flatnonzero(rows)):
-                        i, op = members[row]
-                        own[i][id(op)] = (evals[j], None if vecs is None else vecs[j])
-    for i, assignment in enumerate(assignments):
-        for op in assignment._local:
-            if (i, id(op)) in overflows:
-                scale = float(np.max(np.abs(overflows[i, id(op)])))
-                raise NumericalOverflow(
-                    f"A^dag A of an operator with largest modulus {scale:.3g} overflows"
-                    " double precision"
-                )
-    return [tuple(own[i][id(op)] for op in a._local) for i, a in enumerate(assignments)]
+                        spectra[id(members[row])] = (evals[j], None if vecs is None else vecs[j])
+    bad = next((op for a in assignments for op in a._local if id(op) not in spectra), None)
+    if bad is not None:
+        scale = float(np.max(np.abs(bad.weights if isinstance(bad, RowMap) else bad)))
+        raise NumericalOverflow(
+            f"A^dag A of an operator with largest modulus {scale:.3g} overflows double precision"
+        )
+    return [tuple(spectra[id(op)] for op in a._local) for a in assignments]
 
 
 class OperatorAssignment:
@@ -147,10 +129,11 @@ class OperatorAssignment:
     Each distinct operator is kept once, in one form: sites given the same
     object share it, and so do sites of one dim under a named constructor,
     so what is derived from it is computed once for all of them.  A row map
-    is checked and kept as read-only copies of its arrays; a matrix with at
-    most one nonzero per row is read into its row map, and any other matrix
-    is kept as a read-only copy.  ``ops`` is the dense, read-only tuple,
-    built on first access.
+    is checked and kept as read-only copies of its arrays, unless it is a
+    :class:`~witnesslab.linalg.CheckedRowMap` (as every named choice's is); a
+    matrix with at most one nonzero per row is read into its row map, and any
+    other matrix is kept as a read-only copy.  ``ops`` is the dense, read-only
+    tuple, built on first access.
     """
 
     def __init__(self, ops):
@@ -160,7 +143,7 @@ class OperatorAssignment:
             if id(op) in local:
                 continue
             if isinstance(op, RowMap):
-                local[id(op)] = op.checked()
+                local[id(op)] = op if isinstance(op, CheckedRowMap) else op.checked()
             else:
                 mat = as_operator(np.array(op, dtype=complex))
                 mat.flags.writeable = False
@@ -239,17 +222,15 @@ class OperatorAssignment:
 
     @classmethod
     def annihilation(cls, dims) -> "OperatorAssignment":
-        """Truncated annihilation operator on every mode, every dim checked first."""
+        """Truncated annihilation operator on every mode, each dim refused before it is built."""
         dims = [int(d) for d in dims]
-        for d in dims:
-            check_annihilation_dim(d)
         rows = {d: annihilation_rows(d) for d in dict.fromkeys(dims)}
         return cls(rows[d] for d in dims)
 
 
 def fill_spectra(assignments) -> None:
     """Compute the local spectra of several assignments at once and keep them on each,
-    with the bits each would compute alone (:func:`_local_spectra`).  If that raises a
+    each with the bits its operator gives alone (:func:`_local_spectra`).  If that raises a
     :class:`WitnessLabError`, nothing is kept: each assignment computes its own, and
     raises, when they are first read."""
     assignments = list(assignments)
@@ -469,24 +450,23 @@ def rhs_condition2(
     route = _rhs2_route(state, assignment) if method == "auto" else "eigenbasis"
     dims, n = state.dims, len(state.dims)
     noise = state.white_noise_weight
-    groups = state.groups
     value = 0.0
     if route == "eigenbasis" or noise:
         # the grid and one component's block are checked before any D-sized array
-        # (and, for a state with ket sites, any local spectrum)
+        # or term group (and, for a state with ket sites, any local spectrum)
         dim = total_dimension(dims)
         check_bytes(dim, 8, f"the {route} rhs_condition2 route: grid of")
         if route == "eigenbasis":
             lead = next((k for k, d in enumerate(dims) if d > 1), 0)
             width = max(dim // dims[lead], *dims)
-            terms = max((g.amps.shape[1] for g in groups), default=1)
+            terms = int(np.diff(state.offsets).max(initial=1))
             check_bytes(terms * terms * width, 16, f"the {route} rhs_condition2 route: block of")
         powered = _powered_grid(state, assignment)
         if noise:
             value = noise * float(np.mean(powered))
     values, sites = [], np.arange(n)[:, None, None]
     bases = [vecs for _, vecs in assignment._spectra] if route == "eigenbasis" else None
-    for group in groups:
+    for group in state.groups:
         if route == "factorized":
             # every term is an eigenvector of S: f of its local eigenvalues, summed in site order
             sums = np.add.accumulate(assignment._diagonals[sites, group.labels], axis=0)[-1]

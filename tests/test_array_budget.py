@@ -74,7 +74,7 @@ def _four_mode_annihilation(cutoff: int):
         (_white_noise, 23),
         (_squeezed, 2048),  # terms x terms complex: 2048 terms
         (annihilation_op, 2048),  # d x d complex: d = 2048
-        (_four_mode_annihilation, 2046),  # the same d, checked for every mode before any is built
+        (_four_mode_annihilation, 2046),  # the same d, each refused before its row map is built
     ],
 )
 def test_each_route_refuses_past_the_budget_before_allocating(run, admitted):
@@ -91,6 +91,23 @@ def test_each_route_refuses_past_the_budget_before_allocating(run, admitted):
         finally:
             tracemalloc.stop()
         assert peak < (2**20 if refused else 4 * ARRAY_BYTES_CAP), (size, peak)
+
+
+def test_a_state_refused_from_its_dims_builds_no_term_group():
+    """MixedSingleOut n=400 under lowering is refused by rhs2's grid check, from the dims
+    and the axis offsets alone: evaluate raises under 1 MiB and builds no term group."""
+    params = {"n": 400, "theta": 0.3, "thetas": [0.2] * 400}
+    state = build_state(StateFamily("MixedSingleOut", params))
+    assignment = canonical_assignment("lowering", state.dims)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionCap, match=r"grid of ~10\^120\.4 entries"):
+            evaluate(state, assignment)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "groups" not in vars(state)
+    assert peak < 2**20, peak
 
 
 def test_the_refused_annihilation_operator_names_its_dim():

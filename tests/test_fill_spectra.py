@@ -1,10 +1,12 @@
 """Local spectra computed for many assignments at once, and the chunked oracle stream.
 
+A site's clamped spectrum of A^dag A depends on its own operator alone.
 ``fill_spectra`` stacks the d x d operators of each dim across several
 assignments into one A^dag A and one ``psd_eigh``.  These tests pin every
-spectrum it keeps to the one the assignment computes alone, bit for bit,
-and pin the separable oracle, which fills the spectra of each chunk of
-trials, to one fresh evaluation per trial, errors included.
+spectrum it keeps to the one the assignment computes alone, and each
+site's to the one its operator gives alone, bit for bit, and pin the
+separable oracle, which fills the spectra of each chunk of trials, to one
+fresh evaluation per trial, errors included.
 """
 
 from unittest import mock
@@ -17,7 +19,10 @@ from hypothesis import strategies as st
 from witnesslab import oracle
 from witnesslab.errors import NumericalOverflow
 from witnesslab.linalg import RowMap
+from witnesslab.states import MixedEnsemble, ProductTerm, PureSOP
 from witnesslab.witness import OperatorAssignment, evaluate, fill_spectra
+
+from full_space import sides
 
 #: A^dag A = 2 I exactly, though no row has a single nonzero.
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]])
@@ -76,16 +81,18 @@ def test_batched_spectra_equal_each_assignments_own_bit_for_bit(lists):
 
 
 def test_a_group_of_diagonal_squares_keeps_its_diagonals_beside_a_solved_one():
-    """One assignment's Hadamard sites keep vecs=None; another's, beside a non-diagonal
-    square of the same dim, is solved with it, as each assignment alone would."""
+    """Every Hadamard site keeps vecs=None and its diagonal, also beside a non-diagonal
+    square of the same dim in its own assignment, which is solved alone; each spectrum is
+    the one its assignment computes alone."""
     rng = np.random.default_rng(4)
     dense = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     alone, mixed = OperatorAssignment((HADAMARD, HADAMARD)), OperatorAssignment((HADAMARD, dense))
     assert not any(isinstance(op, RowMap) for op in alone._local)
     fill_spectra([alone, mixed])
-    assert all(vecs is None for _, vecs in alone._spectra)
-    assert np.array_equal(alone._spectra[0][0], [2.0, 2.0])
-    assert all(vecs is not None for _, vecs in mixed._spectra)
+    for evals, vecs in (*alone._spectra, mixed._spectra[0]):
+        assert vecs is None and np.array_equal(evals, [2.0, 2.0])
+    assert mixed._spectra[1][1] is not None
+    assert _same_spectra(alone._spectra, OperatorAssignment((HADAMARD, HADAMARD))._spectra)
     assert _same_spectra(mixed._spectra, OperatorAssignment((HADAMARD, dense))._spectra)
 
 
@@ -98,6 +105,80 @@ def test_an_overflow_in_the_batch_leaves_every_spectrum_to_its_assignment():
     assert _same_spectra(good._spectra, OperatorAssignment(ops[:2])._spectra)
     with pytest.raises(NumericalOverflow, match=r"largest modulus \d\.\d+e\+200"):
         bad._spectra
+
+
+#: Sylvester-Hadamard matrices: orthogonal columns with entries +-1, none zero.
+SYLVESTER = {2: HADAMARD, 4: np.kron(HADAMARD, HADAMARD)}
+
+#: Nonzero column scales whose pairwise products are exact, so a scaled Sylvester-Hadamard
+#: matrix's A^dag A is exactly diagonal.
+SCALES = np.array([-3.0, -1.5, -1.0, -0.5, 0.5, 1.0, 2.0, 3.0])
+
+
+def _unit(vec):
+    return vec / np.linalg.norm(vec)
+
+
+def _pure(form, dims, rng) -> PureSOP:
+    """A label-form or ket-form pure state of three random terms."""
+    amps = _unit(rng.standard_normal(3) + 1j * rng.standard_normal(3))
+    if form == "label":
+        return PureSOP.from_labels(dims, amps, np.array([rng.integers(0, d, 3) for d in dims]).T)
+    kets = [tuple(_unit(rng.standard_normal(d) + 1j * rng.standard_normal(d)) for d in dims)
+            for _ in amps]
+    return PureSOP(dims, [ProductTerm(complex(a), k) for a, k in zip(amps, kets)])
+
+
+@st.composite
+def spectrum_cases(draw):
+    """(state, ops) on 2-4 sites of dims 2 and 4: a scaled Sylvester-Hadamard operator and a
+    complex Gaussian one of the same dim in every case, the other sites either kind, some
+    sharing an object; a label or ket state, or their mixture with white noise."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 4))
+    dims = [draw(st.sampled_from((2, 4))) for _ in range(n)]
+    dims[1] = dims[0]
+    ops = []
+    kinds = ["hadamard", "gaussian"] + [
+        draw(st.sampled_from(("hadamard", "gaussian", "shared"))) for _ in range(n - 2)
+    ]
+    for d, kind in zip(dims, kinds):
+        same = [op for op in ops if len(op) == d]
+        if kind == "shared" and same:
+            ops.append(same[draw(st.integers(0, len(same) - 1))])
+        elif kind == "hadamard":
+            ops.append(SYLVESTER[d] * SCALES[rng.integers(0, len(SCALES), d)])
+        else:
+            ops.append(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    order = draw(st.permutations(range(n)))
+    dims, ops = tuple(dims[k] for k in order), [ops[k] for k in order]
+    form = draw(st.sampled_from(("label", "ket", "mixed")))
+    if form == "mixed":
+        pures = (_pure("label", dims, rng), _pure("ket", dims, rng))
+        return MixedEnsemble(dims, (0.5, 0.3), pures, white_noise_weight=0.2), ops
+    return _pure(form, dims, rng), ops
+
+
+@settings(max_examples=100, deadline=None)
+@given(spectrum_cases())
+def test_each_sites_spectrum_is_its_operators_alone(case):
+    """Every site's (evals, vecs) is bit for bit what an assignment of its operator alone
+    gives, with vecs=None exactly where its own A^dag A is diagonal; the sides match the
+    full-space reference, and a batch keeps each assignment's own spectra."""
+    state, ops = case
+    assignment = OperatorAssignment(ops)
+    for op, spectrum in zip(ops, assignment._spectra):
+        assert _same_spectra((spectrum,), OperatorAssignment((op,))._spectra)
+        square = op.conj().T @ op
+        assert (spectrum[1] is None) == (np.count_nonzero(square - np.diag(square.diagonal())) == 0)
+    report = evaluate(state, assignment)
+    for got, want in zip((report.lhs, report.rhs1, report.rhs2), sides(state, assignment)):
+        assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (got, want)
+    lists = [ops, ops[::-1], ops[:1], ops[1:]]
+    batch = [OperatorAssignment(each) for each in lists]
+    fill_spectra(batch)
+    for each, batched in zip(lists, batch):
+        assert _same_spectra(batched._spectra, OperatorAssignment(each)._spectra)
 
 
 def _run_recorded(trials, seed, **limits):

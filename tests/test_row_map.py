@@ -6,10 +6,12 @@ lhs takes all the label sites of a term group whose operators are row
 maps as one block.  These tests pin the named constructors to the same
 operators given as dense matrices, report for report and bit for bit,
 check both against the full-space reference built from the definitions,
-and bound the memory of the named path.
+bound the memory of the named path, and check that a named choice's row
+maps are checked only where they are built.
 """
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 
 from witnesslab.errors import DimensionMismatch
 from witnesslab.linalg import (
+    CheckedRowMap,
     RowMap,
     annihilation_op,
     annihilation_rows,
@@ -196,6 +199,26 @@ def test_row_maps_given_to_the_constructor_are_the_named_choice():
     assert report == evaluate(state, canonical_assignment("lowering", state.dims))
     assert report.detected1 and report.lhs == pytest.approx(0.3587, abs=1e-4)
     assert OperatorAssignment((annihilation_rows(3),) * 2).dims == (3, 3)
+
+
+@pytest.mark.parametrize(
+    "name,dim",
+    [("lowering", 2), ("raising", 2), ("flipped", 2)]
+    + [("annihilation", d) for d in (2, 30, 2048)],
+)
+def test_named_choices_check_no_row_map_twice(name, dim):
+    """A named choice's row maps are built valid and kept as they are, with no call to
+    RowMap.checked; the same arrays handed over as a caller's RowMap are checked once."""
+    real = RowMap.checked
+    with mock.patch.object(RowMap, "checked", autospec=True, side_effect=real) as checked:
+        assignment = canonical_assignment(name, (dim,) * 3)
+        assert checked.call_count == 0
+        assert all(isinstance(op, CheckedRowMap) for op in assignment._local)
+        rows = RowMap(*assignment._local[-1])
+        copied = OperatorAssignment((rows,) * 3)
+        assert checked.call_count == 1
+    assert type(copied._local[0]) is CheckedRowMap and copied._local[0] is not rows
+    assert all(np.array_equal(a, b) for a, b in zip(copied._local[0], rows))
 
 
 @pytest.mark.parametrize(
