@@ -13,13 +13,14 @@ density matrices.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadParameter, InvalidDensityMatrix
 from .linalg import DEFAULT_TOL, as_operator, dag, psd_power
-from .states import MixedEnsemble, ProductTerm, PureSOP
+from .states import MixedEnsemble, ProductTerm, PureSOP, _check_dims, _check_kets
 from .witness import OperatorAssignment, evaluate, fill_spectra
 
 #: A separable-state margin below this counts as a genuine violation.
@@ -36,6 +37,13 @@ LEMMA_POWERS = (1.5, 2.0, 3.0)
 
 #: Separable trials drawn before their local spectra are computed together.
 _TRIAL_CHUNK = 64
+
+
+def _check_integers(**values) -> None:
+    """A bool, a fraction or a non-number is a BadParameter; numpy integers pass."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise BadParameter(f"{name} must be an integer, got {value!r}")
 
 
 def haar_ket(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -86,15 +94,13 @@ class SeparableSpec:
     seed: int
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = _check_dims(self.dims)
         object.__setattr__(self, "dims", dims)
         if not 2 <= len(dims) <= 5:
             raise BadParameter(f"need 2..5 subsystems, got {len(dims)}")
         if any(not 1 <= d <= 4 for d in dims):
             raise BadParameter(f"local dims must be 1..4, got {dims}")
-        for name, value in (("n_terms", self.n_terms), ("seed", self.seed)):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise BadParameter(f"{name} must be an integer, got {value!r}")
+        _check_integers(n_terms=self.n_terms, seed=self.seed)
         if not 1 <= self.n_terms <= 6:
             raise BadParameter(f"n_terms must be 1..6, got {self.n_terms}")
         if self.seed < 0:
@@ -114,24 +120,49 @@ def _row_norms(vecs: np.ndarray) -> np.ndarray:
     return np.sqrt(squares[:, 0, 0])
 
 
-def sample_separable(spec: SeparableSpec) -> MixedEnsemble:
-    """Flat-simplex mixture of Haar-random product states; deterministic per seed.
+def sample_separables(specs) -> Iterator[MixedEnsemble]:
+    """Flat-simplex mixtures of Haar-random product states, one per spec, in spec order;
+    deterministic per seed.
 
-    After the weights, one call draws every ket in :func:`haar_ket`'s
-    stream order (per component, per site: the real parts, then the
-    imaginary parts), and each site's kets are normalized together, with
-    the same values as one :func:`haar_ket` call per ket.
+    Each spec's generator draws the weights, then every ket in one call, in
+    :func:`haar_ket`'s stream order (per component, per site: the real parts,
+    then the imaginary parts).  The kets of each local dim, across all the specs,
+    are normalized by one :func:`_row_norms` call, with the values of one
+    :func:`haar_ket` call per ket, and checked as one batch.  The returned iterator
+    builds each ensemble when it is read.  If a batch check fails, nothing is kept:
+    each ensemble checks its own kets as it is built, so the first bad one raises.
     """
-    rng = np.random.default_rng(spec.seed)
-    weights = rng.dirichlet(np.ones(spec.n_terms))
-    draws = rng.standard_normal((spec.n_terms, 2 * sum(spec.dims)))
-    stacks = []
-    start = 0
-    for dim in spec.dims:
-        vecs = draws[:, start : start + dim] + 1j * draws[:, start + dim : start + 2 * dim]
-        stacks.append(vecs / _row_norms(vecs)[:, None])
-        start += 2 * dim
-    return MixedEnsemble.from_products(spec.dims, (float(w) for w in weights), stacks)
+    specs = list(specs)
+    weights, blocks = [], {}
+    for spec in specs:
+        rng = np.random.default_rng(spec.seed)
+        weights.append(rng.dirichlet(np.ones(spec.n_terms)).tolist())
+        draws = rng.standard_normal((spec.n_terms, 2 * sum(spec.dims)))
+        start = 0
+        for dim in spec.dims:
+            blocks.setdefault(dim, []).append(draws[:, start : start + 2 * dim])
+            start += 2 * dim
+    pieces, checked = {}, True
+    for dim, parts in blocks.items():
+        block = np.concatenate(parts)
+        vecs = block[:, :dim] + 1j * block[:, dim:]
+        kets = vecs / _row_norms(vecs)[:, None]
+        try:
+            _check_kets([kets])
+        except BadParameter:
+            checked = False
+        pieces[dim] = iter(np.split(kets, np.cumsum([len(part) for part in parts[:-1]])))
+    stacks = [[next(pieces[dim]) for dim in spec.dims] for spec in specs]
+    return (
+        MixedEnsemble._products(spec.dims, weight, each, () if checked else each)
+        for spec, weight, each in zip(specs, weights, stacks)
+    )
+
+
+def sample_separable(spec: SeparableSpec) -> MixedEnsemble:
+    """Flat-simplex mixture of Haar-random product states; deterministic per seed
+    (:func:`sample_separables` of this one spec)."""
+    return next(sample_separables([spec]))
 
 
 def check_separable_bounds(
@@ -193,10 +224,12 @@ def run_separable_trials(
 
     Trials run in chunks of 64: each draws its spec and operators exactly
     as alone, one :func:`~witnesslab.witness.fill_spectra` call computes
-    the chunk's local spectra, and then each trial samples its ensemble and
-    is one :func:`check_separable_bounds`, in trial order, with the margins
-    it has alone.  Only the worst margins outlive a chunk.
+    the chunk's local spectra, one :func:`sample_separables` call draws the
+    chunk's ensembles, and then each trial is one
+    :func:`check_separable_bounds`, in trial order, with the margins it has
+    alone.  Only the worst margins outlive a chunk.
     """
+    _check_integers(trials=trials, seed=seed, max_n=max_n, max_dim=max_dim, max_terms=max_terms)
     if trials < 1:
         raise BadParameter(f"trials must be >= 1, got {trials}")
     if seed < 0:
@@ -220,13 +253,12 @@ def run_separable_trials(
                 n_terms=int(rng.integers(1, max_terms + 1)),
                 seed=int(rng.integers(0, 2**63 - 1)),
             )
-            # the ensemble comes from the spec's own generator, so it waits for its check
             drawn.append((spec, random_assignment(dims, rng)))
         fill_spectra([assignment for _, assignment in drawn])
+        ensembles = sample_separables([spec for spec, _ in drawn])
         drawn.reverse()
         while drawn:  # each trial's operators and their caches go once it is checked
-            spec, assignment = drawn.pop()
-            margin1, margin2 = check_separable_bounds(sample_separable(spec), assignment)
+            margin1, margin2 = check_separable_bounds(next(ensembles), drawn.pop()[1])
             worst1 = min(worst1, margin1)
             worst2 = min(worst2, margin2)
             if margin1 < SEPARABLE_MARGIN_TOL or margin2 < SEPARABLE_MARGIN_TOL:
@@ -247,6 +279,7 @@ class LemmaTrialSummary:
 
 def run_lemma_trials(trials: int, seed: int) -> LemmaTrialSummary:
     """Seeded batch of (B, rho, p) triples for the operator-power inequality."""
+    _check_integers(trials=trials, seed=seed)
     if trials < 1:
         raise BadParameter(f"trials must be >= 1, got {trials}")
     if seed < 0:

@@ -477,10 +477,16 @@ class MixedEnsemble(TermAxis):
         for site, (stack, dim) in enumerate(zip(stacks, dims)):
             if stack.shape != (len(weights), dim):
                 raise BadParameter(f"kets at site {site} have shape {stack.shape}")
+        return cls._products(dims, weights, stacks, stacks)
+
+    @classmethod
+    def _products(cls, dims, weights, stacks, new_kets=()) -> "MixedEnsemble":
+        """:meth:`from_products` on checked dims and stack shapes, checking only the
+        stacks in ``new_kets``."""
         labels = np.full((len(weights), len(dims)), -1, dtype=np.int64)
         amps, offsets = np.ones(len(weights), dtype=complex), np.arange(len(weights) + 1)
         return cls.__new__(cls)._from_axis(
-            dims, weights, 0.0, labels, dict(enumerate(stacks)), amps, offsets, stacks
+            dims, weights, 0.0, labels, dict(enumerate(stacks)), amps, offsets, new_kets
         )
 
     @property

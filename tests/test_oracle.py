@@ -1,10 +1,17 @@
 """Tests for the randomized separability and operator-power oracles."""
 
 import math
+import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from witnesslab.cli import run
+from witnesslab import oracle
 from witnesslab.errors import BadParameter, InvalidDensityMatrix
 from witnesslab.oracle import (
     SeparableSpec,
@@ -95,6 +102,15 @@ def test_separable_spec_validation():
         SeparableSpec((2, 2), 9, 0)
 
 
+@pytest.mark.parametrize("dims", [(2.5, 2), (2, 3.9), (True, 2), (2, np.bool_(True))])
+def test_separable_spec_refuses_a_fractional_or_bool_dim(dims):
+    """A fractional dim used to be truncated and a bool read as 1; an integral float
+    reads as its int, as a state's dims do."""
+    with pytest.raises(BadParameter, match="integral dim"):
+        SeparableSpec(dims, 1, 0)
+    assert SeparableSpec((2.0, np.int64(3)), 1, 0).dims == (2, 3)
+
+
 @pytest.mark.parametrize(
     "n_terms,seed,message",
     [
@@ -131,6 +147,36 @@ def test_separable_spec_refuses_what_sampling_cannot_use(n_terms, seed, message)
 def test_separable_trials_reject_empty_or_impossible_ranges(kwargs):
     with pytest.raises(BadParameter):
         run_separable_trials(seed=0, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "run_trials,kwargs,message",
+    [
+        (run_separable_trials, {"trials": 2.5}, "trials must be an integer, got 2.5"),
+        (run_separable_trials, {"trials": True}, "trials must be an integer, got True"),
+        (run_separable_trials, {"seed": 1.5}, "seed must be an integer, got 1.5"),
+        (run_separable_trials, {"max_n": 3.5}, "max_n must be an integer, got 3.5"),
+        (run_separable_trials, {"max_dim": 2.5}, "max_dim must be an integer, got 2.5"),
+        (run_separable_trials, {"max_terms": np.bool_(True)}, "max_terms must be an integer"),
+        (run_lemma_trials, {"trials": 2.5}, "trials must be an integer, got 2.5"),
+        (run_lemma_trials, {"trials": True}, "trials must be an integer, got True"),
+        (run_lemma_trials, {"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ],
+    ids=[
+        "separable-fractional-trials", "separable-bool-trials", "separable-fractional-seed",
+        "fractional-max-n", "fractional-max-dim", "bool-max-terms",
+        "lemma-fractional-trials", "lemma-bool-trials", "lemma-fractional-seed",
+    ],
+)
+def test_trial_runs_refuse_a_bool_or_a_fraction(run_trials, kwargs, message):
+    """A fractional seed used to run the stream of its integer part and a fractional or bool
+    trial count a truncated one; numpy integers are accepted and run as Python ints do."""
+    with pytest.raises(BadParameter, match=re.escape(message)):
+        run_trials(**{"trials": 3, "seed": 1, **kwargs})
+    numpy_ints = {"trials": np.int64(3), "seed": np.uint32(1)}
+    assert run_trials(**numpy_ints) == run_trials(trials=3, seed=1)
+    limits = {"max_n": np.int32(3), "max_dim": np.int64(2), "max_terms": np.uint8(2)}
+    assert run_separable_trials(**numpy_ints, **limits) == run_separable_trials(3, 1, 3, 2, 2)
 
 
 def test_lemma_trials_reject_empty_runs():
@@ -239,3 +285,143 @@ def test_sample_separable_repeats_the_per_ket_stream_bit_for_bit():
             assert np.array_equal(got.term_axis.kets[site], stack), (spec, site)
             for pure_got, pure_want in zip(got.pures, want.pures):
                 assert np.array_equal(pure_got.site_stack(site), pure_want.site_stack(site))
+
+
+#: stdout of two oracle commands, recorded before the chunk built its ensembles together.
+_GOLDEN_ORACLE = {
+    ("--trials", "500", "--lemma-trials", "50", "--seed", "3"): (
+        "separable trials: 500\nviolations: 0\n"
+        "worst margin1: 6.009e-01\nworst margin2: 5.667e-01\n"
+        "lemma trials: 50\nlemma violations: 0\nworst lemma margin: 3.143e-01\nPASS\n"
+    ),
+    (
+        "--trials", "300", "--lemma-trials", "20",
+        "--max-n", "5", "--max-dim", "4", "--max-terms", "6", "--seed", "1",
+    ): (
+        "separable trials: 300\nviolations: 0\n"
+        "worst margin1: 7.245e-01\nworst margin2: 9.972e-01\n"
+        "lemma trials: 20\nlemma violations: 0\nworst lemma margin: 6.588e-01\nPASS\n"
+    ),
+}
+
+
+def test_oracle_output_and_worst_margins_are_the_recorded_bytes(capsys):
+    """Two oracle commands print their recorded stdout, and 640 trials at seed 7 (ten
+    chunks) keep their recorded worst margins to the last bit."""
+    for argv, want in _GOLDEN_ORACLE.items():
+        assert run(["oracle", *argv]) == 0
+        assert capsys.readouterr().out == want
+    summary = run_separable_trials(640, 7)
+    assert summary.violations == 0
+    assert (repr(summary.worst_margin1), repr(summary.worst_margin2)) == (
+        "0.6394676000447823",
+        "0.6892722706734247",
+    )
+
+
+def _run_chunked(trials, seed, limits, check=lambda state, assignment: (1.0, 1.0)):
+    """Run the separable trials with ``sample_separables`` and ``check_separable_bounds``
+    recorded: every spec the chunks sample, the size of each chunk, and per checked trial
+    its state.  The default check returns unit margins and evaluates nothing."""
+    specs, chunks, states = [], [], []
+    real_sample = oracle.sample_separables
+
+    def sample(chunk):
+        chunks.append(len(chunk))
+        specs.extend(chunk)
+        return real_sample(chunk)
+
+    def record(state, assignment):
+        states.append(state)
+        return check(state, assignment)
+
+    with mock.patch.object(oracle, "sample_separables", side_effect=sample), mock.patch.object(
+        oracle, "check_separable_bounds", side_effect=record
+    ):
+        oracle.run_separable_trials(trials, seed, *limits)
+    return specs, chunks, states
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    limits=st.tuples(st.integers(2, 5), st.integers(2, 4), st.integers(1, 6)),
+    trials=st.sampled_from([1, 63, 64, 65, 129]),
+)
+def test_chunk_ensembles_are_the_per_ket_samples_bit_for_bit(seed, limits, trials):
+    """Every trial's ensemble, sampled with its chunk, has the weights, kets, amplitudes,
+    offsets and labels of the per-ket sampler on its spec, to the last bit."""
+    specs, chunks, states = _run_chunked(trials, seed, limits)
+    whole, rest = divmod(trials, oracle._TRIAL_CHUNK)
+    assert chunks == [oracle._TRIAL_CHUNK] * whole + [rest] * (rest > 0)
+    assert len(states) == len(specs) == trials
+    for spec, got in zip(specs, states):
+        want = _per_ket_sample(spec)
+        assert got.dims == spec.dims and got.weights == want.weights
+        assert got.kets.keys() == want.kets.keys()
+        for got_array, want_array in [
+            (got.amps, want.amps),
+            (got.offsets, want.offsets),
+            (got.labels, want.labels),
+            *((got.kets[k], want.kets[k]) for k in want.kets),
+        ]:
+            assert got_array.dtype == want_array.dtype and got_array.shape == want_array.shape
+            assert got_array.tobytes() == want_array.tobytes(), spec
+
+
+@pytest.mark.parametrize("bad_trial", [0, 10, oracle._TRIAL_CHUNK + 10, 2 * oracle._TRIAL_CHUNK - 1])
+def test_a_non_unit_ket_mid_chunk_raises_from_its_trial(bad_trial):
+    """A ket whose norm comes out halved fails its chunk's batch check; then each trial
+    checks its own kets, so the BadParameter comes from that trial, after every trial
+    before it was checked."""
+    seed, limits, trials = 4, (4, 3, 4), 3 * oracle._TRIAL_CHUNK
+    specs, _, states = _run_chunked(trials, seed, limits)
+    assert len(states) == trials
+    spec = specs[bad_trial]
+    rng = np.random.default_rng(spec.seed)
+    rng.dirichlet(np.ones(spec.n_terms))
+    draws = rng.standard_normal((spec.n_terms, 2 * sum(spec.dims)))
+    dim = spec.dims[0]
+    bad_ket = draws[0, :dim] + 1j * draws[0, dim : 2 * dim]
+    real_norms = oracle._row_norms
+
+    def norms(vecs):
+        out = real_norms(vecs)
+        if vecs.shape[1] == dim:
+            out[np.all(vecs == bad_ket, axis=1)] /= 2.0
+        return out
+
+    checked = []
+
+    def check(state, assignment):
+        checked.append(state)
+        return check_separable_bounds(state, assignment)
+
+    with mock.patch.object(oracle, "_row_norms", side_effect=norms), mock.patch.object(
+        oracle, "check_separable_bounds", side_effect=check
+    ):
+        with pytest.raises(BadParameter, match="unit-normalized"):
+            sample_separable(spec)
+        with pytest.raises(BadParameter, match="unit-normalized"):
+            oracle.run_separable_trials(trials, seed, *limits)
+    assert [state.weights for state in checked] == [
+        _per_ket_sample(each).weights for each in specs[:bad_trial]
+    ]
+
+
+def test_separable_trial_memory_stays_constant_in_the_trial_count():
+    """Only the worst margins outlive a chunk: after a warm-up, the traced peak of 640
+    trials (ten chunks) exceeds that of their first 64 by less than 256 KiB, about 450 B
+    per further trial, while a kept ensemble takes a few KiB."""
+    run_separable_trials(640, 1)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for trials in (64, 640):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            run_separable_trials(trials, 1)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 256 * 1024, peaks
