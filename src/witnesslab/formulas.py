@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import BadParameter, MissingParameter
-from .oracle import random_assignment, random_pure_state
+from .oracle import _check_integers, random_assignment, random_pure_state
 from .scan import bisect_margin
 from .states import DEFAULT_TAIL_TOL, FAMILIES, StateFamily, build_state
 from .witness import canonical_assignment, evaluate, site_second_moments
@@ -772,6 +772,7 @@ def run_verification(seed: int = 0, points: int = 20) -> list[CrossCheckRow]:
     first); asymptotic tags are checked through the detection threshold
     they predict.  The rounded printed constants get their own row.
     """
+    _check_integers(seed=seed, points=points)
     if points < 1:
         raise BadParameter(f"points must be >= 1, got {points}")
     if points > MAX_VERIFY_POINTS:

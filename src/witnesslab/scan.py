@@ -18,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BadParameter, NoSignChange
+from .oracle import _check_integers
 from .states import DEFAULT_TAIL_TOL, StateFamily, build_state
 from .witness import WitnessReport, _check_epsilon, canonical_assignment, evaluate
 
@@ -63,9 +64,10 @@ def _validate(spec: SweepSpec, need_scalar_condition: bool = False) -> None:
         raise BadParameter(f"{name} needs lo < hi, got ({lo}, {hi})")
     if not math.isfinite(float(hi) - float(lo)):  # an infinite end, or ends too far apart
         raise BadParameter(f"{name} needs finite ends and a finite span hi - lo, got ({lo}, {hi})")
-    if int(steps) < 2:
+    _check_integers(steps=steps)
+    if steps < 2:
         raise BadParameter(f"grid needs at least 2 steps, got {steps}")
-    if int(steps) > MAX_GRID_STEPS:
+    if steps > MAX_GRID_STEPS:
         raise BadParameter(f"grid allows at most {MAX_GRID_STEPS} steps, got {steps}")
     for name in _param_names(spec):
         spec.family.with_param(name, lo)  # raises BadParameter on unknown names

@@ -16,18 +16,18 @@ their axis arrays directly, with no per-component :class:`PureSOP`, and
 every mixture's weights and new kets are checked in one place
 (``MixedEnsemble._from_axis``).  A site whose kets are all
 computational-basis kets (every basis-ket site of the built-in
-families) is its label column, so
-its overlaps and matrix elements are index lookups; any other site
-(tilted qubits, random kets) is in the dict, with labels -1 where a
-component gave kets.  The axis groups the components by term count t
-(:class:`TermGroup`); each per-site quantity of a group is one (G x t x
-t) block, by one contraction for any t: a lookup on a label site, and a
-batched product of the kets on a ket site or in the eigenbasis of a
-non-diagonal A^dag A; a diagonal one on a label site is one weighted sum
-of its entries at the labels (:meth:`TermGroup.diagonal`).  lhs takes
-the label sites whose operators are row maps
-(:class:`~witnesslab.linalg.RowMap`) as one block
-(:meth:`TermGroup.row_block`), and rhs2 contracts each site's
+families) is its label column; any other site (tilted qubits, random
+kets) is in the dict, with labels -1 where a component gave kets.  The
+axis groups the components by term count t (:class:`TermGroup`); each
+per-site quantity of a group is one (G x t x t) block, for any t.  A
+group reads its label sites two ways: :meth:`TermGroup.match` compares
+the terms' labels, or their images under row maps, and
+:meth:`TermGroup.at` reads a padded per-site table at the labels.  So
+the overlaps are the match times the ket sites' grams, lhs takes the
+label sites whose operators are row maps as one
+:meth:`TermGroup.row_block`, a diagonal operator is one weighted sum of
+its entries at the labels (:meth:`TermGroup.diagonal`), and no basis
+ket is written out.  rhs2 contracts each site's
 :meth:`TermGroup.ket_pairs` with S's entries, building no state vector.
 
 Fock-truncated continuous-variable families carry an explicit cutoff;
@@ -175,27 +175,41 @@ class TermGroup:
         self._grams: dict[int, np.ndarray] = {}
         self._rotated: dict[int, tuple] = {}
 
-    def stack(self, site: int) -> np.ndarray:
-        """(G x t x dim) kets at one site, written out on a label site within the byte budget."""
-        if (stack := self.kets.get(site)) is None:
-            check_bytes(self.labels[site].size * self.dims[site], 16, "term group: basis kets of")
-            stack = _basis_kets(self.labels[site], self.dims[site])
-        return stack
+    def match(self, sites, images=None) -> np.ndarray:
+        """New (G x t x t) bool block: term j's labels, or their ``images`` (sites x G x t),
+        equal term j''s at every label site in ``sites`` (True for none), compared in
+        chunks of sites within the byte budget."""
+        labels = self.labels if len(sites) == len(self.labels) else self.labels[sites]
+        images = labels if images is None else images
+        count, terms = self.amps.shape
+        step = max(1, ARRAY_BYTES_CAP // (count * terms**2))  # sites compared at once
+        match = np.logical_and.reduce(images[:step, :, :, None] == labels[:step, :, None, :])
+        for start in range(step, len(labels), step):
+            part = slice(start, start + step)
+            match &= np.logical_and.reduce(images[part, :, :, None] == labels[part, :, None, :])
+        return match
+
+    def at(self, table: np.ndarray, sites) -> np.ndarray:
+        """New (sites x G x t) entries ``table[k, l]`` of a padded (sites x width) per-site
+        table at each term's label l, for the label sites k in ``sites``."""
+        labels = self.labels if len(sites) == len(self.labels) else self.labels[sites]
+        return table[np.asarray(sites, dtype=int)[:, None, None], labels]
 
     def gram(self, site: int) -> np.ndarray:
         """Overlaps <u_j|u_j'> of the kets at one site: on a ket site their products, kept;
-        on a label site the boolean equality of its labels, a new array on each call."""
+        on a label site its :meth:`match`, a new array on each call."""
         if site not in self.kets:
-            labels = self.labels[site]
-            return labels[:, :, None] == labels[:, None, :]
+            return self.match([site])
         if (gram := self._grams.get(site)) is None:
             gram = self._grams[site] = _read_only(stack_pairs(self.kets[site], None))
         return gram
 
     @cached_property
     def overlaps(self) -> np.ndarray:
-        """Term overlaps <t_j|t_j'>: the product of every site's gram (kept)."""
-        return _read_only(reduce(np.multiply, (self.gram(k) for k in range(len(self.dims)))))
+        """Term overlaps <t_j|t_j'> (kept): the label sites' :meth:`match` times the ket
+        sites' grams, in site order."""
+        match = self.match([k for k in range(len(self.dims)) if k not in self.kets])
+        return _read_only(reduce(np.multiply, map(self.gram, sorted(self.kets)), match))
 
     @cached_property
     def _row(self) -> np.ndarray:
@@ -216,26 +230,13 @@ class TermGroup:
         labels = self.labels[site]
         return op[labels[:, :, None], labels[:, None, :]]
 
-    def row_block(self, sites, starts, cols: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """New (G x t x t) block prod_k <u_j|A_k|u_j'> over the label sites ``sites``, each
-        A_k a row map whose columns and weights start at ``starts[k]`` (sites x 1 x 1) in
-        the flat tables ``cols`` and ``weights``.
-
-        Entry (j, j') is nonzero where every site's column at j's label is j''s label;
-        it is then the product of the weights at j's labels, taken in site order.
-        """
-        every = len(sites) == len(self.labels)
-        labels = self.labels if every else self.labels[sites]
-        at = labels + (starts if every else starts[sites])
-        images = cols.take(at)
-        count, terms = self.amps.shape
-        step = max(1, ARRAY_BYTES_CAP // (count * terms**2))  # sites compared at once
-        match = np.logical_and.reduce(images[:step, :, :, None] == labels[:step, :, None, :])
-        for start in range(step, len(sites), step):
-            part = slice(start, start + step)
-            match &= np.logical_and.reduce(images[part, :, :, None] == labels[part, :, None, :])
-        product = np.multiply.reduce(weights.take(at), axis=0)
-        return np.where(match, product[:, :, None], 0j)
+    def row_block(self, sites, cols: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """New (G x t x t) block prod_k <u_j|A_k|u_j'> over the label sites ``sites``, A_k
+        the row map in row k of the padded tables ``cols`` and ``weights``: nonzero where
+        every site's column at j's label is j''s label (the :meth:`match` of the images),
+        and there the product of the weights at j's labels, taken in site order."""
+        product = np.multiply.reduce(self.at(weights, sites), axis=0)
+        return np.where(self.match(sites, self.at(cols, sites)), product[:, :, None], 0j)
 
     def quadratic(self, blocks: np.ndarray) -> np.ndarray:
         """w_c a_c^dag B_c a_c for every component c, from (... x G x t x t) blocks B, any t."""
@@ -252,14 +253,19 @@ class TermGroup:
 
     def rotated(self, site: int, basis: np.ndarray | None) -> np.ndarray:
         """(G x t x dim) kets u~ at one site read in the columns b_i of ``basis``,
-        u~[i] = <b_i|u>, kept for rhs1 and rhs2 to share; None reads them as they are."""
+        u~[i] = <b_i|u>, kept for rhs1 and rhs2 to share; None reads a ket site's kets as
+        they are.  On a label site, u~ of |l> is row l of conj(basis), gathered."""
         if basis is None:
-            return self.stack(site)
+            return self.kets[site]
         kept = self._rotated.get(site)
         if kept is None or kept[0] is not basis:
-            stack = self.stack(site)
-            rows = stack.reshape(-1, stack.shape[2]) @ basis.conj()
-            kept = self._rotated[site] = (basis, _read_only(rows.reshape(stack.shape)))
+            if (stack := self.kets.get(site)) is None:
+                labels = self.labels[site]
+                check_bytes(labels.size * self.dims[site], 16, "term group: basis kets of")
+                rows = basis.conj()[labels]
+            else:
+                rows = (stack.reshape(-1, stack.shape[2]) @ basis.conj()).reshape(stack.shape)
+            kept = self._rotated[site] = (basis, _read_only(rows))
         return kept[1]
 
 

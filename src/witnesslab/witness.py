@@ -14,42 +14,45 @@ entanglement; non-violation is inconclusive.
 Every side reads the state as its :class:`~witnesslab.states.TermAxis`
 (its term groups, dims, ket sites and white-noise weight): per group of
 equal term count and per site, one (G x t x t) block of <u_j|M|u_j'>,
-one contraction for any term count.  lhs is sum_c w_c a_c^dag (prod_k
-P_k) a_c.  At an eigen site, a label site whose own A^dag A is diagonal,
-each term is an eigenvector: rhs1 and the second moments read it as
-sum_j' r_cj' v_j', v the eigenvalues at the labels and r = w (a^dag O) o a
-from the term overlaps O, and weigh any other site's block by the other
-sites' grams.  A non-diagonal A^dag A enters through its clamped
-spectrum (lambda, V), as conj(u~_j) . lambda^p u~_j' of the kets read in
-V's columns, u~ = V^dag u, kept for rhs2 too.  rhs2 is sum_c w_c a_c^dag
-R_c a_c, R_jj' = <t_j|f(S)|t_j'>, f(s) = s^(n/2), S = (1/n) sum_k A_k^dag
-A_k, which is diagonal in the product of the local eigenbases.  Its route
-is read off the structure: factorized when every site is an eigen site
-(each term is an eigenvector of S, so rhs2 is r summed against f), and
+one contraction for any term count.  A group reads a label site's labels
+through its label match or its table gather (``TermGroup.match``, ``.at``).
+lhs is sum_c w_c a_c^dag (prod_k P_k) a_c.  At an eigen site, a label site
+whose own A^dag A is diagonal, each term is an eigenvector: rhs1 and the
+second moments read it as sum_j' r_cj' v_j', v the eigenvalues gathered at
+the labels and r = w (a^dag O) o a from the term overlaps O, and weigh any
+other site's one block by the eigen sites' match and the other sites'
+grams.  A non-diagonal A^dag A enters through its clamped spectrum
+(lambda, V), as conj(u~_j) . lambda^p u~_j' of the kets read in V's
+columns, u~ = V^dag u, kept for rhs2 too.  rhs2 is sum_c w_c a_c^dag R_c
+a_c, R_jj' = <t_j|f(S)|t_j'>, f(s) = s^(n/2), S = (1/n) sum_k A_k^dag A_k,
+which is diagonal in the product of the local eigenbases.  Its route is
+read off the structure: factorized when every site is an eigen site (each
+term is an eigenvector of S, so rhs2 is r summed against f), and
 eigenbasis otherwise, S's D diagonal entries contracted with each site's
 ket pairs.  The tests check every side against ``tests/full_space.py``.
 
 Each distinct local operator's spectrum depends on that operator alone,
 is computed once and kept on the :class:`OperatorAssignment`;
 :func:`fill_spectra` computes those of many assignments at once, with the
-same bits.  An operator with at most one nonzero per row (every named
-operator choice) is kept as its row map A = sum_i w_i |i><c_i|
-(:class:`~witnesslab.linalg.RowMap`, given as one or read from a
-matrix), and no d x d matrix is built for it: A^dag A is
-|w|^2 summed into the columns c, a real 1-D diagonal that is its own
-spectrum; a ket site applies A as w * u[c]; and lhs takes all the label
-sites of a group whose operators are row maps as one block, nonzero
-where every site maps j's label to j''s.  A 1-D array stands for the
-diagonal operator it lists.  Every array is checked against
-:data:`~witnesslab.linalg.ARRAY_BYTES_CAP` before it is built, and an
-A^dag A that overflows double precision raises :class:`NumericalOverflow`.
+same bits.  An operator is a d x d matrix or, with at most one nonzero per
+row (every named choice), its row map A = sum_i w_i |i><c_i|
+(:class:`~witnesslab.linalg.RowMap`, given as one or read from a matrix),
+for which no d x d matrix is built: A^dag A is |w|^2 summed into the
+columns c, a real 1-D diagonal that is its own spectrum; a ket site
+applies A as w * u[c]; and lhs takes all the label sites of a group whose
+operators are row maps as one block, nonzero where every site maps j's
+label to j''s.  Powered spectra stay 1-D: :func:`~witnesslab.states.stack_pairs`
+and :func:`~witnesslab.linalg.kron_embed` read a 1-D array as the diagonal it
+lists.  Every array is checked against :data:`~witnesslab.linalg.ARRAY_BYTES_CAP`
+before it is built, and an A^dag A that overflows double precision raises
+:class:`NumericalOverflow`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -71,10 +74,6 @@ from .states import State, stack_pairs
 
 #: Scale for the default detection tolerance, see :func:`evaluate`.
 DEFAULT_EPSILON_SCALE = 1e-9
-
-#: rhs1 and the site moments take the quadratic forms of as many sites at once as fit
-#: this many bytes of blocks; a larger block goes alone, in memory kept cache-sized.
-_CHUNK_BYTES = 2**18
 
 
 def _local_spectra(assignments) -> list[tuple[tuple[np.ndarray, np.ndarray | None], ...]]:
@@ -184,17 +183,14 @@ class OperatorAssignment:
         return [k for k, op in enumerate(self._local) if isinstance(op, RowMap)]
 
     @cached_property
-    def _row_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(starts, cols, weights)``: every site's row map as a zero-padded stretch of the
-        largest dim in two flat tables (zeros at a site whose operator is d x d), and where
-        each site's stretch starts, as a (sites x 1 x 1) array."""
-        width = max(self.dims)
-        cols = np.zeros((len(self._local), width), dtype=np.int64)
+    def _row_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(cols, weights)`` (sites x largest dim): every site's row map, zero-padded
+        (zeros at a site whose operator is d x d)."""
+        cols = np.zeros((len(self._local), max(self.dims)), dtype=np.int64)
         weights = np.zeros(cols.shape, dtype=complex)
         for k in self._row_sites:
             cols[k, : self.dims[k]], weights[k, : self.dims[k]] = self._local[k]
-        starts = np.arange(0, cols.size, width)[:, None, None]
-        return starts, cols.ravel(), weights.ravel()
+        return cols, weights
 
     @cached_property
     def _traces(self) -> tuple[complex, ...]:
@@ -304,36 +300,30 @@ def _mix(values) -> np.ndarray:
 def _site_moments(state: State, assignment: OperatorAssignment, power: float) -> np.ndarray:
     """<(A_k^dag A_k)^power> for every site, as real numbers: an eigen site's one
     :meth:`~witnesslab.states.TermGroup.diagonal` sum, any other site's block weighed by the
-    eigen sites' grams once and the rest's (one for a one-term component) by prefix/suffix."""
+    eigen sites' label match once and the rest's grams (one for a one-term component) by
+    prefix/suffix, and taken by one quadratic form."""
     _check_assignment(state, assignment)
     spectra = assignment._spectra
     powered = [evals**power for evals, _ in spectra]
     n = len(spectra)
     values = []
     for group in state.groups:
-        count, terms = group.amps.shape
         eigen = [k for k in range(n) if k not in group.kets and spectra[k][1] is None]
         others = [k for k in range(n) if k not in eigen]
-        moments = np.empty((n, count), dtype=complex)
+        moments = np.empty((n, len(group.amps)), dtype=complex)
         if eigen:  # each eigen site's powered eigenvalues at the terms' labels
-            entries = assignment._diagonals[np.array(eigen)[:, None, None], group.labels[eigen]]
-            moments[eigen] = group.diagonal(entries**power)
-        paired = terms > 1 and bool(others)
-        if paired:  # the product of no grams is True
-            suffix, prefix = True, [reduce(np.multiply, map(group.gram, eigen), True)]
+            moments[eigen] = group.diagonal(group.at(assignment._diagonals, eigen) ** power)
+        paired = group.amps.shape[1] > 1 and bool(others)
+        if paired:
+            suffix, prefix = True, [group.match(eigen)]
             for k in others[:-1]:
                 prefix.append(prefix[-1] * group.gram(k))
-        step = max(1, _CHUNK_BYTES // (16 * count * terms**2))
-        chunk = []  # the blocks of others[i:] not yet taken, last site first
         for i, k in reversed(list(enumerate(others))):
-            chunk.append(stack_pairs(group.rotated(k, spectra[k][1]), powered[k]))
+            block = stack_pairs(group.rotated(k, spectra[k][1]), powered[k])
             if paired:
-                chunk[-1] *= prefix[i] * suffix  # a new block, so weighed in place
+                block *= prefix[i] * suffix  # a new block, so weighed in place
                 suffix = suffix * group.gram(k)
-            if len(chunk) == step or i == 0:  # a chunk of one block is a view, not a copy
-                blocks = np.stack(chunk[::-1]) if chunk[1:] else chunk[0][None]
-                moments[others[i : i + len(chunk)]] = group.quadratic(blocks)
-                chunk = []
+            moments[k] = group.quadratic(block)
         values.append(moments.T)
     result = _mix(values)
     noise = state.white_noise_weight
@@ -464,12 +454,12 @@ def rhs_condition2(
         powered = _powered_grid(state, assignment)
         if noise:
             value = noise * float(np.mean(powered))
-    values, sites = [], np.arange(n)[:, None, None]
+    values = []
     bases = [vecs for _, vecs in assignment._spectra] if route == "eigenbasis" else None
     for group in state.groups:
         if route == "factorized":
             # every term is an eigenvector of S: f of its local eigenvalues, summed in site order
-            sums = np.add.accumulate(assignment._diagonals[sites, group.labels], axis=0)[-1]
+            sums = np.add.accumulate(group.at(assignment._diagonals, range(n)), axis=0)[-1]
             values.append(group.diagonal((sums / n) ** (n / 2.0)).real)
         else:
             block = _eigenbasis_block(group, powered, bases, lead, width)

@@ -205,6 +205,15 @@ def test_run_verification_needs_at_least_one_point():
         run_verification(points=0)
 
 
+@pytest.mark.parametrize("name,value", [
+    ("seed", True), ("seed", 1.0), ("seed", "1"), ("points", 1.5), ("points", True), ("points", None),
+])
+def test_run_verification_refuses_a_seed_or_point_count_that_is_no_integer(name, value):
+    """seed=True ran seed 1's draws and points=1.5 two cases per exact tag."""
+    with pytest.raises(BadParameter, match=f"{name} must be an integer, got {value!r}"):
+        run_verification(**{name: value})
+
+
 def test_run_verification_refuses_more_than_the_point_cap():
     with pytest.raises(BadParameter, match=f"<= {MAX_VERIFY_POINTS}"):
         run_verification(points=MAX_VERIFY_POINTS + 1)

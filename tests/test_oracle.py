@@ -1,5 +1,6 @@
 """Tests for the randomized separability and operator-power oracles."""
 
+import gc
 import math
 import re
 import tracemalloc
@@ -409,19 +410,39 @@ def test_a_non_unit_ket_mid_chunk_raises_from_its_trial(bad_trial):
     ]
 
 
+def _settled_peak(trials: int) -> int:
+    """Traced peak of ``run_separable_trials(trials, 1)`` above the memory in use as it
+    starts, from the same interpreter state on every call.
+
+    A full collection empties CPython's free lists of small tuples, and the run refills
+    them with traced tuples: ``tuple(map(int, dims))`` takes a ten-slot tuple and frees
+    it, shrunk, into the list of its final size.  That refill grows with the trial count
+    until each list holds 2,000 tuples, so the peak would depend on when the last full
+    collection ran.  Each call therefore collects, fills the lists to their cap, and
+    runs with the collector off: the trials leave no cyclic garbage."""
+    gc.collect()
+    refill = [tuple(range(size)) for size in range(1, 21) for _ in range(2100)]
+    del refill
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        run_separable_trials(trials, 1)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_separable_trial_memory_stays_constant_in_the_trial_count():
     """Only the worst margins outlive a chunk: after a warm-up, the traced peak of 640
-    trials (ten chunks) exceeds that of their first 64 by less than 256 KiB, about 450 B
-    per further trial, while a kept ensemble takes a few KiB."""
+    trials (ten chunks) exceeds that of their first 64 by less than 256 KiB (about 0 when
+    measured), while a kept ensemble takes a few KiB."""
     run_separable_trials(640, 1)
-    peaks = []
     tracemalloc.start()
     try:
-        for trials in (64, 640):
-            tracemalloc.reset_peak()
-            start = tracemalloc.get_traced_memory()[0]
-            run_separable_trials(trials, 1)
-            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        peaks = [_settled_peak(trials) for trials in (64, 640)]
     finally:
         tracemalloc.stop()
     assert peaks[1] - peaks[0] < 256 * 1024, peaks

@@ -216,6 +216,14 @@ def test_sweep_validation():
         )
 
 
+@pytest.mark.parametrize("steps", [2.7, 3.0, True, "3", None])
+def test_grid_refuses_a_step_count_that_is_no_integer(steps):
+    """A bool, a fraction or a non-number is refused, not truncated: 2.7 gave 2 rows."""
+    spec = SweepSpec(StateFamily("GHZ", {"n": 3}), "theta", (0.1, 1.0, steps))
+    with pytest.raises(BadParameter, match=f"steps must be an integer, got {steps!r}"):
+        sweep(spec)
+
+
 def test_grid_step_cap():
     """MAX_GRID_STEPS steps pass validation; one more is refused before the grid is built."""
     spec = SweepSpec(StateFamily("GHZ", {"n": 3}), "theta", (0.0, 1.0, scan.MAX_GRID_STEPS))

@@ -389,8 +389,8 @@ def test_eigen_sites_take_no_quadratic_form(monkeypatch, family, params, ops):
 
 def test_lseparable_forms_blocks_for_its_ket_sites_only(monkeypatch):
     """LSeparable's tilted sites hold kets and its others are eigen sites under lowering:
-    rhs1 and the second moments form one block per ket site, and rhs2 takes the
-    eigenbasis route's one block per term group."""
+    rhs1 and the second moments each take one (G x t x t) quadratic form per ket site and
+    none for an eigen site, and rhs2 takes the eigenbasis route's one block per term group."""
     params = {"n": 5, "l": 2, "theta": 0.4, "thetas": [0.5, 1.0]}
     state = build_state(StateFamily("LSeparable", params))
     assignment = canonical_assignment("lowering", state.dims)
@@ -398,11 +398,10 @@ def test_lseparable_forms_blocks_for_its_ket_sites_only(monkeypatch):
     block = (*group.amps.shape, group.amps.shape[1])  # G x t x t
     assert 0 < len(state.kets) < len(state.dims)
     shapes = _spy_quadratic(monkeypatch)
-    rhs_condition1(state, assignment)
-    site_second_moments(state, assignment)
-    assert {shape[1:] for shape in shapes} == {block}
-    assert sum(shape[0] for shape in shapes) == 2 * len(state.kets)
-    shapes.clear()
+    for moments in (rhs_condition1, site_second_moments):
+        moments(state, assignment)
+        assert shapes == [block] * len(state.kets)
+        shapes.clear()
     rhs_condition2(state, assignment)
     assert shapes == [block]
 
