@@ -309,12 +309,18 @@ def psd_power(op, power: float) -> np.ndarray:
     mat = as_operator(op)
     if power <= 0:
         raise ValueError(f"power must be positive, got {power}")
+    if not math.isfinite(power):
+        raise ValueError(f"power must be finite, got {power}")
     return spectral_power(psd_eigh(mat), power)
 
 
 def spectral_power(spectrum, power: float) -> np.ndarray:
-    """``V diag(evals^power) V^dag`` from a :func:`psd_eigh` spectrum ``(evals, V)``."""
+    """``V diag(evals^power) V^dag`` from a :func:`psd_eigh` spectrum ``(evals, V)`` of one
+    matrix or of a stack, each matrix with the bits it has alone."""
     clamped, vecs = spectrum
+    powered = clamped**power
     if vecs is None:
-        return np.diag((clamped**power).astype(complex))
-    return (vecs * clamped**power) @ dag(vecs)
+        out = np.zeros(powered.shape + powered.shape[-1:], dtype=complex)
+        np.einsum("...ii->...i", out)[...] = powered
+        return out
+    return (vecs * powered[..., None, :]) @ vecs.conj().swapaxes(-1, -2)

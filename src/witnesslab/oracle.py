@@ -9,17 +9,25 @@ violation), not physics.
 The operator-power inequality <B>^p <= <B^p> (p > 1) that underpins the
 bounds is exercised the same way, with random PSD operators and random
 density matrices.
+
+Both kinds of trial run in chunks of 64.  Each trial draws from its own
+generator, each matrix family in one call with the stream of one draw per
+matrix; the chunk then builds, checks and solves the matrices of each
+local dim as one stack, every matrix with the bits it has alone.  A trial
+whose matrix fails a chunk's check raises its own error, as it would
+alone.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameter, InvalidDensityMatrix
-from .linalg import DEFAULT_TOL, as_operator, dag, psd_power
+from .errors import BadParameter, DimensionMismatch, InvalidDensityMatrix, WitnessLabError
+from .linalg import DEFAULT_TOL, RowMap, as_operator, dag, psd_eigh, spectral_power
 from .states import MixedEnsemble, ProductTerm, PureSOP, _check_dims, _check_kets
 from .witness import OperatorAssignment, evaluate, fill_spectra
 
@@ -35,7 +43,7 @@ LEMMA_DIM = 6
 #: Powers p drawn for the lemma trials.
 LEMMA_POWERS = (1.5, 2.0, 3.0)
 
-#: Separable trials drawn before their local spectra are computed together.
+#: Trials, separable or lemma, whose matrices are built, checked and solved as one chunk.
 _TRIAL_CHUNK = 64
 
 
@@ -52,13 +60,48 @@ def haar_ket(dim: int, rng: np.random.Generator) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
+def _assignments(site_dims, draws) -> list[OperatorAssignment]:
+    """One assignment per trial from its dims and its ``standard_normal(2 sum d^2)`` draw,
+    which holds each site's d x d real parts, then its imaginary parts, in site order.
+
+    The matrices of each local dim, across the trials, are one (m x d x d) complex stack,
+    checked for finite entries once, with ``OperatorAssignment(ops)``'s error; a matrix
+    with at most d nonzeros is read by :meth:`RowMap.of`, so each site keeps the form
+    ``OperatorAssignment(ops)`` gives it, as a read-only view of its stack or a row map.
+    """
+    sites = np.array([d for dims in site_dims for d in dims], dtype=np.int64)
+    sizes = 2 * sites**2
+    starts = np.cumsum(sizes) - sizes
+    values = np.concatenate(draws)
+    pieces = {}
+    for dim in dict.fromkeys(sites.tolist()):
+        parts = values[starts[sites == dim, None] + np.arange(2 * dim * dim)]
+        parts = parts.reshape(-1, 2, dim, dim)
+        mats = parts[:, 0] + 1j * parts[:, 1]
+        if not np.isfinite(mats).all():
+            raise ValueError("operator has non-finite entries")
+        mats.flags.writeable = False
+        ops = list(mats)
+        for j in np.flatnonzero(np.count_nonzero(mats, axis=(1, 2)) <= dim):
+            rows = RowMap.of(mats[j])
+            ops[j] = ops[j] if rows is None else rows
+        pieces[dim] = iter(ops)
+    return [
+        OperatorAssignment.__new__(OperatorAssignment)._from_local(
+            [next(pieces[d]) for d in dims]
+        )
+        for dims in site_dims
+    ]
+
+
 def random_assignment(dims, rng: np.random.Generator) -> OperatorAssignment:
-    """One unconstrained complex Gaussian matrix per site."""
-    ops = tuple(
-        rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        for d in (int(d) for d in dims)
-    )
-    return OperatorAssignment(ops)
+    """One unconstrained complex Gaussian matrix per site, all drawn in one call: the
+    one-trial case of :func:`_assignments`, with the stream of a ``standard_normal((d, d))``
+    pair per site."""
+    dims = [int(d) for d in dims]
+    if any(d < 1 for d in dims):
+        raise DimensionMismatch(f"local dims must be >= 1, got {tuple(dims)}")
+    return _assignments([dims], [rng.standard_normal(2 * sum(d * d for d in dims))])[0]
 
 
 def random_pure_state(dims, n_terms: int, rng: np.random.Generator) -> PureSOP:
@@ -174,23 +217,58 @@ def check_separable_bounds(
 
 
 def check_lemma(op, rho, power: float) -> float:
-    """Slack <B^p> - <B>^p of the operator-power inequality, p > 1."""
+    """Slack <B^p> - <B>^p of the operator-power inequality, p > 1 and finite: the one-trial
+    case of :func:`_lemma_margins`."""
     if power <= 1.0:
         raise BadParameter(f"power must exceed 1, got {power}")
-    rho = as_operator(rho)
-    defect = float(np.max(np.abs(rho - dag(rho))))
-    if defect > DEFAULT_TOL:
-        raise InvalidDensityMatrix(f"Hermiticity defect {defect:.3e}")
-    trace = complex(np.trace(rho))
-    if abs(trace - 1.0) > 1e-8:
-        raise InvalidDensityMatrix(f"trace {trace} != 1")
-    evals = np.linalg.eigvalsh(rho)
-    if evals[0] < -DEFAULT_TOL:
-        raise InvalidDensityMatrix(f"negative eigenvalue {evals[0]:.3e}")
-    powered = psd_power(op, power)
-    mean = max(float(np.trace(rho @ as_operator(op)).real), 0.0)
-    mean_powered = float(np.trace(rho @ powered).real)
-    return mean_powered - mean**power
+    if not math.isfinite(power):
+        raise BadParameter(f"power must be finite, got {power}")
+    rho, op = as_operator(rho), np.asarray(op, dtype=complex)
+    if op.ndim != 2 or op.shape[0] != op.shape[1] or op.size == 0:  # as_operator's check
+        raise DimensionMismatch(f"operator must be square, got shape {op.shape}")
+    return _lemma_margins(op[None], rho[None], [power])[0]
+
+
+def _lemma_margins(ops, rhos, powers) -> list[float]:
+    """:func:`check_lemma` of each (op, rho, power) of the (m x d x d) stacks ``ops`` and
+    ``rhos`` and the m powers, each with the bits it has alone.
+
+    The density matrices take one Hermiticity, trace and ``eigvalsh`` check, and the
+    operators of each power one :func:`psd_eigh`.  (``eigh`` returns an exactly diagonal
+    matrix's eigenvalues exactly, and permuted unit vectors, so an exactly diagonal B in a
+    stack of dense ones has the powered matrix it has alone.)  If a batch check fails,
+    each triple is checked alone, so the first invalid one raises its own error.
+    """
+    try:
+        return _stacked_margins(ops, rhos, powers)
+    except (WitnessLabError, ValueError):
+        return [
+            _stacked_margins(ops[k : k + 1], rhos[k : k + 1], powers[k : k + 1])[0]
+            for k in range(len(powers))
+        ]
+
+
+def _stacked_margins(ops, rhos, powers) -> list[float]:
+    """:func:`_lemma_margins` with every check on the whole stack, raising what the first
+    triple that fails it would raise alone."""
+    if not np.isfinite(rhos).all():
+        raise ValueError("operator has non-finite entries")
+    defects = np.abs(rhos - rhos.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    if (defects > DEFAULT_TOL).any():
+        raise InvalidDensityMatrix(f"Hermiticity defect {defects[defects > DEFAULT_TOL][0]:.3e}")
+    traces = np.trace(rhos, axis1=1, axis2=2)
+    if (off := np.abs(traces - 1.0) > 1e-8).any():
+        raise InvalidDensityMatrix(f"trace {complex(traces[off][0])} != 1")
+    lowest = np.linalg.eigvalsh(rhos)[:, 0]
+    if (negative := lowest < -DEFAULT_TOL).any():
+        raise InvalidDensityMatrix(f"negative eigenvalue {lowest[negative][0]:.3e}")
+    powered = np.empty_like(ops)
+    for power in dict.fromkeys(powers):  # a scalar power, as alone: numpy squares for p = 2
+        rows = np.array(powers) == power
+        powered[rows] = spectral_power(psd_eigh(ops[rows]), power)
+    means = np.trace(rhos @ ops, axis1=1, axis2=2).real.tolist()
+    powered_means = np.trace(rhos @ powered, axis1=1, axis2=2).real.tolist()
+    return [got - max(mean, 0.0) ** p for mean, got, p in zip(means, powered_means, powers)]
 
 
 @dataclass(frozen=True)
@@ -222,12 +300,14 @@ def run_separable_trials(
     subset of trials reproduces identically, serial or parallel.  The
     size limits must admit at least one :class:`SeparableSpec`.
 
-    Trials run in chunks of 64: each draws its spec and operators exactly
-    as alone, one :func:`~witnesslab.witness.fill_spectra` call computes
-    the chunk's local spectra, one :func:`sample_separables` call draws the
-    chunk's ensembles, and then each trial is one
-    :func:`check_separable_bounds`, in trial order, with the margins it has
-    alone.  Only the worst margins outlive a chunk.
+    Trials run in chunks of 64.  Each trial's generator draws its spec and
+    then all its operators in one call, with :func:`random_assignment`'s
+    stream; :func:`_assignments` stacks the chunk's operators by local dim
+    and checks each stack once, one :func:`~witnesslab.witness.fill_spectra`
+    call computes the chunk's local spectra, and one
+    :func:`sample_separables` call draws the chunk's ensembles.  Then each
+    trial is one :func:`check_separable_bounds`, in trial order, with the
+    margins it has alone.  Only the worst margins outlive a chunk.
     """
     _check_integers(trials=trials, seed=seed, max_n=max_n, max_dim=max_dim, max_terms=max_terms)
     if trials < 1:
@@ -243,22 +323,25 @@ def run_separable_trials(
     violations = 0
     worst1 = worst2 = np.inf
     for start in range(0, int(trials), _TRIAL_CHUNK):
-        drawn = []
+        specs, draws = [], []
         for trial in range(start, min(start + _TRIAL_CHUNK, int(trials))):
             rng = np.random.default_rng([int(seed), trial])
             n = int(rng.integers(2, max_n + 1))
-            dims = tuple(int(d) for d in rng.integers(2, max_dim + 1, n))
-            spec = SeparableSpec(
-                dims=dims,
-                n_terms=int(rng.integers(1, max_terms + 1)),
-                seed=int(rng.integers(0, 2**63 - 1)),
+            dims = tuple(rng.integers(2, max_dim + 1, n).tolist())
+            specs.append(
+                SeparableSpec(
+                    dims=dims,
+                    n_terms=int(rng.integers(1, max_terms + 1)),
+                    seed=int(rng.integers(0, 2**63 - 1)),
+                )
             )
-            drawn.append((spec, random_assignment(dims, rng)))
-        fill_spectra([assignment for _, assignment in drawn])
-        ensembles = sample_separables([spec for spec, _ in drawn])
-        drawn.reverse()
-        while drawn:  # each trial's operators and their caches go once it is checked
-            margin1, margin2 = check_separable_bounds(next(ensembles), drawn.pop()[1])
+            draws.append(rng.standard_normal(2 * sum(d * d for d in dims)))
+        assignments = _assignments([spec.dims for spec in specs], draws)
+        fill_spectra(assignments)
+        ensembles = sample_separables(specs)
+        assignments.reverse()
+        while assignments:  # each trial's operators and their caches go once it is checked
+            margin1, margin2 = check_separable_bounds(next(ensembles), assignments.pop())
             worst1 = min(worst1, margin1)
             worst2 = min(worst2, margin2)
             if margin1 < SEPARABLE_MARGIN_TOL or margin2 < SEPARABLE_MARGIN_TOL:
@@ -278,7 +361,15 @@ class LemmaTrialSummary:
 
 
 def run_lemma_trials(trials: int, seed: int) -> LemmaTrialSummary:
-    """Seeded batch of (B, rho, p) triples for the operator-power inequality."""
+    """Seeded batch of (B, rho, p) triples for the operator-power inequality.
+
+    Trials run in chunks of 64.  Each trial's ``[seed, trial, 7]`` generator
+    draws B's and rho's Gaussian factors in one call, with the stream of
+    :func:`random_psd` and :func:`random_density_matrix`, then the power;
+    the chunk forms the matrices as stacks and takes every margin from one
+    :func:`_lemma_margins` call, each the :func:`check_lemma` of its trial to
+    the last bit.
+    """
     _check_integers(trials=trials, seed=seed)
     if trials < 1:
         raise BadParameter(f"trials must be >= 1, got {trials}")
@@ -286,13 +377,20 @@ def run_lemma_trials(trials: int, seed: int) -> LemmaTrialSummary:
         raise BadParameter(f"seed must be >= 0, got {seed}")
     violations = 0
     worst = np.inf
-    for trial in range(int(trials)):
-        rng = np.random.default_rng([int(seed), trial, 7])
-        op = random_psd(LEMMA_DIM, rng)
-        rho = random_density_matrix(LEMMA_DIM, rng)
-        power = LEMMA_POWERS[int(rng.integers(len(LEMMA_POWERS)))]
-        margin = check_lemma(op, rho, power)
-        worst = min(worst, margin)
-        if margin < LEMMA_MARGIN_TOL:
-            violations += 1
+    for start in range(0, int(trials), _TRIAL_CHUNK):
+        draws, powers = [], []
+        for trial in range(start, min(start + _TRIAL_CHUNK, int(trials))):
+            rng = np.random.default_rng([int(seed), trial, 7])
+            draws.append(rng.standard_normal(4 * LEMMA_DIM**2))
+            powers.append(LEMMA_POWERS[int(rng.integers(len(LEMMA_POWERS)))])
+        # B's and rho's Gaussian factors, as random_psd and random_density_matrix draw them
+        parts = np.reshape(draws, (-1, 2, 2, LEMMA_DIM, LEMMA_DIM))
+        mats = parts[:, :, 0] + 1j * parts[:, :, 1]
+        squares = mats @ mats.conj().swapaxes(-1, -2)
+        ops = squares[:, 0] / LEMMA_DIM
+        rhos = squares[:, 1] / np.trace(squares[:, 1], axis1=1, axis2=2).real[:, None, None]
+        for margin in _lemma_margins(ops, rhos, powers):
+            worst = min(worst, margin)
+            if margin < LEMMA_MARGIN_TOL:
+                violations += 1
     return LemmaTrialSummary(int(trials), violations, float(worst))

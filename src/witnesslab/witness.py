@@ -148,7 +148,14 @@ class OperatorAssignment:
                 mat.flags.writeable = False
                 rows = RowMap.of(mat)
                 local[id(op)] = mat if rows is None else rows
-        self._local = tuple(local[id(op)] for op in ops)
+        self._from_local(local[id(op)] for op in ops)
+
+    def _from_local(self, local) -> "OperatorAssignment":
+        """Keep these operators, one per site, as they are, every assignment's one way in:
+        each a checked row map or a finite, read-only d x d complex array with two or more
+        nonzeros in some row."""
+        self._local = tuple(local)
+        return self
 
     @cached_property
     def ops(self) -> tuple[np.ndarray, ...]:

@@ -218,14 +218,14 @@ def test_an_overflowing_trial_mid_chunk_raises_from_that_trial():
     checked, after the trials before it in its chunk, as one trial at a time would."""
     bad_trial = oracle._TRIAL_CHUNK + 10
     drawn = []
-    real = oracle.random_assignment
+    real = oracle._assignments
 
-    def assign(dims, rng):
-        assignment = real(dims, rng)
-        if len(drawn) == bad_trial:
-            assignment = OperatorAssignment([1e200 * op for op in assignment.ops])
-        drawn.append(assignment)
-        return assignment
+    def assign(site_dims, draws):
+        if len(drawn) <= bad_trial < len(drawn) + len(draws):
+            draws[bad_trial - len(drawn)] = 1e200 * draws[bad_trial - len(drawn)]
+        assignments = real(site_dims, draws)
+        drawn.extend(assignments)
+        return assignments
 
     calls = []
     real_check = oracle.check_separable_bounds
@@ -234,7 +234,7 @@ def test_an_overflowing_trial_mid_chunk_raises_from_that_trial():
         calls.append(assignment)
         return real_check(state, assignment)
 
-    with mock.patch.object(oracle, "random_assignment", side_effect=assign), mock.patch.object(
+    with mock.patch.object(oracle, "_assignments", side_effect=assign), mock.patch.object(
         oracle, "check_separable_bounds", side_effect=check
     ):
         with pytest.raises(NumericalOverflow, match=r"largest modulus \d\.\d+e\+200"):

@@ -16,6 +16,7 @@ from witnesslab.linalg import (
     psd_power,
     qubit_lowering_op,
     qubit_raising_op,
+    spectral_power,
 )
 
 
@@ -74,6 +75,28 @@ def test_psd_power_rejects_non_hermitian():
 def test_psd_power_rejects_negative_spectrum():
     with pytest.raises(NegativeSpectrum):
         psd_power(np.diag([1.0, -0.5]), 1.5)
+
+
+@pytest.mark.parametrize("power", [np.nan, np.inf])
+def test_psd_power_refuses_a_non_finite_power(power):
+    """A NaN or infinite power used to return a NaN matrix."""
+    rng = np.random.default_rng(8)
+    for mat in (random_psd(3, rng), np.diag([0.5, 2.0])):
+        with pytest.raises(ValueError, match="power must be finite"):
+            psd_power(mat, power)
+
+
+def test_spectral_power_of_a_stack_is_each_matrix_power():
+    """A stacked spectrum, dense or diagonal, gives each matrix's power bit for bit."""
+    rng = np.random.default_rng(12)
+    mats = np.stack([random_psd(4, rng) for _ in range(3)])
+    diagonals = np.stack([np.diag([1.0, 0.0, 2.5, 4.0]), np.diag([0.3, 2.0, 0.0, 1.0])])
+    for stack in (mats, diagonals):
+        for power in (1.5, 2.0, 3.0):
+            got = spectral_power(psd_eigh(stack), power)
+            for mat, one in zip(stack, got):
+                assert one.tobytes() == spectral_power(psd_eigh(mat), power).tobytes()
+                assert one.tobytes() == psd_power(mat, power).tobytes()
 
 
 def test_psd_power_clamps_roundoff_negatives():

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from witnesslab.cli import run
 from witnesslab import oracle
-from witnesslab.errors import BadParameter, InvalidDensityMatrix
+from witnesslab.errors import BadParameter, DimensionMismatch, InvalidDensityMatrix, NonHermitian
+from witnesslab.linalg import RowMap
 from witnesslab.oracle import (
     SeparableSpec,
     check_lemma,
@@ -446,3 +447,233 @@ def test_separable_trial_memory_stays_constant_in_the_trial_count():
     finally:
         tracemalloc.stop()
     assert peaks[1] - peaks[0] < 256 * 1024, peaks
+
+
+def _per_pair_assignment(dims, rng) -> OperatorAssignment:
+    """The per-site draw that ``random_assignment`` replaced, kept as its stream
+    reference: a ``standard_normal((d, d))`` pair per site, real parts first."""
+    return OperatorAssignment(
+        [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in dims]
+    )
+
+
+def _assert_same_operators(got: OperatorAssignment, want: OperatorAssignment):
+    """Site by site the same form (row map or read-only matrix) with the same bytes."""
+    assert len(got._local) == len(want._local)
+    for got_op, want_op in zip(got._local, want._local):
+        assert isinstance(got_op, RowMap) == isinstance(want_op, RowMap)
+        pairs = zip(got_op, want_op) if isinstance(want_op, RowMap) else [(got_op, want_op)]
+        for got_array, want_array in pairs:
+            assert got_array.dtype == want_array.dtype and got_array.shape == want_array.shape
+            assert got_array.tobytes() == want_array.tobytes()
+            assert not got_array.flags.writeable
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    limits=st.tuples(st.integers(2, 5), st.integers(2, 4), st.integers(1, 6)),
+    trials=st.sampled_from([1, 63, 64, 65, 129]),
+)
+def test_chunk_operators_are_each_trials_own_draw_bit_for_bit(seed, limits, trials):
+    """Every trial's assignment, built with its chunk's stacks, has the operators that
+    ``random_assignment`` and the per-site pair draws give from the trial's generator
+    after its four integer draws, in the same forms, to the last bit."""
+    built, chunks = [], []
+    real_assignments = oracle._assignments
+
+    def assignments(site_dims, draws):
+        chunks.append(len(draws))
+        built.extend(real_assignments(site_dims, draws))
+        return built[-len(draws) :]
+
+    with mock.patch.object(oracle, "_assignments", side_effect=assignments), mock.patch.object(
+        oracle, "check_separable_bounds", return_value=(1.0, 1.0)
+    ):
+        oracle.run_separable_trials(trials, seed, *limits)
+    whole, rest = divmod(trials, oracle._TRIAL_CHUNK)
+    assert chunks == [oracle._TRIAL_CHUNK] * whole + [rest] * (rest > 0)
+    max_n, max_dim, max_terms = limits
+    for trial, got in enumerate(built):
+        rngs = []
+        for _ in range(2):
+            rng = np.random.default_rng([seed, trial])
+            dims = tuple(rng.integers(2, max_dim + 1, int(rng.integers(2, max_n + 1))).tolist())
+            rng.integers(1, max_terms + 1), rng.integers(0, 2**63 - 1)
+            rngs.append(rng)
+        assert got.dims == dims
+        _assert_same_operators(got, random_assignment(dims, rngs[0]))
+        _assert_same_operators(got, _per_pair_assignment(dims, rngs[1]))
+        assert rngs[0].standard_normal() == rngs[1].standard_normal()
+
+
+def test_a_sparse_stack_entry_becomes_the_row_map_a_matrix_would():
+    """A drawn matrix with one nonzero per row is kept as the RowMap that
+    ``OperatorAssignment(ops)`` reads from it, beside a dense one of the same dim."""
+    sparse = np.array([[0, 2 - 1j, 0], [0, 0, 0], [0.5j, 0, 0]])
+    dense = np.arange(9).reshape(3, 3) * (1 - 2j)
+    qubit = np.array([[0, 1j], [3.0, 0]])
+    site_dims = [(3, 2), (3,)]
+    draws = [
+        np.concatenate([part for m in (sparse, qubit) for part in (m.real.flat, m.imag.flat)]),
+        np.concatenate([dense.real.ravel(), dense.imag.ravel()]),
+    ]
+    got = oracle._assignments(site_dims, draws)
+    assert [type(op) for op in got[0]._local] == [RowMap, RowMap]
+    _assert_same_operators(got[0], OperatorAssignment([sparse, qubit]))
+    _assert_same_operators(got[1], OperatorAssignment([dense]))
+    assert isinstance(got[1]._local[0], np.ndarray)
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_a_non_finite_operator_in_a_chunk_raises_before_the_chunk_is_checked(entry):
+    """A non-finite draw in the second chunk raises OperatorAssignment's ValueError after
+    the first chunk's 64 trials were checked and before any of its own is."""
+    real_assignments = oracle._assignments
+
+    def assignments(site_dims, draws):
+        if len(checked) == oracle._TRIAL_CHUNK:
+            draws[5] = draws[5].copy()
+            draws[5][0] = entry  # a real part: 1j * inf would warn first
+        return real_assignments(site_dims, draws)
+
+    checked = []
+    with mock.patch.object(oracle, "_assignments", side_effect=assignments), mock.patch.object(
+        oracle, "check_separable_bounds", side_effect=lambda *args: checked.append(1) or (1.0, 1.0)
+    ):
+        with pytest.raises(ValueError, match="operator has non-finite entries"):
+            oracle.run_separable_trials(3 * oracle._TRIAL_CHUNK, 2)
+    assert len(checked) == oracle._TRIAL_CHUNK
+    with pytest.raises(ValueError, match="operator has non-finite entries"):
+        OperatorAssignment([np.full((2, 2), entry)])
+
+
+@pytest.mark.parametrize("dims", [(0, 2), (2, -1)])
+def test_random_assignment_refuses_an_empty_or_negative_dim(dims):
+    with pytest.raises(DimensionMismatch, match="local dims must be >= 1"):
+        random_assignment(dims, np.random.default_rng(0))
+
+
+#: repr of run_lemma_trials(1000, seed).worst_margin, recorded before lemma trials ran in chunks.
+_LEMMA_WORST = {0: "0.29641420816077524", 1: "0.37821379610225203", 2: "0.231593909191796"}
+
+
+@pytest.mark.parametrize("seed", sorted(_LEMMA_WORST))
+def test_lemma_worst_margins_are_the_recorded_values(seed):
+    summary = run_lemma_trials(1000, seed)
+    assert summary.violations == 0
+    assert repr(summary.worst_margin) == _LEMMA_WORST[seed]
+
+
+def _lemma_trial(seed: int, trial: int):
+    """Trial ``trial``'s (B, rho, p), drawn one matrix at a time from its generator."""
+    rng = np.random.default_rng([seed, trial, 7])
+    op = random_psd(oracle.LEMMA_DIM, rng)
+    rho = random_density_matrix(oracle.LEMMA_DIM, rng)
+    return op, rho, oracle.LEMMA_POWERS[int(rng.integers(len(oracle.LEMMA_POWERS)))]
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), trials=st.sampled_from([1, 63, 64, 65, 129]))
+def test_chunk_lemma_margins_are_check_lemma_bit_for_bit(seed, trials):
+    """Every lemma trial, checked with its chunk, has the B, rho, p and the margin that
+    ``check_lemma`` gives on the trial's matrices drawn alone, to the last bit."""
+    chunks, margins = [], []
+    real_margins = oracle._lemma_margins
+
+    def lemma_margins(ops, rhos, powers):
+        chunks.append((ops, rhos, powers))
+        margins.extend(real_margins(ops, rhos, powers))
+        return margins[-len(powers) :]
+
+    with mock.patch.object(oracle, "_lemma_margins", side_effect=lemma_margins):
+        summary = run_lemma_trials(trials, seed)
+    assert [len(powers) for _, _, powers in chunks] == [
+        min(oracle._TRIAL_CHUNK, trials - start) for start in range(0, trials, oracle._TRIAL_CHUNK)
+    ]
+    ops, rhos = (np.concatenate([chunk[i] for chunk in chunks]) for i in range(2))
+    powers = [p for _, _, chunk_powers in chunks for p in chunk_powers]
+    for trial in range(trials):
+        op, rho, power = _lemma_trial(seed, trial)
+        assert ops[trial].tobytes() == op.tobytes() and rhos[trial].tobytes() == rho.tobytes()
+        assert powers[trial] == power
+        assert repr(margins[trial]) == repr(check_lemma(op, rho, power))
+    assert repr(summary.worst_margin) == repr(min(margins))
+
+
+def test_a_stack_with_diagonal_operators_gives_each_its_own_margin():
+    """An exactly diagonal B among dense ones goes through eigh, not psd_eigh's diagonal
+    path as alone, and still has its margin alone, across powers."""
+    trials = [_lemma_trial(3, trial) for trial in range(6)]
+    ops = [op for op, _, _ in trials]
+    ops[1] = np.diag([0.5, 0.0, 2.0, 1.0, 0.25, 3.0]).astype(complex)
+    ops[4] = np.eye(oracle.LEMMA_DIM, dtype=complex)
+    rhos, powers = [rho for _, rho, _ in trials], [1.5, 2.0, 3.0, 2.0, 1.5, 3.0]
+    got = oracle._lemma_margins(np.stack(ops), np.stack(rhos), powers)
+    assert [repr(m) for m in got] == [
+        repr(check_lemma(op, rho, p)) for op, rho, p in zip(ops, rhos, powers)
+    ]
+
+
+def _break(kind: str, op, rho):
+    if kind == "hermiticity":
+        rho = rho + np.triu(np.full(rho.shape, 1e-3), 1)
+    elif kind == "trace":
+        rho = 2.0 * rho
+    elif kind == "spectrum":  # Hermitian, of trace 1, with rho_11 - 1 < 0 on its diagonal
+        rho = rho + np.diag([1.0, -1.0] + [0.0] * (len(rho) - 2))
+    elif kind == "non-finite":
+        rho = rho.copy()
+        rho[0, 0] = np.nan
+    else:  # a non-Hermitian B
+        op = op + np.triu(np.full(op.shape, 1e-3), 1)
+    return op, rho
+
+
+@pytest.mark.parametrize("bad_trial", [0, 10, oracle._TRIAL_CHUNK + 1, 2 * oracle._TRIAL_CHUNK - 1])
+@pytest.mark.parametrize("kind", ["hermiticity", "trace", "spectrum", "non-finite", "operator"])
+def test_an_invalid_lemma_trial_raises_check_lemmas_error(kind, bad_trial):
+    """A trial made invalid inside its chunk raises the error check_lemma raises on it,
+    message and all, ahead of a later invalid trial of another kind."""
+    real_margins = oracle._lemma_margins
+    seen = []
+
+    def lemma_margins(ops, rhos, powers):
+        ops, rhos = ops.copy(), rhos.copy()
+        for k in range(len(powers)):
+            trial = len(seen) + k
+            if trial == bad_trial:
+                ops[k], rhos[k] = want = _break(kind, ops[k], rhos[k])
+                expected.append((*want, powers[k]))
+            elif trial == bad_trial + 3:
+                later = "trace" if kind != "trace" else "operator"
+                ops[k], rhos[k] = _break(later, ops[k], rhos[k])
+        seen.extend(powers)
+        return real_margins(ops, rhos, powers)
+
+    expected = []
+    with mock.patch.object(oracle, "_lemma_margins", side_effect=lemma_margins):
+        with pytest.raises(Exception) as raised:
+            run_lemma_trials(3 * oracle._TRIAL_CHUNK, 5)
+    with pytest.raises(Exception) as alone:
+        check_lemma(*expected[0])
+    assert type(raised.value) is type(alone.value)
+    assert str(raised.value) == str(alone.value)
+    wanted = {
+        "hermiticity": (InvalidDensityMatrix, "Hermiticity defect 1.000e-03"),
+        "trace": (InvalidDensityMatrix, "trace (2"),
+        "spectrum": (InvalidDensityMatrix, "negative eigenvalue"),
+        "non-finite": (ValueError, "operator has non-finite entries"),
+        "operator": (NonHermitian, "Hermiticity defect 1.000e-03 exceeds"),
+    }[kind]
+    assert type(alone.value) is wanted[0] and str(alone.value).startswith(wanted[1])
+
+
+@pytest.mark.parametrize("power", [math.nan, math.inf])
+def test_check_lemma_refuses_a_non_finite_power(power):
+    """A NaN power used to give a NaN or zero margin, never counted as a violation."""
+    rng = np.random.default_rng(4)
+    with pytest.raises(BadParameter, match="power must be finite"):
+        check_lemma(random_psd(3, rng), random_density_matrix(3, rng), power)
+    with pytest.raises(BadParameter, match="power must be finite"):
+        check_lemma(np.eye(3), np.eye(3) / 3, power)
