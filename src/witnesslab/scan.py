@@ -5,7 +5,9 @@ to CSV or JSON with full-precision floats, so identical inputs give
 byte-identical artifacts.  Threshold search bisects on the sign of the
 detection margin itself; the reporting tolerance epsilon plays no role
 in locating the root.  A sweep or a bisection builds its operator
-assignment once and rebuilds it only when the state's dims change.
+assignment once and rebuilds it only when the state's dims change.  Each
+point takes the previous point's structure when it is exactly the same, so
+along a grid in theta, theta1, theta2 or p it reads only its values.
 """
 
 from __future__ import annotations
@@ -78,16 +80,22 @@ def _validate(spec: SweepSpec, need_scalar_condition: bool = False) -> None:
 
 
 def _evaluator(spec: SweepSpec) -> Callable[[float], WitnessReport]:
-    """Report at one value; the assignment is rebuilt only when the dims change."""
+    """Report at one value, from one ``build_state`` and one ``evaluate``: the state takes
+    the previous point's structure if it is exactly the same (``share_structure``), and the
+    previous state is released before the point is evaluated; the assignment is rebuilt
+    only when the dims change."""
     names = _param_names(spec)
-    assignment = None
+    assignment = previous = None
 
     def at(value: float) -> WitnessReport:
-        nonlocal assignment
+        nonlocal assignment, previous
         family = spec.family
         for name in names:
             family = family.with_param(name, float(value))
         state = build_state(family, tail_tol=spec.tail_tol)
+        if previous is not None:
+            state.share_structure(previous)
+        previous = state
         if assignment is None or assignment.dims != state.dims:
             assignment = canonical_assignment(spec.operators, state.dims)
         return evaluate(state, assignment, epsilon=spec.epsilon)

@@ -30,6 +30,12 @@ its entries at the labels (:meth:`TermGroup.diagonal`), and no basis
 ket is written out.  rhs2 contracts each site's
 :meth:`TermGroup.ket_pairs` with S's entries, building no state vector.
 
+A state is its values (amplitudes, component weights, white-noise weight)
+and its structure: the dims, labels, ket stacks and offsets, what the term
+groups derive from them (label matches, grams, overlaps, rotated kets) and
+the blocks the sides keep on it per operator assignment.
+:meth:`TermAxis.share_structure` hands it to a state with the same bits.
+
 Fock-truncated continuous-variable families carry an explicit cutoff;
 the discarded tail weight is checked against a tolerance and the kept
 amplitudes are renormalized.
@@ -131,6 +137,23 @@ class TermAxis:
             array.flags.writeable = False
         self.dims, self.labels, self.kets, self.amps = dims, labels, kets, amps
         self.offsets, self.weight_array = offsets, np.array(weights, dtype=float)
+        self._blocks: dict = {}  # per assignment, what the sides contract with the values
+
+    def share_structure(self, other: "TermAxis") -> bool:
+        """Take ``other``'s structure, if its dims, offsets, labels and ket stacks hold exactly
+        this state's bits, before this state's groups are built: its term groups, bound to
+        this state's amplitudes and weights, and its kept blocks.  Returns whether it did."""
+        mine = (self.offsets, self.labels, *self.kets.values())
+        theirs = (other.offsets, other.labels, *map(other.kets.get, self.kets))
+        if self.dims != other.dims or self.kets.keys() != other.kets.keys() or not all(
+            a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            for a, b in zip(mine, theirs)
+        ):
+            return False
+        if "groups" in vars(other):
+            vars(self)["groups"] = tuple(group._with_values(self) for group in other.groups)
+        self._blocks = other._blocks
+        return True
 
     @property
     def num_sites(self) -> int:
@@ -162,18 +185,32 @@ class TermGroup:
         self.dims, self.comps = axis.dims, comps
         count, first, last = len(comps), comps[0], comps[-1]
         if last - first + 1 == count:  # consecutive components: views of the axis
-            rows = slice(axis.offsets[first], axis.offsets[last + 1])
-            self.weights = axis.weight_array[first : last + 1]
+            self._cut = slice(axis.offsets[first], axis.offsets[last + 1]), slice(first, last + 1)
         else:
-            rows = axis.offsets[comps, None] + np.arange(t)
-            self.weights = axis.weight_array[comps]
-        self.amps = axis.amps[rows].reshape(count, t)
+            self._cut = axis.offsets[comps, None] + np.arange(t), comps
+        rows = self._cut[0]
         labels = axis.labels[rows].reshape(count, t, -1)
         self.labels = np.ascontiguousarray(labels.transpose(2, 0, 1))
         self.kets = {site: stack[rows].reshape(count, t, -1) for site, stack in axis.kets.items()}
-        self._bras, self._columns = self.amps.conj()[:, None, :], self.amps[:, :, None]
         self._grams: dict[int, np.ndarray] = {}
         self._rotated: dict[int, tuple] = {}
+        self._set_values(axis)
+
+    def _set_values(self, axis: TermAxis) -> None:
+        """Cut the group's values from the axis: amplitudes (G x t) and weights (G)."""
+        rows, comps = self._cut
+        self.amps = axis.amps[rows].reshape(self.labels.shape[1:])
+        self.weights = axis.weight_array[comps]
+        self._bras, self._columns = self.amps.conj()[:, None, :], self.amps[:, :, None]
+
+    def _with_values(self, axis: TermAxis) -> "TermGroup":
+        """A new group of this structure with ``axis``'s values: it shares the labels, kets,
+        overlaps and the dicts of grams and rotated kets, so what either derives serves both."""
+        group = TermGroup.__new__(TermGroup)
+        vars(group).update(vars(self))
+        vars(group).pop("_row", None)
+        group._set_values(axis)
+        return group
 
     def match(self, sites, images=None) -> np.ndarray:
         """New (G x t x t) bool block: term j's labels, or their ``images`` (sites x G x t),

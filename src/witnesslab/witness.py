@@ -31,6 +31,12 @@ term is an eigenvector of S, so rhs2 is r summed against f), and
 eigenbasis otherwise, S's D diagonal entries contracted with each site's
 ket pairs.  The tests check every side against ``tests/full_space.py``.
 
+lhs's fused product block, rhs1's per-site blocks and eigen-site gathers and
+the factorized rhs2's f at each term depend only on the structure and the
+assignment: each is kept on the structure (:func:`_kept`), so a state that
+shares one costs one ``_row`` and one quadratic form or diagonal sum per side
+and group.  The eigenbasis rhs2 and white noise build S's D entries per call.
+
 Each distinct local operator's spectrum depends on that operator alone,
 is computed once and kept on the :class:`OperatorAssignment`;
 :func:`fill_spectra` computes those of many assignments at once, with the
@@ -52,7 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -70,7 +76,7 @@ from .linalg import (
     qubit_raising_rows,
     total_dimension,
 )
-from .states import State, stack_pairs
+from .states import State, _read_only, stack_pairs
 
 #: Scale for the default detection tolerance, see :func:`evaluate`.
 DEFAULT_EPSILON_SCALE = 1e-9
@@ -304,56 +310,81 @@ def _mix(values) -> np.ndarray:
     return terms[0] if len(terms) == 1 else np.add.accumulate(terms, axis=0)[-1]
 
 
-def _site_moments(state: State, assignment: OperatorAssignment, power: float) -> np.ndarray:
-    """<(A_k^dag A_k)^power> for every site, as real numbers: an eigen site's one
-    :meth:`~witnesslab.states.TermGroup.diagonal` sum, any other site's block weighed by the
-    eigen sites' label match once and the rest's grams (one for a one-term component) by
-    prefix/suffix, and taken by one quadratic form."""
-    _check_assignment(state, assignment)
+def _kept(state: State, key: tuple, block) -> tuple:
+    """``block(group)`` for every term group, made once per state structure and ``key`` (the
+    side, rhs1's power, and the assignment) and kept on the structure, read-only."""
+    kept = state._blocks
+    if key not in kept:
+        kept[key] = tuple(map(block, state.groups))
+    return kept[key]
+
+
+def _moment_block(assignment: OperatorAssignment, power: float, group) -> tuple:
+    """What one group's site moments <(A_k^dag A_k)^power> contract with its values: the
+    eigen sites and their powered eigenvalues at the terms' labels, and each other site's
+    block, weighed by the eigen sites' label match once and the rest's grams by
+    prefix/suffix (no weight for a one-term component)."""
     spectra = assignment._spectra
-    powered = [evals**power for evals, _ in spectra]
-    n = len(spectra)
-    values = []
-    for group in state.groups:
-        eigen = [k for k in range(n) if k not in group.kets and spectra[k][1] is None]
-        others = [k for k in range(n) if k not in eigen]
-        moments = np.empty((n, len(group.amps)), dtype=complex)
-        if eigen:  # each eigen site's powered eigenvalues at the terms' labels
-            moments[eigen] = group.diagonal(group.at(assignment._diagonals, eigen) ** power)
-        paired = group.amps.shape[1] > 1 and bool(others)
+    eigen = [k for k, (_, vecs) in enumerate(spectra) if k not in group.kets and vecs is None]
+    others = [k for k in range(len(spectra)) if k not in eigen]
+    gathered = _read_only(group.at(assignment._diagonals, eigen) ** power) if eigen else None
+    paired = group.amps.shape[1] > 1 and bool(others)
+    if paired:
+        suffix, prefix = True, [group.match(eigen)]
+        for k in others[:-1]:
+            prefix.append(prefix[-1] * group.gram(k))
+    blocks = []
+    for k in reversed(others):
+        block = stack_pairs(group.rotated(k, spectra[k][1]), spectra[k][0] ** power)
         if paired:
-            suffix, prefix = True, [group.match(eigen)]
-            for k in others[:-1]:
-                prefix.append(prefix[-1] * group.gram(k))
-        for i, k in reversed(list(enumerate(others))):
-            block = stack_pairs(group.rotated(k, spectra[k][1]), powered[k])
-            if paired:
-                block *= prefix[i] * suffix  # a new block, so weighed in place
-                suffix = suffix * group.gram(k)
+            block *= prefix.pop() * suffix  # a new block, so weighed in place
+            suffix = suffix * group.gram(k)
+        blocks.append((k, _read_only(block)))
+    return eigen, gathered, tuple(blocks)
+
+
+def _site_moments(state: State, assignment: OperatorAssignment, power: float) -> np.ndarray:
+    """<(A_k^dag A_k)^power> for every site, as real numbers: from each group's kept
+    :func:`_moment_block`, an eigen site's one :meth:`~witnesslab.states.TermGroup.diagonal`
+    sum and any other site's one quadratic form."""
+    _check_assignment(state, assignment)
+    n = len(state.dims)
+    values = []
+    kept = _kept(state, ("rhs1", power, assignment), partial(_moment_block, assignment, power))
+    for group, (eigen, gathered, blocks) in zip(state.groups, kept):
+        moments = np.empty((n, len(group.amps)), dtype=complex)
+        if eigen:
+            moments[eigen] = group.diagonal(gathered)
+        for k, block in blocks:
             moments[k] = group.quadratic(block)
         values.append(moments.T)
     result = _mix(values)
     noise = state.white_noise_weight
     if noise:
-        result = result + noise * np.array([f.sum() / d for f, d in zip(powered, state.dims)])
+        means = [(evals**power).sum() / d for (evals, _), d in zip(assignment._spectra, state.dims)]
+        result = result + noise * np.array(means)
     return np.real(result)
 
 
+def _product_block(assignment: OperatorAssignment, group) -> np.ndarray:
+    """One group's block prod_k <u_j|A_k|u_j'>: the label sites whose operators are row maps
+    as one block, times every other site's pair block in site order."""
+    local = assignment._local
+    fused = [k for k in assignment._row_sites if k not in group.kets]
+    total = group.row_block(fused, *assignment._row_tables) if fused else None
+    rest = sorted(set(range(len(local))).difference(fused)) if fused else range(len(local))
+    for site in rest:
+        block = group.pair_block(site, local[site])
+        total = block if total is None else np.multiply(total, block, out=total)
+    return _read_only(total)
+
+
 def product_expectation(state: State, assignment: OperatorAssignment) -> complex:
-    """< A_1 A_2 ... A_n > on the given state: per group, the label sites whose operators
-    are row maps as one block, times every other site's pair block in site order."""
+    """< A_1 A_2 ... A_n > on the given state: one quadratic form per term group of its
+    kept :func:`_product_block`."""
     _check_assignment(state, assignment)
-    local, mapped = assignment._local, assignment._row_sites
-    values = []
-    for group in state.groups:
-        fused = [k for k in mapped if k not in group.kets]
-        total = group.row_block(fused, *assignment._row_tables) if fused else None
-        rest = sorted(set(range(len(local))).difference(fused)) if fused else range(len(local))
-        for site in rest:
-            block = group.pair_block(site, local[site])
-            total = block if total is None else np.multiply(total, block, out=total)
-        values.append(group.quadratic(total))
-    value = _mix(values)
+    totals = _kept(state, ("lhs", assignment), partial(_product_block, assignment))
+    value = _mix([group.quadratic(total) for group, total in zip(state.groups, totals)])
     noise = state.white_noise_weight
     if noise:
         traces = 1.0 + 0.0j
@@ -422,6 +453,15 @@ def _eigenbasis_block(group, grid: np.ndarray, bases, lead: int, width: int) -> 
     return np.concatenate(blocks).reshape(-1, terms, terms)
 
 
+def _factorized_block(assignment: OperatorAssignment, group) -> np.ndarray:
+    """f at each term of one group on the factorized route, where every term is an
+    eigenvector of S: (sum_k lambda_k / n)^(n/2) of its local eigenvalues, summed in site
+    order."""
+    n = len(assignment._local)
+    sums = np.add.accumulate(group.at(assignment._diagonals, range(n)), axis=0)[-1]
+    return _read_only((sums / n) ** (n / 2.0))
+
+
 def rhs_condition2(
     state: State,
     assignment: OperatorAssignment,
@@ -437,15 +477,17 @@ def rhs_condition2(
     ``group.diagonal`` of f at its local eigenvalues.  Eigenbasis: S is diagonal in the
     product of the local eigenbases V_k, with D entries from n
     :func:`~witnesslab.linalg.kron_embed` calls, and :func:`_eigenbasis_block`
-    gives R.  :class:`DimensionCap` is raised before an array over the budget is
-    built: a grid of D floats past 2^23, or one component's t x t x D/d complex
-    block, d the dim of the first site of dim > 1 (or the largest dim, if more).
+    gives R.  The factorized route's f at each term is kept on the state's structure per
+    assignment (see :func:`_kept`); the eigenbasis route and white noise, which build the D
+    entries, build them on every call.  :class:`DimensionCap` is raised before an array
+    over the budget is built: a grid of D floats past 2^23, or one component's t x t x D/d
+    complex block, d the dim of the first site of dim > 1 (or the largest dim, if more).
     """
     _check_assignment(state, assignment)
     if method not in ("auto", "dense"):
         raise ValueError(f"unknown method {method!r}")
     route = _rhs2_route(state, assignment) if method == "auto" else "eigenbasis"
-    dims, n = state.dims, len(state.dims)
+    dims = state.dims
     noise = state.white_noise_weight
     value = 0.0
     if route == "eigenbasis" or noise:
@@ -461,16 +503,15 @@ def rhs_condition2(
         powered = _powered_grid(state, assignment)
         if noise:
             value = noise * float(np.mean(powered))
-    values = []
-    bases = [vecs for _, vecs in assignment._spectra] if route == "eigenbasis" else None
-    for group in state.groups:
-        if route == "factorized":
-            # every term is an eigenvector of S: f of its local eigenvalues, summed in site order
-            sums = np.add.accumulate(group.at(assignment._diagonals, range(n)), axis=0)[-1]
-            values.append(group.diagonal((sums / n) ** (n / 2.0)).real)
-        else:
-            block = _eigenbasis_block(group, powered, bases, lead, width)
-            values.append(group.quadratic(block).real)
+    if route == "factorized":
+        kept = _kept(state, ("rhs2", assignment), partial(_factorized_block, assignment))
+        values = [group.diagonal(f).real for group, f in zip(state.groups, kept)]
+    else:
+        bases = [vecs for _, vecs in assignment._spectra]
+        values = [
+            group.quadratic(_eigenbasis_block(group, powered, bases, lead, width)).real
+            for group in state.groups
+        ]
     return value + float(_mix(values))
 
 

@@ -21,6 +21,7 @@ from witnesslab import oracle
 from witnesslab.errors import DimensionCap
 from witnesslab.formulas import EXACT_TOL, FormulaId, closed_form
 from witnesslab.linalg import ARRAY_BYTES_CAP, annihilation_op, qubit_lowering_op
+from witnesslab.scan import SweepSpec, sweep
 from witnesslab.states import MixedEnsemble, ProductTerm, PureSOP, StateFamily, build_state
 from witnesslab.witness import OperatorAssignment, canonical_assignment, evaluate, rhs_condition2
 
@@ -241,3 +242,38 @@ def test_random_operators_on_a_multi_term_state_match_the_full_space_reference()
     got = rhs_condition2(state, assignment)
     want = full_space.rhs2(state, assignment)
     assert abs(got - want) <= 1e-10 * want, (got, want)
+
+
+def _peak(run) -> int:
+    """tracemalloc's peak while ``run()`` runs, from a fresh start."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "family,param,grid,ops",
+    [
+        # the auto cutoff grows at every point (1,146 terms at x = 0.99), so each point's
+        # structure differs and the kept t x t lhs block of the last one must go first
+        (StateFamily("NModeSqueezed", {"n": 2}), "x", (0.986, 0.99, 3), "annihilation"),
+        # one structure for every point (2,000 label sites): each point reads the kept
+        # blocks, and the last point's state goes before the next one is evaluated
+        (StateFamily("GHZ", {"n": 2000}), "theta", (0.1, 1.4, 8), "lowering"),
+    ],
+)
+def test_a_sweep_peaks_within_its_largest_single_point(family, param, grid, ops):
+    """A sweep's tracemalloc peak stays within 1.1x the largest peak of building and
+    evaluating one of its points alone."""
+    spec = SweepSpec(family, param, grid, ops)
+    points = [family.with_param(param, float(v)) for v in np.linspace(*grid)]
+
+    def single(point):
+        state = build_state(point)
+        evaluate(state, canonical_assignment(ops, state.dims))
+
+    largest = max(_peak(lambda: single(point)) for point in points)
+    assert _peak(lambda: sweep(spec)) <= 1.1 * largest
